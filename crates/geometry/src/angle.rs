@@ -56,7 +56,13 @@ impl Angle {
     /// This is the quantity compared against half the beamwidth when deciding
     /// whether a direction falls inside an antenna beam.
     pub fn separation(self, other: Angle) -> f64 {
-        let d = (self.radians - other.radians).abs() % TAU;
+        // `x % TAU` is exactly `x` for `x < TAU`, which normalized inputs
+        // almost always are; skipping the `fmod` call there keeps this
+        // bit-identical and cheap enough for per-pair footprint filters.
+        let mut d = (self.radians - other.radians).abs();
+        if d >= TAU {
+            d %= TAU;
+        }
         if d > PI {
             TAU - d
         } else {
@@ -102,7 +108,10 @@ fn normalize_radians(mut r: f64) -> f64 {
         // Propagate NaN; callers validating input should never reach this.
         return f64::NAN;
     }
-    r %= TAU;
+    // As in `separation`: `r % TAU` is exactly `r` when `|r| < TAU`.
+    if r.abs() >= TAU {
+        r %= TAU;
+    }
     if r <= -PI {
         r += TAU;
     } else if r > PI {

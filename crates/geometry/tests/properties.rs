@@ -9,6 +9,7 @@ use dirca_geometry::{
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::f64::consts::{PI, TAU};
 
 proptest! {
     #[test]
@@ -32,6 +33,25 @@ proptest! {
         let before = Angle::from_radians(a).separation(Angle::from_radians(b));
         let after = (Angle::from_radians(a) + rot).separation(Angle::from_radians(b) + rot);
         prop_assert!((before - after).abs() < 1e-9);
+    }
+
+    #[test]
+    fn angle_arithmetic_equals_the_fmod_forms(
+        a in prop_oneof![-100.0f64..100.0, Just(PI), Just(-PI), Just(TAU), Just(-TAU), Just(3.0 * PI)],
+        b in prop_oneof![-4.0f64..4.0, Just(PI), Just(-PI + 1e-15), Just(TAU)],
+    ) {
+        // Normalization and separation skip `fmod` when it is the
+        // identity; both must stay bit-identical to the unconditional form.
+        let normalize = |r: f64| {
+            let r = r % TAU;
+            if r <= -PI { r + TAU } else if r > PI { r - TAU } else { r }
+        };
+        let (na, nb) = (Angle::from_radians(a), Angle::from_radians(b));
+        prop_assert_eq!(na.radians().to_bits(), normalize(a).to_bits());
+        prop_assert_eq!(nb.radians().to_bits(), normalize(b).to_bits());
+        let d = (na.radians() - nb.radians()).abs() % TAU;
+        let separation = if d > PI { TAU - d } else { d };
+        prop_assert_eq!(na.separation(nb).to_bits(), separation.to_bits());
     }
 
     #[test]

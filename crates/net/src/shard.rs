@@ -271,7 +271,7 @@ impl ShardWorld for ShardNetWorld {
                     if !self.owns(dst) {
                         continue; // the owner shard handles its own copy
                     }
-                    let (heading, distance) = self.world.plan.arrival_geometry(dst, src);
+                    let (heading, distance) = self.world.plan.node(dst).toward(src);
                     let became_busy =
                         self.world.phys[dst.0].signal_arrives_at(id, heading, distance, end);
                     if became_busy {

@@ -5,11 +5,10 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use dirca_geometry::Angle;
 use dirca_mac::{DataPacket, DcfMac, Dot11Params, Frame, FrameKind, MacContext, TimerKind};
 use dirca_radio::{
     AntennaPattern, Channel, CompiledFaults, CoveragePlan, DynamicCoveragePlan, InvalidationStats,
-    NodeId, ReceptionMode, SignalId, SinrPhy, Transceiver,
+    NodeCoverage, NodeId, ReceptionMode, SignalId, SinrPhy, Transceiver,
 };
 use dirca_sim::{
     rng::{derive_seed, stream_rng},
@@ -313,14 +312,15 @@ impl NetWorld {
         let phys = (0..n).map(|_| Transceiver::new(reception)).collect();
         let rngs = (0..n).map(|i| stream_rng(config.seed, i as u64)).collect();
         let plan = CoveragePlan::new(&channel, config.beamwidth);
-        // Traffic adjacency via the plan's grid (O(n · density)), replacing
-        // the O(n²) `Topology::adjacency` scan; the strict `d² ≤ R²`
-        // predicate and ascending order are preserved bit for bit.
+        // Traffic adjacency as a strict `d² ≤ R²` filter of each node's
+        // omni slice (O(n · density), replacing the O(n²)
+        // `Topology::adjacency` scan): strict ⊆ slack, so the predicate and
+        // ascending order are preserved bit for bit.
         let neighbors = {
             let mut adj = Vec::with_capacity(n);
             let mut row: Vec<NodeId> = Vec::new();
             for i in 0..n {
-                plan.adjacency_into(NodeId(i), &mut row);
+                plan.node(NodeId(i)).adjacency_into(&mut row);
                 adj.push(row.iter().map(|id| id.0).collect());
             }
             adj
@@ -736,15 +736,26 @@ impl NetWorld {
         self.wave_targets(src, aim, directional)
     }
 
+    /// `id`'s coverage answers over the positions currently in force:
+    /// the dynamic plan's under mobility, the static plan's otherwise.
+    fn coverage(&self, id: NodeId) -> NodeCoverage<'_> {
+        match self.mobility.as_ref() {
+            Some(m) => m.plan.node(id),
+            None => self.plan.node(id),
+        }
+    }
+
     /// Fills `out` with the receivers covered by a transmission from `src`
     /// (aimed at `aim` when `directional`), in ascending id order, under
     /// the binary (non-SINR) footprint rule.
     ///
-    /// The grid-backed plan answers every aim — in range or not — with an
-    /// O(deg) sector filter of the transmitter's neighbour slice; no
-    /// trigonometry beyond the boresight and no allocation beyond `out`'s
-    /// capacity. Under mobility the dynamic plan serves the same queries
-    /// over the current positions.
+    /// The plan answers every aim — in range or not — from the
+    /// transmitter's neighbour slice, with no trigonometry and no
+    /// allocation beyond `out`'s capacity. It is also a SINR wave's
+    /// candidate set, with `directional` set only for an ideal sector: a
+    /// leaky pattern's side lobes reach the whole omni neighbourhood (the
+    /// interference footprint is truncated at the coverage reach, the
+    /// model's stated approximation).
     pub(crate) fn fill_wave_targets(
         &self,
         src: NodeId,
@@ -752,32 +763,12 @@ impl NetWorld {
         directional: bool,
         out: &mut Vec<NodeId>,
     ) {
-        match self.mobility.as_ref() {
-            Some(m) => {
-                if !directional {
-                    out.clear();
-                    out.extend_from_slice(m.plan.neighbors(src));
-                } else {
-                    m.plan.directional_coverage_into(src, aim, out);
-                }
-            }
-            None => {
-                if !directional {
-                    out.clear();
-                    out.extend_from_slice(self.plan.neighbors(src));
-                } else {
-                    self.plan.directional_coverage_into(src, aim, out);
-                }
-            }
-        }
-    }
-
-    /// The bearing and distance of a signal arriving at `dst` from `src`,
-    /// over the positions currently in force (mobile or static).
-    fn arrival_geometry_of(&self, dst: NodeId, src: NodeId) -> (Angle, f64) {
-        match self.mobility.as_ref() {
-            Some(m) => m.plan.arrival_geometry(dst, src),
-            None => self.plan.arrival_geometry(dst, src),
+        let node = self.coverage(src);
+        if directional {
+            node.directional_coverage_into(aim, out);
+        } else {
+            out.clear();
+            out.extend_from_slice(node.neighbors());
         }
     }
 
@@ -801,67 +792,20 @@ impl NetWorld {
             .as_ref()
             .expect("SINR target fill without a SINR runtime");
         let ideal = s.phy.is_ideal_pattern();
-        self.fill_candidate_targets(src, aim, directional && ideal, out);
+        self.fill_wave_targets(src, aim, directional && ideal, out);
         if !directional || ideal {
             // Omni radiation and the flat ideal sector put main_gain > 0
             // on every candidate: nothing is filtered.
             return;
         }
-        let boresight = self.heading_of(src, aim);
+        let node = self.coverage(src);
+        let (boresight, _) = node.toward(aim);
         out.retain(|&dst| {
-            let dist = self.distance_of(src, dst);
+            let (heading, dist) = node.toward(dst);
             s.pattern
-                .tx_gain(boresight.separation(self.heading_of(src, dst)), dist * dist)
+                .tx_gain(boresight.separation(heading), dist * dist)
                 > 0.0
         });
-    }
-
-    /// Fills `out` with a SINR wave's candidate set: the exact binary
-    /// sector footprint when the pattern is ideal (`beam_footprint`), the
-    /// whole omni neighbourhood otherwise — a leaky pattern's side lobes
-    /// reach every node in radio range (the interference footprint is
-    /// truncated at the coverage reach, the model's stated approximation).
-    fn fill_candidate_targets(
-        &self,
-        src: NodeId,
-        aim: NodeId,
-        beam_footprint: bool,
-        out: &mut Vec<NodeId>,
-    ) {
-        match self.mobility.as_ref() {
-            Some(m) => {
-                if beam_footprint {
-                    m.plan.directional_coverage_into(src, aim, out);
-                } else {
-                    out.clear();
-                    out.extend_from_slice(m.plan.neighbors(src));
-                }
-            }
-            None => {
-                if beam_footprint {
-                    self.plan.directional_coverage_into(src, aim, out);
-                } else {
-                    out.clear();
-                    out.extend_from_slice(self.plan.neighbors(src));
-                }
-            }
-        }
-    }
-
-    /// Bearing `from` → `to` over the positions currently in force.
-    fn heading_of(&self, from: NodeId, to: NodeId) -> Angle {
-        match self.mobility.as_ref() {
-            Some(m) => m.plan.heading(from, to),
-            None => self.plan.heading(from, to),
-        }
-    }
-
-    /// Distance between two nodes over the positions currently in force.
-    fn distance_of(&self, a: NodeId, b: NodeId) -> f64 {
-        match self.mobility.as_ref() {
-            Some(m) => m.plan.distance(a, b),
-            None => self.plan.distance(a, b),
-        }
     }
 
     /// Fills `out` with the receivers a SINR wave from `src` (aimed at
@@ -894,42 +838,37 @@ impl NetWorld {
                 .as_ref()
                 .expect("SINR wave fill without a SINR runtime");
             let ideal = s.phy.is_ideal_pattern();
-            self.fill_candidate_targets(src, aim, directional && ideal, out);
+            self.fill_wave_targets(src, aim, directional && ideal, out);
         }
-        let boresight = directional.then(|| self.heading_of(src, aim));
         let NetWorld {
             plan,
             mobility,
             sinr,
             ..
         } = self;
-        let mobility = &*mobility;
+        let node = match mobility.as_ref() {
+            Some(m) => m.plan.node(src),
+            None => plan.node(src),
+        };
+        let boresight = directional.then(|| node.toward(aim).0);
         let s = sinr
             .as_mut()
             .expect("SINR wave fill without a SINR runtime");
         s.powers.clear();
         let ideal = s.phy.is_ideal_pattern();
-        let heading_of = |from: NodeId, to: NodeId| match mobility.as_ref() {
-            Some(m) => m.plan.heading(from, to),
-            None => plan.heading(from, to),
-        };
-        let distance_of = |a: NodeId, b: NodeId| match mobility.as_ref() {
-            Some(m) => m.plan.distance(a, b),
-            None => plan.distance(a, b),
-        };
         let mut kept = 0;
         for i in 0..out.len() {
             let dst = out[i];
-            let dist = distance_of(src, dst);
+            // Every candidate is a neighbour: its bearing and distance come
+            // from the source's edge cache.
+            let (heading, dist) = node.toward(dst);
             let gain = match boresight {
                 // Ideal sector: the candidate set *is* the main lobe
                 // (flat at main_gain, apex rule included), so the support
                 // matches the binary footprint bit for bit with no
                 // re-derived geometry.
                 Some(_) if ideal => s.phy.main_gain,
-                Some(b) => s
-                    .pattern
-                    .tx_gain(b.separation(heading_of(src, dst)), dist * dist),
+                Some(b) => s.pattern.tx_gain(b.separation(heading), dist * dist),
                 // Omni transmissions radiate the main-lobe gain
                 // isotropically.
                 None => s.phy.main_gain,
@@ -973,7 +912,7 @@ impl NetWorld {
             touched.extend_from_slice(m.plan.apply_moves(moves));
             let mut row: Vec<NodeId> = Vec::new();
             for &id in &touched {
-                m.plan.adjacency_into(id, &mut row);
+                m.plan.node(id).adjacency_into(&mut row);
                 let slot = &mut neighbors[id.0];
                 slot.clear();
                 slot.extend(row.iter().map(|n| n.0));
@@ -1033,7 +972,7 @@ impl World for NetWorld {
                     let powers =
                         std::mem::take(&mut self.sinr.as_mut().expect("SINR runtime").powers);
                     for (i, &dst) in wave.iter().enumerate() {
-                        let (heading, distance) = self.arrival_geometry_of(dst, src);
+                        let (heading, distance) = self.coverage(dst).toward(src);
                         let became_busy = self.phys[dst.0]
                             .signal_arrives_powered(id, heading, distance, powers[i], end);
                         if became_busy {
@@ -1044,7 +983,7 @@ impl World for NetWorld {
                 } else {
                     self.fill_wave_targets(src, frame.dst, directional, &mut wave);
                     for &dst in &wave {
-                        let (heading, distance) = self.arrival_geometry_of(dst, src);
+                        let (heading, distance) = self.coverage(dst).toward(src);
                         let became_busy =
                             self.phys[dst.0].signal_arrives_at(id, heading, distance, end);
                         if became_busy {

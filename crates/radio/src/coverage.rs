@@ -13,19 +13,13 @@
 //! * **Omni neighbour lists** are materialised once per node from the
 //!   grid's candidate superset — O(n · local density) build, O(n) total
 //!   memory — and served as borrowed id-sorted slices, allocation-free.
-//! * **Directional footprints** are precomputed per *edge* (per omni
-//!   arena slot), not per node pair: a beam shares the omni disk's exact
-//!   distance bound (`Sector::contains` and `TxPattern::covers` both test
-//!   `d² ≤ R² + EPSILON`), so every aimable footprint is a filter of the
-//!   transmitter's omni slice, and the footprint table costs
-//!   O(Σ deg²) — linear in n at fixed density — instead of the old n²
-//!   range matrix. Lookup is a binary search of the id-sorted neighbour
-//!   slice. Aims at out-of-neighbourhood destinations (which a MAC never
-//!   produces) are filtered on the fly with the same predicate.
-//! * **Distance and arrival heading** are likewise cached per edge with
-//!   the *same expressions* the reference [`Channel`] evaluates, so
-//!   results are bit-identical to the old cached matrices without the
-//!   O(n²) storage; arbitrary-pair queries compute on demand.
+//! * **Per-edge tables** hold, per omni arena slot, the distance and
+//!   arrival bearing (the reference [`Channel`] expressions) and the
+//!   footprint of a beam aimed along the edge — a filter of the owner's
+//!   omni slice, since a beam shares the omni disk's distance bound, built
+//!   by the trig-free kernel shared with [`crate::DynamicCoveragePlan`].
+//!   They cost O(Σ deg²) — linear in n at fixed density — instead of the
+//!   old n² matrices; arbitrary-pair queries compute on demand.
 //!
 //! Every query is equal to its reference implementation
 //! ([`Channel::covered_by`] / [`Channel::heading`] /
@@ -35,9 +29,10 @@
 //! tests in `tests/coverage_plan.rs` and `tests/spatial_grid.rs` pin that
 //! equivalence across random and adversarial topologies and beamwidths.
 
-use dirca_geometry::{Angle, Beamwidth, EPSILON};
+use dirca_geometry::Beamwidth;
 
-use crate::channel::{Channel, TxPattern};
+use crate::channel::Channel;
+use crate::edges::{arena_offset, coverage_reach, EdgeTable, NodeCoverage};
 use crate::spatial::SpatialGrid;
 use crate::NodeId;
 
@@ -82,30 +77,21 @@ pub struct CoveragePlan {
     beamwidth: Beamwidth,
     /// Uniform grid over `positions` with cell edge ≥ the coverage reach.
     grid: SpatialGrid,
-    /// `n + 1` arena offsets delimiting each node's omni neighbour slice.
+    /// `n + 1` offsets delimiting each node's omni slice in `edges`.
     omni_offsets: Vec<u32>,
-    /// The shared slice arena: omni neighbour lists first (ascending id
-    /// order within each slice), directional footprints appended after.
-    arena: Vec<NodeId>,
-    /// Per-edge distance cache: `edge_dist[slot]` is the distance between
-    /// a slice's owner and `arena[slot]`, for every omni arena slot.
-    edge_dist: Vec<f64>,
-    /// Per-edge arrival-bearing cache: `edge_heading[slot]` is the
-    /// heading from a slice's owner *toward* `arena[slot]`.
-    edge_heading: Vec<Angle>,
-    /// Per-edge directional footprint ranges into `arena` for the aim
-    /// (owner → `arena[slot]`); aliases the owner's omni slice when the
-    /// beam covers the whole neighbourhood.
-    dir_ranges: Vec<(u32, u32)>,
+    /// Every node's omni slice (ascending id order within each), per-edge
+    /// distance, bearing and footprint, footprints appended after.
+    edges: EdgeTable,
 }
 
 impl CoveragePlan {
     /// Builds the plan for `channel` with directional sets computed at
     /// `beamwidth`.
     ///
-    /// Cost: O(n · local density) time for the grid and omni lists plus
-    /// O(Σ deg²) sector tests for the per-edge directional footprints —
-    /// linear in n at fixed density, never pairwise-quadratic.
+    /// Cost: O(n · local density) time for the grid and omni lists, one
+    /// `heading_to` per edge, and O(Σ deg²) comparisons of cached bearings
+    /// for the per-edge directional footprints — linear in n at fixed
+    /// density, never pairwise-quadratic.
     ///
     /// # Panics
     ///
@@ -119,80 +105,28 @@ impl CoveragePlan {
         );
         let positions = channel.positions().to_vec();
         let range = channel.range();
-        // The widest distance any coverage predicate accepts is
-        // √(R² + EPSILON); the extra 1e-9 relative margin dwarfs the ulp
-        // error of the grid's float cell arithmetic, so the 3×3 block is a
-        // guaranteed superset of every acceptable candidate.
-        let reach = (range * range + EPSILON).sqrt() * (1.0 + 1e-9);
-        let grid = SpatialGrid::new(&positions, reach);
+        let grid = SpatialGrid::new(&positions, coverage_reach(range));
 
         // Materialise each node's omni neighbourhood from the grid
-        // superset with the exact reference predicate, then sort: equal to
+        // superset with the exact reference predicate, sorted: equal to
         // `Channel::covered_by(src, Omni)` output by construction (same
-        // membership, and the reference emits ascending ids).
-        let mut arena: Vec<NodeId> = Vec::new();
+        // membership, and the reference emits ascending ids). Then cache
+        // each edge's distance and bearing and fill its beam footprint
+        // with the trig-free kernel (see `edges`): a beam shares the omni
+        // disk's exact distance bound, so every footprint is a filter of
+        // the owner's omni slice and the table is O(Σ deg²), not O(n²).
+        let mut edges = EdgeTable::default();
         let mut omni_offsets = Vec::with_capacity(n + 1);
         omni_offsets.push(0u32);
-        let mut scratch: Vec<NodeId> = Vec::new();
         for src in 0..n {
-            // panic-path: `src` iterates `0..n` over the same positions
-            // vector, so indexing cannot fail.
-            let origin = positions[src];
-            scratch.clear();
-            grid.for_each_candidate(origin, |id| {
-                if id.0 != src && TxPattern::Omni.covers(origin, range, positions[id.0]) {
-                    scratch.push(id);
-                }
-            });
-            scratch.sort_unstable();
-            arena.extend_from_slice(&scratch);
-            omni_offsets.push(arena_offset(arena.len()));
+            edges.push_neighbors(&grid, &positions, range, src);
+            omni_offsets.push(arena_offset(edges.arena_len()));
         }
-        let edges = arena.len();
-
-        // Per-edge caches, indexed by omni arena slot: the distance and
-        // arrival bearing between a slice's owner and the neighbour in
-        // that slot (the exact reference expressions, so values are
-        // bit-identical to `Channel::distance` / `Channel::heading`), and
-        // the directional footprint of the beam aimed owner → neighbour.
-        // A beam shares the omni disk's exact distance bound
-        // (`Sector::contains` and `TxPattern::covers` both test
-        // `d² ≤ R² + EPSILON`), so filtering the owner's omni slice
-        // through the reference predicate yields exactly
-        // `Channel::covered_by` for the aimed pattern, ascending order
-        // preserved — and the table is O(Σ deg²), not O(n²).
-        let mut edge_dist = Vec::with_capacity(edges);
-        let mut edge_heading = Vec::with_capacity(edges);
-        let mut dir_ranges = vec![(0u32, 0u32); edges];
-        for src in 0..n {
-            let omni_range = (omni_offsets[src] as usize)..(omni_offsets[src + 1] as usize);
-            // panic-path: `src` iterates `0..n`, matching `positions`.
-            let origin = positions[src];
-            for slot in omni_range.clone() {
-                // panic-path: omni slots hold ids the plan indexed.
-                let dst = arena[slot];
-                edge_dist.push(origin.distance(positions[dst.0]));
-                edge_heading.push(origin.heading_to(positions[dst.0]));
-                let pattern = TxPattern::aimed(origin, positions[dst.0], beamwidth);
-                // Append the filtered footprint to the arena, then roll it
-                // back if the beam turned out to cover the whole
-                // neighbourhood (wide θ or a degenerate layout) — aliasing
-                // src's omni slice keeps the arena compact.
-                let start = arena.len();
-                for neighbor_slot in omni_range.clone() {
-                    let p = arena[neighbor_slot];
-                    if pattern.covers(origin, range, positions[p.0]) {
-                        arena.push(p);
-                    }
-                }
-                let slice = if arena.len() - start == omni_range.len() {
-                    arena.truncate(start);
-                    (omni_offsets[src], omni_offsets[src + 1])
-                } else {
-                    (arena_offset(start), arena_offset(arena.len()))
-                };
-                dir_ranges[slot] = slice;
-            }
+        edges.reserve_edges();
+        let mut dist_sq = Vec::new();
+        for (src, ends) in omni_offsets.windows(2).enumerate() {
+            let omni = ends[0] as usize..ends[1] as usize;
+            edges.push_edges(omni, &positions, src, beamwidth, range, &mut dist_sq);
         }
 
         CoveragePlan {
@@ -201,10 +135,7 @@ impl CoveragePlan {
             beamwidth,
             grid,
             omni_offsets,
-            arena,
-            edge_dist,
-            edge_heading,
-            dir_ranges,
+            edges,
         }
     }
 
@@ -231,7 +162,7 @@ impl CoveragePlan {
 
     /// Total arena entries (a size diagnostic for tests and tooling).
     pub fn arena_len(&self) -> usize {
-        self.arena.len()
+        self.edges.arena_len()
     }
 
     /// Approximate resident bytes of the whole plan: positions, the slice
@@ -241,133 +172,51 @@ impl CoveragePlan {
         std::mem::size_of::<Self>()
             + self.positions.len() * std::mem::size_of::<dirca_geometry::Point>()
             + self.omni_offsets.len() * std::mem::size_of::<u32>()
-            + self.arena.len() * std::mem::size_of::<NodeId>()
-            + self.edge_dist.len() * std::mem::size_of::<f64>()
-            + self.edge_heading.len() * std::mem::size_of::<Angle>()
-            + self.dir_ranges.len() * std::mem::size_of::<(u32, u32)>()
+            + self.edges.index_bytes()
             + self.grid.index_bytes()
     }
 
-    /// Distance |a − b|, equal to [`Channel::distance`] bit for bit (same
-    /// expression over the same coordinates).
+    /// Node `id`'s coverage answers: neighbours, edge geometry, arrival
+    /// geometry, beam footprints and strict adjacency.
     ///
     /// # Panics
     ///
-    /// Panics if either id is out of range.
+    /// Panics if `id` is out of range.
     #[inline]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        assert!(
-            a.0 < self.positions.len() && b.0 < self.positions.len(),
-            "node id out of range"
-        );
-        self.positions[a.0].distance(self.positions[b.0])
+    pub fn node(&self, id: NodeId) -> NodeCoverage<'_> {
+        // panic-path: an out-of-range id panics on the offset read, the
+        // documented contract; in-range offsets are monotone within the
+        // table by construction.
+        NodeCoverage {
+            table: &self.edges,
+            omni: self.omni_offsets[id.0] as usize..self.omni_offsets[id.0 + 1] as usize,
+            id,
+            positions: &self.positions,
+            range: self.range,
+            beamwidth: self.beamwidth,
+        }
     }
 
-    /// Bearing `from` → `to`, equal to [`Channel::heading`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    #[inline]
-    pub fn heading(&self, from: NodeId, to: NodeId) -> Angle {
-        assert!(
-            from.0 < self.positions.len() && to.0 < self.positions.len(),
-            "node id out of range"
-        );
-        self.positions[from.0].heading_to(self.positions[to.0])
-    }
-
-    /// The omni neighbourhood of `id` in ascending id order, equal to
-    /// [`Channel::neighbors`]. Borrowed slice; no allocation.
+    /// Shorthand for [`NodeCoverage::neighbors`] of `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     #[inline]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        // panic-path: offsets are monotone within the arena length by
-        // construction; an out-of-range id panics on the offset read,
-        // which is the documented contract.
-        let start = self.omni_offsets[id.0] as usize;
-        let end = self.omni_offsets[id.0 + 1] as usize;
-        &self.arena[start..end]
+        self.node(id).neighbors()
     }
 
-    /// The omni arena slot of `needle` inside `owner`'s neighbour slice,
-    /// found by binary search (slices ascend by id).
-    ///
-    /// panic-path: callers pass an in-range `owner`, so the offset read is
-    /// within the n+1-length offsets vector.
-    #[inline]
-    fn edge_slot(&self, owner: NodeId, needle: NodeId) -> Option<usize> {
-        let start = self.omni_offsets[owner.0] as usize;
-        self.neighbors(owner)
-            .binary_search(&needle)
-            .ok()
-            .map(|i| start + i)
-    }
-
-    /// The bearing and distance of a signal arriving at `dst` from `src`,
-    /// as the pair `(heading dst → src, |dst − src|)` — bit-identical to
-    /// ([`Channel::heading`], [`Channel::distance`]).
-    ///
-    /// The hot path for wave delivery: when `src` is inside `dst`'s
-    /// neighbourhood (every physically arriving signal is, since beam and
-    /// omni share one distance bound and distance is symmetric) both
-    /// values come from the per-edge cache after one binary search; the
-    /// out-of-range fallback computes them with the same expressions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    #[inline]
-    pub fn arrival_geometry(&self, dst: NodeId, src: NodeId) -> (Angle, f64) {
-        match self.edge_slot(dst, src) {
-            // panic-path: per-edge caches are arena-slot-parallel by
-            // construction, so a found slot indexes all of them.
-            Some(slot) => (self.edge_heading[slot], self.edge_dist[slot]),
-            None => (self.heading(dst, src), self.distance(dst, src)),
-        }
-    }
-
-    /// Fills `out` with the footprint of a beam from `src` aimed at `dst`
-    /// at the plan's beamwidth, in ascending id order — equal to
-    /// [`Channel::covered_by`] with [`TxPattern::aimed`] for **any** dst
-    /// (neighbour or not; a beam aimed at an unreachable peer still covers
-    /// whatever falls in its sector).
-    ///
-    /// Cost for the aims a MAC produces (dst inside src's neighbourhood):
-    /// one binary search plus a slice copy from the per-edge footprint
-    /// table. Cold aims at out-of-neighbourhood destinations filter the
-    /// omni slice on the fly with the same predicate — because the sector
-    /// shares the omni disk's exact distance bound, the footprint is a
-    /// subset of the omni neighbourhood and the filter preserves the
-    /// slice's ascending order.
+    /// Shorthand for [`NodeCoverage::directional_coverage_into`] from
+    /// `src`: equal to [`Channel::covered_by`] with
+    /// [`TxPattern::aimed`](crate::TxPattern::aimed) for any `dst`.
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     #[inline]
     pub fn directional_coverage_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) {
-        assert!(
-            src.0 < self.positions.len() && dst.0 < self.positions.len(),
-            "node id out of range"
-        );
-        out.clear();
-        if let Some(slot) = self.edge_slot(src, dst) {
-            // panic-path: stored ranges delimit arena slices built above.
-            let (start, end) = self.dir_ranges[slot];
-            out.extend_from_slice(&self.arena[start as usize..end as usize]);
-            return;
-        }
-        let origin = self.positions[src.0];
-        let pattern = TxPattern::aimed(origin, self.positions[dst.0], self.beamwidth);
-        for &p in self.neighbors(src) {
-            // panic-path: neighbour slices only hold ids the plan indexed.
-            if pattern.covers(origin, self.range, self.positions[p.0]) {
-                out.push(p);
-            }
-        }
+        self.node(src).directional_coverage_into(dst, out);
     }
 
     /// Allocating convenience form of
@@ -381,47 +230,12 @@ impl CoveragePlan {
         self.directional_coverage_into(src, dst, &mut out);
         out
     }
-
-    /// Fills `out` with the nodes strictly within range of `id` under the
-    /// topology-layer adjacency predicate `d² ≤ R²` (**no** EPSILON slack),
-    /// ascending by id — bit-identical to one row of
-    /// `Topology::adjacency`.
-    ///
-    /// This is deliberately a *different* predicate from
-    /// [`CoveragePlan::neighbors`] (`d² ≤ R² + EPSILON`): traffic
-    /// generation has always drawn destinations from the strict set while
-    /// signal coverage uses the slack bound, and collapsing the two would
-    /// shift golden traces. The grid serves both since strict ⊆ slack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn adjacency_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        assert!(id.0 < self.positions.len(), "node id out of range");
-        out.clear();
-        let origin = self.positions[id.0];
-        let r2 = self.range * self.range;
-        self.grid.for_each_candidate(origin, |p| {
-            // panic-path: grid candidates are ids the plan indexed.
-            if p != id && origin.distance_squared(self.positions[p.0]) <= r2 {
-                out.push(p);
-            }
-        });
-        out.sort_unstable();
-    }
-}
-
-/// Narrows an arena length to the 32-bit offset type.
-///
-/// panic-path: the arena holds one entry per (node, neighbour) edge and
-/// the constructor caps n below `u32::MAX`, so the length always fits.
-fn arena_offset(len: usize) -> u32 {
-    u32::try_from(len).expect("arena stays below u32::MAX entries")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TxPattern;
     use dirca_geometry::Point;
     use dirca_sim::SimDuration;
 
@@ -488,12 +302,10 @@ mod tests {
         for a in 0..c.len() {
             for b in 0..c.len() {
                 let (a, b) = (NodeId(a), NodeId(b));
+                let (heading, distance) = plan.node(a).toward(b);
+                assert_eq!(distance.to_bits(), c.distance(a, b).unwrap().to_bits());
                 assert_eq!(
-                    plan.distance(a, b).to_bits(),
-                    c.distance(a, b).unwrap().to_bits()
-                );
-                assert_eq!(
-                    plan.heading(a, b).radians().to_bits(),
+                    heading.radians().to_bits(),
                     c.heading(a, b).unwrap().radians().to_bits()
                 );
             }
@@ -521,7 +333,7 @@ mod tests {
         let plan = CoveragePlan::new(&c, beam(30.0));
         let mut out = Vec::new();
         for i in 0..c.len() {
-            plan.adjacency_into(NodeId(i), &mut out);
+            plan.node(NodeId(i)).adjacency_into(&mut out);
             // Brute-force strict oracle (the Topology::adjacency
             // predicate: d² ≤ R², no EPSILON).
             let oracle: Vec<NodeId> = (0..c.len())
@@ -585,6 +397,6 @@ mod tests {
     fn out_of_range_lookup_panics() {
         let c = cross();
         let plan = CoveragePlan::new(&c, beam(90.0));
-        let _ = plan.distance(NodeId(0), NodeId(99));
+        let _ = plan.node(NodeId(0)).toward(NodeId(99));
     }
 }

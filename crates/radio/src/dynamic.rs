@@ -31,11 +31,12 @@
 //! # Determinism
 //!
 //! Buckets are id-sorted `Vec`s, the affected set is sorted and
-//! deduplicated before rebuilding, and every cache is rebuilt with the
-//! exact reference predicates ([`TxPattern::covers`] and the
-//! `Topology::adjacency` strict bound) over the current positions — no
-//! hashing, no iteration-order dependence anywhere, so a plan's contents
-//! are a pure function of `(initial positions, move history)`.
+//! deduplicated before rebuilding, and every cache is rebuilt over the
+//! current positions with the omni reference predicate
+//! ([`TxPattern::covers`](crate::TxPattern::covers)) and the footprint kernel the static plan shares,
+//! which is bit-identical to the sector predicate — no hashing, no
+//! iteration-order dependence anywhere, so a plan's contents are a pure
+//! function of `(initial positions, move history)`.
 //!
 //! # Out-of-box movement
 //!
@@ -46,9 +47,11 @@
 //! guarantee survives arbitrary excursions (dense border cells only cost
 //! time, never correctness).
 
-use dirca_geometry::{Angle, Beamwidth, Point, EPSILON};
+use dirca_geometry::{Beamwidth, Point};
 
-use crate::channel::{Channel, TxPattern};
+use crate::channel::Channel;
+use crate::edges::{coverage_reach, EdgeTable, NodeCoverage};
+use crate::spatial::{Candidates, GridFrame};
 use crate::NodeId;
 
 /// Counters for the incremental-invalidation work an epoch performed.
@@ -62,100 +65,35 @@ pub struct InvalidationStats {
     pub rebuilds: u64,
 }
 
-/// One node's cached spatial answers.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct NodeCache {
-    /// Omni neighbourhood, ascending by id (the `d² ≤ R² + EPSILON`
-    /// coverage predicate).
-    neighbors: Vec<NodeId>,
-    /// Distance to `neighbors[i]` (the exact reference expression).
-    edge_dist: Vec<f64>,
-    /// Heading from this node toward `neighbors[i]`.
-    edge_heading: Vec<Angle>,
-    /// Directional footprint of the beam aimed at `neighbors[i]`,
-    /// ascending by id.
-    footprints: Vec<Vec<NodeId>>,
-    /// Strict traffic adjacency (`d² ≤ R²`, no EPSILON), ascending by id.
-    adjacency: Vec<NodeId>,
-}
-
-/// A mutable uniform grid mirroring [`crate::SpatialGrid`]'s geometry with
-/// per-cell `Vec` buckets so single nodes can be re-binned in O(bucket).
+/// A mutable uniform grid with [`crate::SpatialGrid`]'s geometry (one
+/// shared [`GridFrame`]) and per-cell `Vec` buckets, so single nodes can
+/// be re-binned in O(bucket).
 #[derive(Debug, Clone)]
 struct DynamicGrid {
-    cell: f64,
-    min_x: f64,
-    min_y: f64,
-    cols: u32,
-    rows: u32,
+    frame: GridFrame,
     /// Row-major buckets; ids ascend within each bucket.
     buckets: Vec<Vec<NodeId>>,
 }
 
 impl DynamicGrid {
-    /// Builds the grid over `positions` with cell edge ≥ `reach`, using
-    /// the same bounding-box, soft cell-count cap, and clamped cell
-    /// arithmetic as [`crate::SpatialGrid`].
+    /// Builds the grid over `positions` with cell edge ≥ `reach`.
     fn new(positions: &[Point], reach: f64) -> Self {
-        assert!(
-            reach.is_finite() && reach > 0.0,
-            "grid reach must be positive and finite, got {reach}"
-        );
-        let n = positions.len();
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for p in positions {
-            if p.x.is_finite() && p.y.is_finite() {
-                min_x = min_x.min(p.x);
-                min_y = min_y.min(p.y);
-                max_x = max_x.max(p.x);
-                max_y = max_y.max(p.y);
-            }
-        }
-        if !min_x.is_finite() {
-            (min_x, min_y, max_x, max_y) = (0.0, 0.0, 0.0, 0.0);
-        }
-        let width = max_x - min_x;
-        let height = max_y - min_y;
-        let per_axis = (((4 * n.max(4)) as f64).sqrt().floor()).max(1.0);
-        let cell = reach.max(width / per_axis).max(height / per_axis);
-        let cols = ((width / cell).floor().clamp(0.0, u32::MAX as f64 - 2.0) as u32) + 1;
-        let rows = ((height / cell).floor().clamp(0.0, u32::MAX as f64 - 2.0) as u32) + 1;
+        let frame = GridFrame::new(positions, reach);
         let mut grid = DynamicGrid {
-            cell,
-            min_x,
-            min_y,
-            cols,
-            rows,
-            buckets: vec![Vec::new(); (cols as usize) * (rows as usize)],
+            frame,
+            buckets: vec![Vec::new(); frame.cells()],
         };
         // Walking ids in ascending order keeps every bucket id-sorted.
         for (id, p) in positions.iter().enumerate() {
-            let cell = grid.cell_of(*p);
-            grid.bucket_mut(cell).push(NodeId(id));
+            grid.bucket_mut(frame.cell_of(*p)).push(NodeId(id));
         }
         grid
     }
 
-    /// The clamped (col, row) cell of `p` — identical arithmetic to
-    /// `SpatialGrid::cell_of`, so out-of-box and non-finite positions stay
-    /// deterministic.
-    fn cell_of(&self, p: Point) -> (u32, u32) {
-        let c = ((p.x - self.min_x) / self.cell)
-            .floor()
-            .clamp(0.0, (self.cols - 1) as f64) as u32;
-        let r = ((p.y - self.min_y) / self.cell)
-            .floor()
-            .clamp(0.0, (self.rows - 1) as f64) as u32;
-        (c, r)
-    }
-
-    fn bucket_mut(&mut self, (c, r): (u32, u32)) -> &mut Vec<NodeId> {
+    fn bucket_mut(&mut self, cell: (u32, u32)) -> &mut Vec<NodeId> {
         // panic-path: cell_of clamps both axes into the grid, so the
         // row-major index is always within the bucket vector.
-        &mut self.buckets[(r as usize) * (self.cols as usize) + (c as usize)]
+        &mut self.buckets[self.frame.index(cell)]
     }
 
     /// Moves `id` from the bucket of `old` to the bucket of `new`,
@@ -179,26 +117,26 @@ impl DynamicGrid {
         true
     }
 
-    /// Invokes `f` for every node in the 3×3 cell block around cell
-    /// `(c, r)`, row-major, ids ascending within each bucket.
-    fn for_each_in_block(&self, (c, r): (u32, u32), mut f: impl FnMut(NodeId)) {
-        let c1 = (c + 1).min(self.cols - 1);
-        let r1 = (r + 1).min(self.rows - 1);
-        for row in r.saturating_sub(1)..=r1 {
-            for col in c.saturating_sub(1)..=c1 {
+    /// Invokes `f` for every node in the 3×3 cell block around `cell`,
+    /// row-major, ids ascending within each bucket.
+    fn for_each_in_block(&self, cell: (u32, u32), mut f: impl FnMut(NodeId)) {
+        let (rows, first, last) = self.frame.block(cell);
+        for row in rows {
+            for col in first..=last {
                 // panic-path: clamped col/row are within the grid.
-                for &id in &self.buckets[(row as usize) * (self.cols as usize) + (col as usize)] {
+                for &id in &self.buckets[self.frame.index((col, row))] {
                     f(id);
                 }
             }
         }
     }
+}
 
-    /// Invokes `f` for every candidate node around point `p` (the 3×3
-    /// block of its cell) — the mutable mirror of
+impl Candidates for DynamicGrid {
+    /// The 3×3 block of `around`'s cell — the mutable mirror of
     /// `SpatialGrid::for_each_candidate`.
-    fn for_each_candidate(&self, p: Point, f: impl FnMut(NodeId)) {
-        self.for_each_in_block(self.cell_of(p), f);
+    fn for_each_candidate(&self, around: Point, f: impl FnMut(NodeId)) {
+        self.for_each_in_block(self.frame.cell_of(around), f);
     }
 }
 
@@ -211,19 +149,26 @@ pub struct DynamicCoveragePlan {
     range: f64,
     beamwidth: Beamwidth,
     grid: DynamicGrid,
-    nodes: Vec<NodeCache>,
+    /// One edge table per node, laid out like one node's share of the
+    /// static plan's; rebuilds refill it in place, without allocating once
+    /// warm.
+    nodes: Vec<EdgeTable>,
     stats: InvalidationStats,
     /// Scratch: affected node ids of the current epoch (kept across calls
     /// to avoid reallocation; returned as a slice from `apply_moves`).
     affected: Vec<NodeId>,
+    /// Scratch: the cells whose 3×3 blocks the current epoch invalidates.
+    blocks: Vec<(u32, u32)>,
+    /// Scratch: squared distances of the node being rebuilt.
+    dist_sq: Vec<f64>,
 }
 
 impl PartialEq for DynamicCoveragePlan {
     /// Field-for-field cache equality: positions and every per-node cache
-    /// (neighbour lists, edge geometry, footprints, adjacency). Work
-    /// counters and grid bounding boxes are excluded — two plans built
-    /// over different move histories legitimately differ there while
-    /// serving identical answers.
+    /// (neighbour lists, edge geometry, footprints). Work counters and
+    /// grid bounding boxes are excluded — two plans built over different
+    /// move histories legitimately differ there while serving identical
+    /// answers.
     fn eq(&self, other: &Self) -> bool {
         self.positions == other.positions
             && self.range.to_bits() == other.range.to_bits()
@@ -243,19 +188,17 @@ impl DynamicCoveragePlan {
             range.is_finite() && range > 0.0,
             "range must be positive and finite, got {range}"
         );
-        // Same reach bound as the static plan: the widest distance any
-        // coverage predicate accepts, with margin dwarfing cell-arithmetic
-        // ulp error.
-        let reach = (range * range + EPSILON).sqrt() * (1.0 + 1e-9);
-        let grid = DynamicGrid::new(positions, reach);
+        let grid = DynamicGrid::new(positions, coverage_reach(range));
         let mut plan = DynamicCoveragePlan {
             positions: positions.to_vec(),
             range,
             beamwidth,
             grid,
-            nodes: vec![NodeCache::default(); positions.len()],
+            nodes: vec![EdgeTable::default(); positions.len()],
             stats: InvalidationStats::default(),
             affected: Vec::new(),
+            blocks: Vec::new(),
+            dist_sq: Vec::new(),
         };
         for id in 0..plan.positions.len() {
             plan.rebuild_node(id);
@@ -315,14 +258,15 @@ impl DynamicCoveragePlan {
         }
         // Phase 1: update positions and re-bin the movers, remembering
         // each mover's old and new cells.
-        let mut blocks: Vec<(u32, u32)> = Vec::with_capacity(moves.len() * 2);
+        let blocks = &mut self.blocks;
+        blocks.clear();
         for &(id, new_pos) in moves {
             assert!(
                 id < self.positions.len(),
                 "move names node {id} out of range"
             );
-            let old_cell = self.grid.cell_of(self.positions[id]);
-            let new_cell = self.grid.cell_of(new_pos);
+            let old_cell = self.grid.frame.cell_of(self.positions[id]);
+            let new_cell = self.grid.frame.cell_of(new_pos);
             self.positions[id] = new_pos;
             if self.grid.rebin(NodeId(id), old_cell, new_cell) {
                 self.stats.rebins += 1;
@@ -341,7 +285,7 @@ impl DynamicCoveragePlan {
         blocks.sort_unstable();
         blocks.dedup();
         let affected = &mut self.affected;
-        for &block in &blocks {
+        for &block in blocks.iter() {
             self.grid.for_each_in_block(block, |id| affected.push(id));
         }
         affected.sort_unstable();
@@ -355,136 +299,45 @@ impl DynamicCoveragePlan {
         &self.affected
     }
 
-    /// Rebuilds node `id`'s cache from the grid and current positions with
-    /// the exact reference predicates.
+    /// Rebuilds node `id`'s cache in place from the grid and current
+    /// positions, exactly as [`crate::CoveragePlan`] builds a node.
     fn rebuild_node(&mut self, id: usize) {
         // panic-path: callers pass ids below `positions.len()`, and the
         // caches vector is position-parallel by construction.
-        let origin = self.positions[id];
-        let range = self.range;
-        let r2 = range * range;
-        let positions = &self.positions;
-        let mut neighbors: Vec<NodeId> = Vec::new();
-        let mut adjacency: Vec<NodeId> = Vec::new();
-        self.grid.for_each_candidate(origin, |p| {
-            if p.0 == id {
-                return;
-            }
-            // panic-path: grid buckets only hold ids the plan indexed.
-            let q = positions[p.0];
-            if TxPattern::Omni.covers(origin, range, q) {
-                neighbors.push(p);
-            }
-            if origin.distance_squared(q) <= r2 {
-                adjacency.push(p);
-            }
-        });
-        neighbors.sort_unstable();
-        adjacency.sort_unstable();
-        let mut edge_dist = Vec::with_capacity(neighbors.len());
-        let mut edge_heading = Vec::with_capacity(neighbors.len());
-        let mut footprints = Vec::with_capacity(neighbors.len());
-        for &dst in &neighbors {
-            let target = self.positions[dst.0];
-            edge_dist.push(origin.distance(target));
-            edge_heading.push(origin.heading_to(target));
-            let pattern = TxPattern::aimed(origin, target, self.beamwidth);
-            let footprint: Vec<NodeId> = neighbors
-                .iter()
-                .copied()
-                .filter(|p| pattern.covers(origin, range, self.positions[p.0]))
-                .collect();
-            footprints.push(footprint);
-        }
-        self.nodes[id] = NodeCache {
-            neighbors,
-            edge_dist,
-            edge_heading,
-            footprints,
-            adjacency,
-        };
+        let table = &mut self.nodes[id];
+        table.clear();
+        table.push_neighbors(&self.grid, &self.positions, self.range, id);
+        let degree = table.arena_len();
+        let (positions, beamwidth, range) = (&self.positions, self.beamwidth, self.range);
+        table.push_edges(
+            0..degree,
+            positions,
+            id,
+            beamwidth,
+            range,
+            &mut self.dist_sq,
+        );
     }
 
-    /// The omni neighbourhood of `id` in ascending id order — same
-    /// predicate and ordering as [`crate::CoveragePlan::neighbors`].
+    /// Node `id`'s coverage answers over the current positions — the
+    /// same queries and answers as [`crate::CoveragePlan::node`].
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.0].neighbors
-    }
-
-    /// Distance |a − b| over the current positions (reference expression).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        self.positions[a.0].distance(self.positions[b.0])
-    }
-
-    /// Bearing `from` → `to` over the current positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn heading(&self, from: NodeId, to: NodeId) -> Angle {
-        self.positions[from.0].heading_to(self.positions[to.0])
-    }
-
-    /// The bearing and distance of a signal arriving at `dst` from `src` —
-    /// the cached pair when `src` is a neighbour of `dst`, computed with
-    /// the same expressions otherwise. Mirrors
-    /// [`crate::CoveragePlan::arrival_geometry`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn arrival_geometry(&self, dst: NodeId, src: NodeId) -> (Angle, f64) {
-        let cache = &self.nodes[dst.0];
-        match cache.neighbors.binary_search(&src) {
-            // panic-path: edge caches are neighbour-slot-parallel by
-            // construction.
-            Ok(slot) => (cache.edge_heading[slot], cache.edge_dist[slot]),
-            Err(_) => (self.heading(dst, src), self.distance(dst, src)),
+    #[inline]
+    pub fn node(&self, id: NodeId) -> NodeCoverage<'_> {
+        // panic-path: an out-of-range id panics on the cache read, the
+        // documented contract.
+        let table = &self.nodes[id.0];
+        NodeCoverage {
+            table,
+            omni: 0..table.edge_count(),
+            id,
+            positions: &self.positions,
+            range: self.range,
+            beamwidth: self.beamwidth,
         }
-    }
-
-    /// Fills `out` with the footprint of a beam from `src` aimed at `dst`
-    /// at the plan's beamwidth, ascending by id — the cached footprint for
-    /// neighbour aims, the same on-the-fly filter otherwise. Mirrors
-    /// [`crate::CoveragePlan::directional_coverage_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn directional_coverage_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let cache = &self.nodes[src.0];
-        if let Ok(slot) = cache.neighbors.binary_search(&dst) {
-            out.extend_from_slice(&cache.footprints[slot]);
-            return;
-        }
-        let origin = self.positions[src.0];
-        let pattern = TxPattern::aimed(origin, self.positions[dst.0], self.beamwidth);
-        for &p in &cache.neighbors {
-            if pattern.covers(origin, self.range, self.positions[p.0]) {
-                out.push(p);
-            }
-        }
-    }
-
-    /// Fills `out` with the strict traffic adjacency of `id`
-    /// (`d² ≤ R²`, no EPSILON), ascending by id — served from the cache.
-    /// Mirrors [`crate::CoveragePlan::adjacency_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn adjacency_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend_from_slice(&self.nodes[id.0].adjacency);
     }
 }
 
@@ -517,19 +370,19 @@ mod tests {
         let mut got = Vec::new();
         let mut want = Vec::new();
         for i in 0..dynamic.len() {
-            let src = NodeId(i);
-            assert_eq!(dynamic.neighbors(src), oracle.neighbors(src), "node {i}");
-            oracle.adjacency_into(src, &mut want);
-            dynamic.adjacency_into(src, &mut got);
+            let (got_node, want_node) = (dynamic.node(NodeId(i)), oracle.node(NodeId(i)));
+            assert_eq!(got_node.neighbors(), want_node.neighbors(), "node {i}");
+            want_node.adjacency_into(&mut want);
+            got_node.adjacency_into(&mut got);
             assert_eq!(got, want, "adjacency of {i}");
             for j in 0..dynamic.len() {
                 let dst = NodeId(j);
-                let (gh, gd) = dynamic.arrival_geometry(dst, src);
-                let (wh, wd) = oracle.arrival_geometry(dst, src);
+                let (gh, gd) = dynamic.node(dst).toward(NodeId(i));
+                let (wh, wd) = oracle.node(dst).toward(NodeId(i));
                 assert_eq!(gh.radians().to_bits(), wh.radians().to_bits());
                 assert_eq!(gd.to_bits(), wd.to_bits());
-                dynamic.directional_coverage_into(src, dst, &mut got);
-                oracle.directional_coverage_into(src, dst, &mut want);
+                got_node.directional_coverage_into(dst, &mut got);
+                want_node.directional_coverage_into(dst, &mut want);
                 assert_eq!(got, want, "footprint {i}→{j}");
             }
         }
@@ -628,7 +481,7 @@ mod tests {
         // March two nodes far outside the original bounding box, close to
         // each other: they must still see each other.
         plan.apply_moves(&[(0, Point::new(50.0, 50.0)), (1, Point::new(50.5, 50.0))]);
-        assert_eq!(plan.neighbors(NodeId(0)), &[NodeId(1)]);
+        assert_eq!(plan.node(NodeId(0)).neighbors(), &[NodeId(1)]);
         assert_matches_static(&plan, 90.0);
     }
 

@@ -40,6 +40,7 @@
 mod channel;
 mod coverage;
 mod dynamic;
+mod edges;
 mod fault;
 mod partition;
 mod pattern;
@@ -49,6 +50,7 @@ mod transceiver;
 pub use channel::{Channel, ChannelError, TxPattern};
 pub use coverage::CoveragePlan;
 pub use dynamic::{DynamicCoveragePlan, InvalidationStats};
+pub use edges::NodeCoverage;
 pub use fault::{CompiledFaults, FaultPlan, FaultPlanError, LinkFault, Outage};
 pub use partition::RegionPartition;
 pub use pattern::{AntennaPattern, SinrPhy};

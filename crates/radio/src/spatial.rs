@@ -33,6 +33,8 @@
 //! is soft-capped at ~4·n by growing the cell edge, which only ever
 //! *widens* the candidate superset, never narrows it below the reach.
 
+use std::ops::RangeInclusive;
+
 use dirca_geometry::Point;
 
 use crate::NodeId;
@@ -61,14 +63,7 @@ use crate::NodeId;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
-    /// Cell edge length; always ≥ the `reach` the grid was built for.
-    cell: f64,
-    /// Bounding-box origin (minimum finite coordinates, or 0 if none).
-    min_x: f64,
-    min_y: f64,
-    /// Grid dimensions (each ≥ 1).
-    cols: u32,
-    rows: u32,
+    frame: GridFrame,
     /// `cols·rows + 1` arena offsets delimiting each cell's slice,
     /// row-major (`cell (c, r)` is entry `r·cols + c`).
     starts: Vec<u32>,
@@ -91,54 +86,14 @@ impl SpatialGrid {
     /// Panics if `reach` is not positive and finite, or if `positions`
     /// holds ≥ `u32::MAX` nodes (the arena uses 32-bit offsets).
     pub fn new(positions: &[Point], reach: f64) -> Self {
-        assert!(
-            reach.is_finite() && reach > 0.0,
-            "grid reach must be positive and finite, got {reach}"
-        );
         let n = positions.len();
         assert!(
             (n as u64) < u64::from(u32::MAX),
             "spatial grid supports fewer than u32::MAX nodes"
         );
-
-        // Bounding box over the finite coordinates; non-finite positions
-        // deterministically land in cell 0 and are filtered out by any
-        // distance predicate, exactly as a reference full scan rejects
-        // them.
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for p in positions {
-            if p.x.is_finite() && p.y.is_finite() {
-                min_x = min_x.min(p.x);
-                min_y = min_y.min(p.y);
-                max_x = max_x.max(p.x);
-                max_y = max_y.max(p.y);
-            }
-        }
-        if !min_x.is_finite() {
-            // No finite positions at all: a 1×1 grid at the origin.
-            (min_x, min_y, max_x, max_y) = (0.0, 0.0, 0.0, 0.0);
-        }
-        let width = max_x - min_x;
-        let height = max_y - min_y;
-
-        // Soft cell-count cap: at most ~4·n cells, so a handful of nodes a
-        // million ranges apart cannot allocate a billion empty buckets.
-        // Growing the edge keeps the 3×3 superset guarantee intact (a
-        // bigger cell covers strictly more).
-        let per_axis = (((4 * n.max(4)) as f64).sqrt().floor()).max(1.0);
-        let cell = reach.max(width / per_axis).max(height / per_axis);
-        let cols = grid_extent(width, cell);
-        let rows = grid_extent(height, cell);
-
-        let cells = (cols as usize) * (rows as usize);
-        let mut starts = vec![0u32; cells + 1];
-        let flat = |p: &Point| -> usize {
-            let (c, r) = cell_of(p.x, p.y, min_x, min_y, cell, cols, rows);
-            (r as usize) * (cols as usize) + (c as usize)
-        };
+        let frame = GridFrame::new(positions, reach);
+        let mut starts = vec![0u32; frame.cells() + 1];
+        let flat = |p: &Point| frame.index(frame.cell_of(*p));
         for p in positions {
             // panic-path: `flat` clamps both axes into the grid, so the
             // +1-shifted counting slot is within `starts`' cells+1 length.
@@ -164,11 +119,7 @@ impl SpatialGrid {
         }
 
         SpatialGrid {
-            cell,
-            min_x,
-            min_y,
-            cols,
-            rows,
+            frame,
             starts,
             order,
         }
@@ -186,17 +137,17 @@ impl SpatialGrid {
 
     /// Grid width in cells.
     pub fn cols(&self) -> u32 {
-        self.cols
+        self.frame.cols
     }
 
     /// Grid height in cells.
     pub fn rows(&self) -> u32 {
-        self.rows
+        self.frame.rows
     }
 
     /// The cell edge length actually used (≥ the construction `reach`).
     pub fn cell_size(&self) -> f64 {
-        self.cell
+        self.frame.cell
     }
 
     /// The id-sorted node slice of cell `(col, row)`.
@@ -205,8 +156,11 @@ impl SpatialGrid {
     ///
     /// Panics if `col`/`row` are outside the grid.
     pub fn cell_nodes(&self, col: u32, row: u32) -> &[NodeId] {
-        assert!(col < self.cols && row < self.rows, "cell out of range");
-        let idx = (row as usize) * (self.cols as usize) + (col as usize);
+        assert!(
+            col < self.frame.cols && row < self.frame.rows,
+            "cell out of range"
+        );
+        let idx = self.frame.index((col, row));
         // panic-path: `starts` has cols·rows + 1 entries and `idx` was
         // bounds-checked above, so `idx + 1` is in range and the offsets
         // delimit a valid arena slice by construction.
@@ -219,18 +173,13 @@ impl SpatialGrid {
     /// ids ascend, so the visit sequence is a pure function of geometry.
     #[inline]
     pub fn for_each_candidate(&self, around: Point, mut f: impl FnMut(NodeId)) {
-        let (c, r) = cell_of(
-            around.x, around.y, self.min_x, self.min_y, self.cell, self.cols, self.rows,
-        );
-        let c1 = (c + 1).min(self.cols - 1);
-        let r1 = (r + 1).min(self.rows - 1);
-        for row in r.saturating_sub(1)..=r1 {
-            let base = (row as usize) * (self.cols as usize);
-            let lo = base + c.saturating_sub(1) as usize;
-            let hi = base + c1 as usize;
+        let (rows, first, last) = self.frame.block(self.frame.cell_of(around));
+        for row in rows {
+            let lo = self.frame.index((first, row));
+            let hi = self.frame.index((last, row));
             // A row's 1–3 adjacent cells occupy contiguous arena slots, so
             // the whole row strip is one slice.
-            // panic-path: `lo ≤ hi < cols·rows` from the clamps above and
+            // panic-path: `lo ≤ hi < cols·rows` from the block clamps and
             // `starts` offsets are monotonically increasing within the
             // arena length by construction.
             let slice = &self.order[self.starts[lo] as usize..self.starts[hi + 1] as usize];
@@ -248,23 +197,119 @@ impl SpatialGrid {
     }
 }
 
-/// Number of cells needed to span `extent` at edge `cell` (≥ 1).
-fn grid_extent(extent: f64, cell: f64) -> u32 {
-    // NaN/degenerate extents collapse to one cell (`as` saturates NaN to
-    // 0); +1 because a point exactly on the far edge must still index a
-    // valid column.
-    ((extent / cell).floor().clamp(0.0, u32::MAX as f64 - 2.0) as u32) + 1
+/// A grid that enumerates, around any point, a superset of the nodes
+/// within one coverage reach of it.
+pub(crate) trait Candidates {
+    /// Invokes `f` for every candidate around `around`.
+    fn for_each_candidate(&self, around: Point, f: impl FnMut(NodeId));
 }
 
-/// The clamped (col, row) cell of point `(x, y)`.
-#[inline]
-fn cell_of(x: f64, y: f64, min_x: f64, min_y: f64, cell: f64, cols: u32, rows: u32) -> (u32, u32) {
-    // `clamp` keeps NaN (→ cast saturates to 0) and out-of-box points
-    // deterministic; indexed positions always fall inside the box, query
-    // points are node positions and therefore do too.
-    let c = ((x - min_x) / cell).floor().clamp(0.0, (cols - 1) as f64) as u32;
-    let r = ((y - min_y) / cell).floor().clamp(0.0, (rows - 1) as f64) as u32;
-    (c, r)
+impl Candidates for SpatialGrid {
+    #[inline]
+    fn for_each_candidate(&self, around: Point, f: impl FnMut(NodeId)) {
+        SpatialGrid::for_each_candidate(self, around, f);
+    }
+}
+
+/// The geometry of a uniform grid — bounding-box origin, cell edge and
+/// dimensions — shared by [`SpatialGrid`] and the mobile plan's mutable
+/// grid, so both bin points with the same arithmetic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridFrame {
+    /// Cell edge length; always ≥ the `reach` the grid was built for.
+    cell: f64,
+    /// Bounding-box origin (minimum finite coordinates, or 0 if none).
+    min_x: f64,
+    min_y: f64,
+    /// Grid dimensions (each ≥ 1).
+    cols: u32,
+    rows: u32,
+}
+
+impl GridFrame {
+    /// Sizes a grid over `positions` with cell edge ≥ `reach`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reach` is not positive and finite.
+    pub(crate) fn new(positions: &[Point], reach: f64) -> Self {
+        assert!(
+            reach.is_finite() && reach > 0.0,
+            "grid reach must be positive and finite, got {reach}"
+        );
+        // Bounding box over the finite coordinates; non-finite positions
+        // deterministically land in cell 0 and are filtered out by any
+        // distance predicate, exactly as a reference full scan rejects
+        // them.
+        let mut min_x = f64::INFINITY;
+        let mut min_y = f64::INFINITY;
+        let mut max_x = f64::NEG_INFINITY;
+        let mut max_y = f64::NEG_INFINITY;
+        for p in positions {
+            if p.x.is_finite() && p.y.is_finite() {
+                min_x = min_x.min(p.x);
+                min_y = min_y.min(p.y);
+                max_x = max_x.max(p.x);
+                max_y = max_y.max(p.y);
+            }
+        }
+        if !min_x.is_finite() {
+            // No finite positions at all: a 1×1 grid at the origin.
+            (min_x, min_y, max_x, max_y) = (0.0, 0.0, 0.0, 0.0);
+        }
+        let width = max_x - min_x;
+        let height = max_y - min_y;
+        // Soft cell-count cap: at most ~4·n cells, so a handful of nodes a
+        // million ranges apart cannot allocate a billion empty buckets.
+        // Growing the edge keeps the 3×3 superset guarantee intact (a
+        // bigger cell covers strictly more).
+        let per_axis = (((4 * positions.len().max(4)) as f64).sqrt().floor()).max(1.0);
+        let cell = reach.max(width / per_axis).max(height / per_axis);
+        // NaN/degenerate extents collapse to one cell (`as` saturates NaN
+        // to 0); +1 because a point exactly on the far edge must still
+        // index a valid column.
+        let extent = |e: f64| ((e / cell).floor().clamp(0.0, u32::MAX as f64 - 2.0) as u32) + 1;
+        GridFrame {
+            cell,
+            min_x,
+            min_y,
+            cols: extent(width),
+            rows: extent(height),
+        }
+    }
+
+    /// Number of cells.
+    pub(crate) fn cells(&self) -> usize {
+        (self.cols as usize) * (self.rows as usize)
+    }
+
+    /// The row-major index of cell `(col, row)`.
+    #[inline]
+    pub(crate) fn index(&self, (col, row): (u32, u32)) -> usize {
+        (row as usize) * (self.cols as usize) + (col as usize)
+    }
+
+    /// The clamped (col, row) cell of `p`.
+    #[inline]
+    pub(crate) fn cell_of(&self, p: Point) -> (u32, u32) {
+        // `clamp` keeps NaN (→ cast saturates to 0) and out-of-box points
+        // deterministic.
+        let c = ((p.x - self.min_x) / self.cell)
+            .floor()
+            .clamp(0.0, (self.cols - 1) as f64) as u32;
+        let r = ((p.y - self.min_y) / self.cell)
+            .floor()
+            .clamp(0.0, (self.rows - 1) as f64) as u32;
+        (c, r)
+    }
+
+    /// The 3×3 block around cell `(col, row)`, clamped to the grid: its
+    /// rows, and its first and last column.
+    #[inline]
+    pub(crate) fn block(&self, (col, row): (u32, u32)) -> (RangeInclusive<u32>, u32, u32) {
+        let rows = row.saturating_sub(1)..=(row + 1).min(self.rows - 1);
+        (rows, col.saturating_sub(1), (col + 1).min(self.cols - 1))
+    }
 }
 
 #[cfg(test)]

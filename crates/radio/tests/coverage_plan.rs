@@ -6,9 +6,9 @@
 //! against the failure mode that matters: the index drifting from
 //! `Channel::covered_by` / `heading` / `distance` under a future
 //! "optimisation" of the build. Every property is checked across random
-//! topologies and beamwidths, including the θ = 360° equivalence case and
-//! degenerate collinear layouts where sector membership sits on the
-//! boundary.
+//! topologies and beamwidths, including the θ = 360° equivalence case,
+//! degenerate collinear layouts, and receivers placed exactly θ/2 off
+//! boresight or on the apex, where sector membership sits on the boundary.
 
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
@@ -17,6 +17,9 @@ use dirca_geometry::{Beamwidth, Point};
 use dirca_radio::{Channel, CoveragePlan, NodeId, TxPattern};
 use dirca_sim::SimDuration;
 use proptest::prelude::*;
+
+mod common;
+use common::{boundary_layout, boundary_params};
 
 fn positions_strategy() -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -55,17 +58,19 @@ fn assert_plan_matches_reference(chan: &Channel, beamwidth: Beamwidth) {
     let plan = CoveragePlan::new(chan, beamwidth);
     for a in 0..chan.len() {
         let a = NodeId(a);
-        // Distance and heading: bit-for-bit, not approximately — the plan
-        // must evaluate the exact reference expressions.
+        // Heading and distance, cached or not: bit-for-bit, not
+        // approximately — the plan must evaluate the exact reference
+        // expressions.
         for b in 0..chan.len() {
             let b = NodeId(b);
+            let (heading, distance) = plan.node(a).toward(b);
             assert_eq!(
-                plan.distance(a, b).to_bits(),
+                distance.to_bits(),
                 chan.distance(a, b).unwrap().to_bits(),
                 "distance {a} → {b}"
             );
             assert_eq!(
-                plan.heading(a, b).radians().to_bits(),
+                heading.radians().to_bits(),
                 chan.heading(a, b).unwrap().radians().to_bits(),
                 "heading {a} → {b}"
             );
@@ -120,6 +125,19 @@ proptest! {
     }
 
     #[test]
+    fn plan_matches_reference_on_beam_edges_and_apex(
+        (phi, r_aim, r_edge) in boundary_params(),
+        beamwidth in beamwidth_strategy(),
+    ) {
+        // Receivers exactly θ/2 off boresight (including the ±π wrap) and
+        // at the apex, at every θ up to 360°.
+        let chan = channel(boundary_layout(phi, beamwidth, r_aim, r_edge));
+        assert_plan_matches_reference(&chan, beamwidth);
+        let aimed = CoveragePlan::new(&chan, beamwidth).directional_coverage(NodeId(0), NodeId(1));
+        prop_assert!(aimed.contains(&NodeId(5)) && aimed.contains(&NodeId(6)), "apex rule missed");
+    }
+
+    #[test]
     fn full_circle_beam_equals_omni_footprint(positions in positions_strategy()) {
         // θ = 360° must equal the omni neighbourhood: a full-circle beam
         // and the omni pattern are the same physical footprint.
@@ -149,7 +167,7 @@ proptest! {
         let plan = CoveragePlan::new(&chan, Beamwidth::OMNI);
         let mut out = Vec::new();
         for i in 0..chan.len() {
-            plan.adjacency_into(NodeId(i), &mut out);
+            plan.node(NodeId(i)).adjacency_into(&mut out);
             let oracle: Vec<NodeId> = (0..chan.len())
                 .filter(|&j| {
                     j != i

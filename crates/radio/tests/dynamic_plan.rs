@@ -5,9 +5,10 @@
 //! driven by the deterministic mobility models, the incrementally
 //! maintained plan equals a from-scratch rebuild over the final positions
 //! **field for field** (cache equality via `PartialEq`), and both answer
-//! every query exactly like the immutable [`CoveragePlan`] oracle built
-//! over the same positions. Checked by proptest across epoch counts,
-//! node densities, beamwidths, and both mobility families.
+//! every query exactly like the reference [`Channel`] queries and the
+//! immutable [`CoveragePlan`] built over the same positions. Checked by
+//! proptest across epoch counts, node densities, beamwidths, both mobility
+//! families, and layouts on the beam's exact edges and apex.
 //!
 //! The golden regression rides along: a zero-motion epoch does **zero**
 //! cache work — counter-asserted via [`InvalidationStats`], not timed.
@@ -15,11 +16,14 @@
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use dirca_geometry::{Beamwidth, Point};
-use dirca_radio::{Channel, CoveragePlan, DynamicCoveragePlan, NodeId};
+use dirca_geometry::{Angle, Beamwidth, Point};
+use dirca_radio::{Channel, CoveragePlan, DynamicCoveragePlan, NodeId, TxPattern};
 use dirca_sim::SimDuration;
 use dirca_topology::{MobilityModel, MobilityState};
 use proptest::prelude::*;
+
+mod common;
+use common::{boundary_layout, boundary_params};
 
 const RANGE: f64 = 1.0;
 
@@ -58,9 +62,11 @@ fn model_strategy() -> impl Strategy<Value = MobilityModel> {
     ]
 }
 
-/// Asserts `plan` answers every query exactly like a [`CoveragePlan`]
-/// built fresh over the same positions — the immutable reference the
-/// incremental path must never drift from.
+/// Asserts `plan` answers every query exactly like the reference
+/// [`Channel`] queries over the same positions — `covered_by`, `heading`,
+/// `distance` and the brute-force strict adjacency, an oracle that shares
+/// no code with the footprint kernel — and like a [`CoveragePlan`] built
+/// fresh over them.
 fn assert_matches_oracle(plan: &DynamicCoveragePlan, beamwidth: Beamwidth) {
     let chan = Channel::new(
         plan.positions().to_vec(),
@@ -68,32 +74,43 @@ fn assert_matches_oracle(plan: &DynamicCoveragePlan, beamwidth: Beamwidth) {
         SimDuration::from_micros(1),
     )
     .expect("finite positions");
-    let oracle = CoveragePlan::new(&chan, beamwidth);
+    let fresh = CoveragePlan::new(&chan, beamwidth);
+    let bits = |a: Angle| a.radians().to_bits();
     let mut got = Vec::new();
-    let mut want = Vec::new();
     for i in 0..plan.len() {
         let src = NodeId(i);
-        assert_eq!(
-            plan.neighbors(src),
-            oracle.neighbors(src),
-            "neighbours of {src}"
-        );
-        oracle.adjacency_into(src, &mut want);
-        plan.adjacency_into(src, &mut got);
-        assert_eq!(got, want, "adjacency of {src}");
-        for j in 0..plan.len() {
-            let dst = NodeId(j);
-            let (gh, gd) = plan.arrival_geometry(dst, src);
-            let (wh, wd) = oracle.arrival_geometry(dst, src);
+        let origin = chan.position(src).unwrap();
+        let omni = chan.covered_by(src, TxPattern::Omni).unwrap();
+        let strict: Vec<NodeId> = (0..plan.len())
+            .map(NodeId)
+            .filter(|&p| {
+                p != src && origin.distance_squared(chan.position(p).unwrap()) <= RANGE * RANGE
+            })
+            .collect();
+        for (which, node) in [("dynamic", plan.node(src)), ("static", fresh.node(src))] {
             assert_eq!(
-                gh.radians().to_bits(),
-                wh.radians().to_bits(),
-                "heading {src}→{dst}"
+                node.neighbors(),
+                omni.as_slice(),
+                "{which} neighbours of {src}"
             );
-            assert_eq!(gd.to_bits(), wd.to_bits(), "distance {src}→{dst}");
-            plan.directional_coverage_into(src, dst, &mut got);
-            oracle.directional_coverage_into(src, dst, &mut want);
-            assert_eq!(got, want, "footprint {src}→{dst}");
+            node.adjacency_into(&mut got);
+            assert_eq!(got, strict, "{which} adjacency of {src}");
+            for j in 0..plan.len() {
+                let peer = NodeId(j);
+                let (heading, distance) = node.toward(peer);
+                assert_eq!(bits(heading), bits(chan.heading(src, peer).unwrap()));
+                assert_eq!(
+                    distance.to_bits(),
+                    chan.distance(src, peer).unwrap().to_bits()
+                );
+                let aimed = TxPattern::aimed(origin, chan.position(peer).unwrap(), beamwidth);
+                node.directional_coverage_into(peer, &mut got);
+                assert_eq!(
+                    got,
+                    chan.covered_by(src, aimed).unwrap(),
+                    "{which} aim {src}→{peer}"
+                );
+            }
         }
     }
 }
@@ -201,5 +218,26 @@ proptest! {
             "one sub-cell move rebuilt {} of 36 caches", stats.rebuilds
         );
         assert_matches_oracle(&plan, beamwidth);
+    }
+
+    /// Beam edges exactly θ/2 off boresight (including the ±π wrap), the
+    /// co-located apex rule, and θ = 360°: a fresh plan and one that
+    /// reached the layout by moves both match the reference oracle.
+    #[test]
+    fn boundary_layouts_match_reference(
+        (phi, r_aim, r_edge) in boundary_params(),
+        beamwidth in beamwidth_strategy(),
+    ) {
+        let target = boundary_layout(phi, beamwidth, r_aim, r_edge);
+        let fresh = DynamicCoveragePlan::new(&target, RANGE, beamwidth);
+        assert_matches_oracle(&fresh, beamwidth);
+        let mut aimed = Vec::new();
+        fresh.node(NodeId(0)).directional_coverage_into(NodeId(1), &mut aimed);
+        prop_assert!(aimed.contains(&NodeId(5)) && aimed.contains(&NodeId(6)), "apex rule missed");
+        let start: Vec<Point> = target.iter().rev().copied().collect();
+        let mut moved = DynamicCoveragePlan::new(&start, RANGE, beamwidth);
+        let moves: Vec<(usize, Point)> = target.iter().copied().enumerate().collect();
+        moved.apply_moves(&moves);
+        prop_assert_eq!(&moved, &fresh);
     }
 }

@@ -100,7 +100,8 @@ impl Server {
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&config.state_dir)?;
         let listener = TcpListener::bind(&config.listen)?;
-        // Non-blocking so the accept loop can poll between grid cells.
+        // Non-blocking so the accept loop can poll between grid cells;
+        // `run` blocks only while it waits idle.
         listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
@@ -126,11 +127,18 @@ impl Server {
                 }
                 continue;
             }
-            // Idle: take the next connection directly. The queue cap only
+            // Idle: block in accept for the next connection, so a request
+            // to an idle server waits for nothing. The queue cap only
             // bounds connections that arrive *while a grid runs* — an idle
             // server always has room for one.
-            match self.listener.accept() {
+            self.listener.set_nonblocking(false)?;
+            let accepted = self.listener.accept();
+            self.listener.set_nonblocking(true)?;
+            match accepted {
                 Ok((stream, _)) => self.pending.push_back(stream),
+                // A real accept error (a peer that reset before we got to
+                // it, descriptor exhaustion) gets a short back-off so a
+                // persistent one cannot spin the loop.
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
