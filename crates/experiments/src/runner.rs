@@ -12,10 +12,11 @@
 //! irrelevant).
 //!
 //! The checkpoint format is a deliberately small JSON subset (objects,
-//! arrays, strings, numbers, `null`) written and parsed by hand — no
-//! serialization dependency, and strict typed errors instead of silent
-//! tolerance. Floats round-trip exactly through Rust's shortest-
-//! representation `Display`.
+//! arrays, strings, numbers, `null`) written by hand and parsed with the
+//! workspace's one JSON codec, [`dirca_trace::json`] — no serialization
+//! dependency, and strict typed errors instead of silent tolerance.
+//! Floats round-trip exactly through Rust's shortest-representation
+//! `Display`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,6 +27,7 @@ use std::path::{Path, PathBuf};
 use dirca_mac::Scheme;
 use dirca_net::Watchdog;
 use dirca_sim::AbortReason;
+use dirca_trace::json::{escape_into, Json};
 
 use crate::cli::{Flags, UsageError};
 use crate::report::GridScale;
@@ -337,248 +339,18 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-// ---------------------------------------------------------------------
-// Minimal JSON subset: null, numbers, strings, arrays, objects.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+/// A JSON number as a `usize`, iff it is exactly a non-negative integer
+/// in range.
+fn as_usize(json: &Json) -> Option<usize> {
+    let v = json.as_num()?;
+    if !(0.0..=usize::MAX as f64).contains(&v) {
+        return None;
     }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_usize(&self) -> Option<usize> {
-        let v = self.as_f64()?;
-        if !(0.0..=usize::MAX as f64).contains(&v) {
-            return None;
-        }
-        // Exact integrality check without a float comparison: the cast
-        // truncates, so the round trip is bit-identical iff `v` already
-        // was that integer.
-        let n = v as usize;
-        ((n as f64).to_bits() == v.to_bits()).then_some(n)
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {}",
-                char::from(b),
-                self.pos
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at offset {}", self.pos))
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unmodified).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    // Exact integrality check without a float comparison: the cast
+    // truncates, so the round trip is bit-identical iff `v` already was
+    // that integer.
+    let n = v as usize;
+    ((n as f64).to_bits() == v.to_bits()).then_some(n)
 }
 
 // ---------------------------------------------------------------------
@@ -620,10 +392,13 @@ fn record_line(cell: &Cell, result: &Result<Vec<TopologySample>, CellFailure>) -
                 body.join(",")
             )
         }
-        Err(CellFailure::Panicked { topology, message }) => format!(
-            "{head},\"status\":\"panicked\",\"topology\":{topology},\"message\":\"{}\"}}",
-            escape_json(message)
-        ),
+        Err(CellFailure::Panicked { topology, message }) => {
+            let mut line =
+                format!("{head},\"status\":\"panicked\",\"topology\":{topology},\"message\":\"");
+            escape_into(&mut line, message);
+            line.push_str("\"}");
+            line
+        }
         Err(CellFailure::TimedOut { topology, aborted }) => {
             let reason = match aborted.reason {
                 AbortReason::MaxEvents => "max_events",
@@ -651,11 +426,11 @@ fn parse_record(
 ) -> Result<(Cell, Option<Vec<TopologySample>>), CheckpointError> {
     let n = json
         .get("n")
-        .and_then(Json::as_usize)
+        .and_then(as_usize)
         .ok_or_else(|| bad(line_no, "missing or non-integer 'n'"))?;
     let theta = json
         .get("theta")
-        .and_then(Json::as_f64)
+        .and_then(Json::as_num)
         .ok_or_else(|| bad(line_no, "missing or non-numeric 'theta'"))?;
     let scheme: Scheme = json
         .get("scheme")
@@ -688,7 +463,7 @@ fn parse_record(
                 };
                 samples.push(TopologySample {
                     throughput: tuple[0]
-                        .as_f64()
+                        .as_num()
                         .ok_or_else(|| bad(line_no, "non-numeric throughput"))?,
                     delay_ms: opt(&tuple[1])?,
                     collision_ratio: opt(&tuple[2])?,
@@ -771,10 +546,10 @@ fn load_checkpoint_jsonl(
     let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::MissingHeader)?;
     let lines: Vec<&str> = text.lines().collect();
     let header = match lines.first() {
-        Some(first) => JsonParser::parse(first).map_err(|_| CheckpointError::MissingHeader)?,
+        Some(first) => Json::parse(first).map_err(|_| CheckpointError::MissingHeader)?,
         None => return Err(CheckpointError::MissingHeader),
     };
-    if header.get("dirca_checkpoint").and_then(Json::as_usize) != Some(1) {
+    if header.get("dirca_checkpoint").and_then(as_usize) != Some(1) {
         return Err(CheckpointError::MissingHeader);
     }
     let found = header
@@ -799,10 +574,10 @@ fn load_checkpoint_jsonl(
             continue; // a torn final write leaves at most a blank tail
         }
         let is_tail = i == last_data_line;
-        let parsed = JsonParser::parse(text)
-            .map_err(|what| CheckpointError::Syntax {
+        let parsed = Json::parse(text)
+            .map_err(|e| CheckpointError::Syntax {
                 line: line_no,
-                what,
+                what: e.to_string(),
             })
             .and_then(|json| parse_record(line_no, &json));
         let (cell, samples) = match parsed {
@@ -906,9 +681,9 @@ fn compacted_checkpoint_jsonl(bytes: &[u8]) -> Vec<u8> {
     let Some(header) = lines.next() else {
         return bytes.to_vec();
     };
-    let valid_header = JsonParser::parse(header)
+    let valid_header = Json::parse(header)
         .ok()
-        .is_some_and(|h| h.get("dirca_checkpoint").and_then(Json::as_usize) == Some(1));
+        .is_some_and(|h| h.get("dirca_checkpoint").and_then(as_usize) == Some(1));
     if !valid_header {
         return bytes.to_vec();
     }
@@ -920,7 +695,7 @@ fn compacted_checkpoint_jsonl(bytes: &[u8]) -> Vec<u8> {
         // a torn write leaves at most a blank or partial tail. Either
         // way, the first non-record line ends the valid prefix.
         let intact = !line.trim().is_empty()
-            && JsonParser::parse(line)
+            && Json::parse(line)
                 .ok()
                 .is_some_and(|json| parse_record(0, &json).is_ok());
         if !intact {
@@ -1140,7 +915,7 @@ mod tests {
             },
         ];
         let line = record_line(&cell, &Ok(samples.clone()));
-        let json = JsonParser::parse(&line).unwrap();
+        let json = Json::parse(&line).unwrap();
         let (back_cell, back) = parse_record(2, &json).unwrap();
         assert_eq!(back_cell, cell);
         assert_eq!(back.unwrap(), samples, "floats must round-trip exactly");
@@ -1160,7 +935,7 @@ mod tests {
                 message: "weird \"quoted\"\npayload".into(),
             }),
         );
-        let json = JsonParser::parse(&panicked).unwrap();
+        let json = Json::parse(&panicked).unwrap();
         let (_, restored) = parse_record(2, &json).unwrap();
         assert!(restored.is_none());
         let timed = record_line(
@@ -1174,7 +949,7 @@ mod tests {
                 },
             }),
         );
-        let json = JsonParser::parse(&timed).unwrap();
+        let json = Json::parse(&timed).unwrap();
         let (_, restored) = parse_record(3, &json).unwrap();
         assert!(restored.is_none());
     }
@@ -1188,7 +963,7 @@ mod tests {
             "{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"weird\"}",
             "{\"n\":3,\"theta\":90,\"scheme\":\"BOGUS\",\"status\":\"ok\",\"samples\":[]}",
         ] {
-            let parsed = JsonParser::parse(bad);
+            let parsed = Json::parse(bad);
             let failed = match parsed {
                 Err(_) => true,
                 Ok(json) => parse_record(1, &json).is_err(),

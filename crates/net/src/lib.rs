@@ -70,19 +70,7 @@ use dirca_topology::Topology;
 /// Panics if the topology is empty or node positions are invalid for the
 /// channel (see [`NetWorld::build`]).
 pub fn run(topology: &Topology, config: &SimConfig) -> RunResult {
-    let world = NetWorld::build(topology, config);
-    let mut sim = Simulation::new(world);
-    {
-        let (world, sched) = sim.world_and_scheduler_mut();
-        world.prime(sched);
-    }
-    let warmup_end = SimTime::ZERO + config.warmup;
-    sim.run_until(warmup_end);
-    sim.world_mut().reset_counters();
-    let end = warmup_end + config.measure;
-    sim.run_until(end);
-    let events = sim.events_processed();
-    RunResult::collect(sim.into_world(), config.measure, events)
+    run_with(topology, config, None).unwrap_or_else(|abort| panic!("{abort}"))
 }
 
 /// Like [`run`], but the whole run (warm-up and measurement) executes
@@ -98,9 +86,18 @@ pub fn run_guarded(
     config: &SimConfig,
     watchdog: Watchdog,
 ) -> Result<RunResult, RunAborted> {
-    let world = NetWorld::build(topology, config);
-    let mut sim = Simulation::new(world);
-    sim.set_watchdog(Some(watchdog));
+    run_with(topology, config, Some(watchdog))
+}
+
+/// The one classic run lifecycle: build, prime, warm up, reset, measure,
+/// collect. `None` installs no watchdog, so the event loop checks nothing.
+fn run_with(
+    topology: &Topology,
+    config: &SimConfig,
+    watchdog: Option<Watchdog>,
+) -> Result<RunResult, RunAborted> {
+    let mut sim = Simulation::new(NetWorld::build(topology, config));
+    sim.set_watchdog(watchdog);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.prime(sched);

@@ -1,9 +1,9 @@
 //! Result collection and aggregate metrics.
 
-use dirca_mac::MacCounters;
+use dirca_mac::{DcfMac, MacCounters};
 use dirca_sim::SimDuration;
 
-use crate::{AirtimeBreakdown, NetWorld};
+use crate::{AirtimeBreakdown, AppStats, NetWorld};
 
 /// One node's measured statistics.
 #[derive(Debug, Clone)]
@@ -32,6 +32,22 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
+    /// Reads node `node`'s report off its MAC and application stats — the
+    /// one place both engines build reports.
+    pub(crate) fn new(node: usize, measured: bool, mac: &DcfMac, app: &AppStats) -> Self {
+        NodeReport {
+            node,
+            measured,
+            counters: mac.counters().clone(),
+            queue_drops: app.queue_drops,
+            fer_losses: app.fer_losses,
+            outage_losses: app.outage_losses,
+            delay_samples: app.delay_samples.clone(),
+            airtime: app.airtime,
+            backlog: mac.queue_len() as u64,
+        }
+    }
+
     /// Sender-side throughput of this node in bits per second.
     pub fn throughput_bps(&self, window: SimDuration) -> f64 {
         if window == SimDuration::ZERO {
@@ -61,17 +77,7 @@ impl RunResult {
             .iter()
             .zip(world.app_stats())
             .enumerate()
-            .map(|(i, (mac, app))| NodeReport {
-                node: i,
-                measured: i < measured,
-                counters: mac.counters().clone(),
-                queue_drops: app.queue_drops,
-                fer_losses: app.fer_losses,
-                outage_losses: app.outage_losses,
-                delay_samples: app.delay_samples.clone(),
-                airtime: app.airtime,
-                backlog: mac.queue_len() as u64,
-            })
+            .map(|(i, (mac, app))| NodeReport::new(i, i < measured, mac, app))
             .collect();
         RunResult {
             nodes,

@@ -4,14 +4,20 @@
 //! The field is partitioned into [`RegionPartition`] stripes keyed off the
 //! coverage plan's [`dirca_radio::SpatialGrid`]; each shard advances a full
 //! [`NetWorld`] replica but only ever touches the MACs, transceivers, RNG
-//! streams, and app counters of the nodes it *owns*. A transmission always
-//! schedules its own shard's [`NetEvent::WaveStart`]/[`NetEvent::WaveEnd`]
-//! copy locally; when the precomputed footprint covers receivers owned by
-//! other shards, a copy is posted to each of those shards through the
-//! engine's deterministic index-ordered mailboxes. The conservative
-//! lookahead is the channel's propagation delay — exactly the paper's
-//! physical argument: a frame on the air at `t` cannot touch another node
-//! before `t + delay`.
+//! streams, and app counters of the nodes it *owns*.
+//!
+//! There is no second protocol implementation here. A shard hands every
+//! event to [`NetWorld`]'s own dispatch, run under this module's
+//! scheduling context instead of the classic [`dirca_sim::Scheduler`]:
+//! the context answers which nodes the shard owns, tags every signal id
+//! with the shard index, and routes wave copies across shards. A
+//! transmission always schedules its own shard's
+//! [`NetEvent::WaveStart`]/[`NetEvent::WaveEnd`] copy locally; when the
+//! footprint covers receivers owned by other shards, a copy is posted to
+//! each of those shards through the engine's deterministic index-ordered
+//! mailboxes. The conservative lookahead is the channel's propagation
+//! delay — exactly the paper's physical argument: a frame on the air at
+//! `t` cannot touch another node before `t + delay`.
 //!
 //! Determinism contract:
 //!
@@ -48,24 +54,16 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::Rng;
-
-use dirca_mac::{DataPacket, DcfMac, Dot11Params, Frame, FrameKind, MacContext, TimerKind};
-use dirca_radio::{Channel, CoveragePlan, NodeId, RegionPartition, SignalId, Transceiver};
+use dirca_mac::Frame;
+use dirca_radio::{CoveragePlan, NodeId, RegionPartition, SignalId};
 use dirca_sim::{
-    RunAborted, ShardCtx, ShardWorld, ShardedSimulation, SimDuration, SimTime, TimerGeneration,
-    Watchdog,
+    RunAborted, Scheduler, ShardCtx, ShardWorld, ShardedSimulation, SimDuration, SimTime, Watchdog,
 };
 use dirca_topology::Topology;
 
-use crate::config::TrafficModel;
 use crate::result::{NodeReport, RunResult};
-use crate::world::{exp_interval, FaultVerdict, NetEvent, NetWorld, TraceEntry};
+use crate::world::{NetEvent, NetSched, NetWorld, TraceEntry};
 use crate::SimConfig;
-
-#[cfg(feature = "trace")]
-use dirca_trace::{RecordKind, TraceRecord};
 
 /// Default shard count for partitioned runs: enough stripes to feed a
 /// small multicore without fragmenting the field, and fixed independently
@@ -89,161 +87,29 @@ pub struct ShardNetWorld {
     partition: Arc<RegionPartition>,
     /// Transmit-time footprint buffer (separate from the world's wave
     /// scratch, which is busy during event dispatch).
-    tx_scratch: Vec<NodeId>,
+    footprint: Vec<NodeId>,
 }
 
 impl ShardNetWorld {
-    /// This shard's index.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Read access to the underlying world replica.
-    pub fn net(&self) -> &NetWorld {
-        &self.world
-    }
-
-    /// Mutable access to the underlying world replica (trace and recorder
-    /// attachment; node state belonging to other shards must not be
-    /// touched).
-    pub fn net_mut(&mut self) -> &mut NetWorld {
-        &mut self.world
-    }
-
-    /// Whether this shard owns `node`.
-    fn owns(&self, node: NodeId) -> bool {
-        self.partition.shard_of(node) == self.shard
-    }
-
-    /// Seeds initial traffic for the owned stripe, mirroring
-    /// [`NetWorld::prime`] restricted to owned nodes. With one shard this
-    /// is exactly the classic priming loop.
-    pub fn prime(&mut self, ctx: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: per-node vectors are all sized to the node count at
-        // build time, and the partition covers exactly the built nodes.
-        ctx.sched.reserve(self.world.expected_events);
-        match self.world.traffic {
-            TrafficModel::Saturated => {
-                for i in 0..self.world.macs.len() {
-                    if self.owns(NodeId(i)) {
-                        self.refill(NodeId(i), ctx);
-                    }
-                }
-            }
-            TrafficModel::Poisson {
-                packets_per_sec, ..
-            } => {
-                for i in 0..self.world.macs.len() {
-                    if self.owns(NodeId(i)) && !self.world.neighbors[i].is_empty() {
-                        let dt = exp_interval(&mut self.world.rngs[i], packets_per_sec);
-                        ctx.sched
-                            .schedule_in(dt, NetEvent::Arrival { node: NodeId(i) });
-                    }
-                }
-            }
-            TrafficModel::Manual => {}
-        }
-    }
-
-    /// Dispatches a MAC callback for an owned `node` with a fully wired
-    /// sharded context — the sharded twin of `NetWorld::with_mac`.
-    fn with_mac(
-        &mut self,
-        node: NodeId,
-        sim: &mut ShardCtx<'_, NetEvent>,
-        f: impl FnOnce(&mut DcfMac, &mut SCtx<'_, '_>),
-    ) {
-        debug_assert!(self.owns(node), "MAC dispatch for a foreign node");
-        // panic-path: per-node vectors are sized to the node count at build
-        // time and `node` comes from the event stream / partition walk.
-        let muted = match &self.world.faults {
-            Some(f) => f.compiled.in_outage(node, sim.sched.now()),
-            None => false,
+    /// Splits the shard into its world replica and the scheduling context
+    /// that drives it.
+    fn split<'a, 'b>(
+        &'a mut self,
+        ctx: &'a mut ShardCtx<'b, NetEvent>,
+    ) -> (&'a mut NetWorld, ShardSched<'a, 'b>) {
+        let ShardNetWorld {
+            world,
+            shard,
+            partition,
+            footprint,
+        } = self;
+        let sched = ShardSched {
+            ctx,
+            shard: *shard,
+            partition,
+            footprint,
         };
-        let NetWorld {
-            channel,
-            plan,
-            macs,
-            phys,
-            rngs,
-            app,
-            params,
-            next_signal,
-            trace,
-            #[cfg(feature = "trace")]
-            recorder,
-            record_delays,
-            ..
-        } = &mut self.world;
-        let mut ctx = SCtx {
-            node,
-            sim,
-            phy: &mut phys[node.0],
-            channel,
-            plan,
-            params,
-            rng: &mut rngs[node.0],
-            next_signal,
-            app: &mut app[node.0],
-            trace,
-            #[cfg(feature = "trace")]
-            recorder,
-            record_delays: *record_delays,
-            muted,
-            shard: self.shard,
-            partition: &self.partition,
-            tx_scratch: &mut self.tx_scratch,
-        };
-        f(&mut macs[node.0], &mut ctx);
-    }
-
-    /// Keeps an owned saturated node backlogged — the sharded twin of
-    /// `NetWorld::refill`, consuming the same per-node RNG draws.
-    fn refill(&mut self, node: NodeId, sim: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: per-node vectors are sized to the node count at build.
-        if self.world.traffic != TrafficModel::Saturated || self.world.macs[node.0].has_backlog() {
-            return;
-        }
-        if self.world.neighbors[node.0].is_empty() {
-            return; // isolated node: nothing to send to
-        }
-        let dst = self.world.pick_neighbor(node);
-        let seq = self.world.app[node.0].next_seq;
-        self.world.app[node.0].next_seq += 1;
-        let bytes = self.world.data_bytes;
-        let now = sim.sched.now();
-        self.with_mac(node, sim, |mac, ctx| {
-            mac.enqueue(DataPacket::new(seq, node, dst, bytes, now), ctx);
-        });
-    }
-
-    /// One Poisson arrival at an owned node — the sharded twin of
-    /// `NetWorld::poisson_arrival`.
-    fn poisson_arrival(&mut self, node: NodeId, sim: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: per-node vectors are sized to the node count at build.
-        let TrafficModel::Poisson {
-            packets_per_sec,
-            max_queue,
-        } = self.world.traffic
-        else {
-            return; // stale event after a model change; ignore
-        };
-        if !self.world.neighbors[node.0].is_empty() {
-            if self.world.macs[node.0].queue_len() < max_queue {
-                let dst = self.world.pick_neighbor(node);
-                let seq = self.world.app[node.0].next_seq;
-                self.world.app[node.0].next_seq += 1;
-                let bytes = self.world.data_bytes;
-                let now = sim.sched.now();
-                self.with_mac(node, sim, |mac, ctx| {
-                    mac.enqueue(DataPacket::new(seq, node, dst, bytes, now), ctx);
-                });
-            } else {
-                self.world.app[node.0].queue_drops += 1;
-            }
-            let dt = exp_interval(&mut self.world.rngs[node.0], packets_per_sec);
-            sim.sched.schedule_in(dt, NetEvent::Arrival { node });
-        }
+        (world, sched)
     }
 }
 
@@ -251,324 +117,88 @@ impl ShardWorld for ShardNetWorld {
     type Event = NetEvent;
 
     fn handle(&mut self, now: SimTime, event: NetEvent, ctx: &mut ShardCtx<'_, NetEvent>) {
-        // panic-path: events only carry node ids the world itself built, and
-        // every per-node vector is sized to the node count. Wave events can
-        // arrive from foreign shards; their target walk filters to owned
-        // receivers. TxEnd/MacTimer/Arrival are only ever scheduled locally
-        // for owned nodes.
-        match event {
-            NetEvent::WaveStart {
-                src,
-                id,
-                frame,
-                directional,
-            } => {
-                let end = now + self.world.params.frame_airtime(&frame);
-                let mut wave = std::mem::take(&mut self.world.scratch);
-                self.world
-                    .fill_wave_targets(src, frame.dst, directional, &mut wave);
-                for &dst in &wave {
-                    if !self.owns(dst) {
-                        continue; // the owner shard handles its own copy
-                    }
-                    let (heading, distance) = self.world.plan.node(dst).toward(src);
-                    let became_busy =
-                        self.world.phys[dst.0].signal_arrives_at(id, heading, distance, end);
-                    if became_busy {
-                        self.with_mac(dst, ctx, |mac, mctx| mac.on_medium_busy(mctx));
-                    }
-                }
-                self.world.scratch = wave;
-            }
-            NetEvent::WaveEnd {
-                src,
-                id,
-                frame,
-                directional,
-            } => {
-                let mut wave = std::mem::take(&mut self.world.scratch);
-                self.world
-                    .fill_wave_targets(src, frame.dst, directional, &mut wave);
-                for &dst in &wave {
-                    if !self.owns(dst) {
-                        continue; // the owner shard handles its own copy
-                    }
-                    let report = self.world.phys[dst.0].signal_ends(id);
-                    if report.delivered {
-                        match self.world.fault_verdict(src, dst, &frame, now) {
-                            FaultVerdict::Deliver => {
-                                #[cfg(feature = "trace")]
-                                self.world.record(
-                                    now,
-                                    dst,
-                                    if frame.dst == dst {
-                                        RecordKind::FrameRx {
-                                            kind: frame.kind,
-                                            peer: frame.src,
-                                        }
-                                    } else {
-                                        RecordKind::NavSet {
-                                            until: now + frame.duration,
-                                        }
-                                    },
-                                );
-                                self.with_mac(dst, ctx, |mac, mctx| {
-                                    mac.on_frame_received(frame, mctx);
-                                });
-                            }
-                            FaultVerdict::Corrupt => {
-                                #[cfg(feature = "trace")]
-                                self.world.record(now, dst, RecordKind::FaultCorrupt);
-                                self.world.app[dst.0].fer_losses += 1;
-                                self.with_mac(dst, ctx, |mac, mctx| mac.on_rx_corrupted(mctx));
-                            }
-                            FaultVerdict::Outage => {
-                                #[cfg(feature = "trace")]
-                                self.world.record(now, dst, RecordKind::FaultOutage);
-                                self.world.app[dst.0].outage_losses += 1;
-                            }
-                        }
-                    } else if report.corrupted {
-                        #[cfg(feature = "trace")]
-                        self.world.record(now, dst, RecordKind::RxCorrupted);
-                        self.with_mac(dst, ctx, |mac, mctx| mac.on_rx_corrupted(mctx));
-                    }
-                    if report.medium_idle_after {
-                        self.with_mac(dst, ctx, |mac, mctx| mac.on_medium_idle(mctx));
-                    }
-                    self.refill(dst, ctx);
-                }
-                self.world.scratch = wave;
-            }
-            NetEvent::TxEnd { node } => {
-                self.world.phys[node.0].end_transmit();
-                self.with_mac(node, ctx, |mac, mctx| mac.on_tx_done(mctx));
-                self.refill(node, ctx);
-            }
-            NetEvent::MacTimer { node, kind, gen } => {
-                if self.world.macs[node.0].is_timer_live(kind, gen) {
-                    #[cfg(feature = "trace")]
-                    match kind {
-                        TimerKind::CtsTimeout | TimerKind::DataTimeout | TimerKind::AckTimeout => {
-                            self.world
-                                .record(now, node, RecordKind::Timeout { timer: kind });
-                        }
-                        TimerKind::NavExpire => {
-                            self.world.record(now, node, RecordKind::NavExpire);
-                        }
-                        TimerKind::Backoff | TimerKind::Sifs => {}
-                    }
-                    self.with_mac(node, ctx, |mac, mctx| mac.on_timer(kind, gen, mctx));
-                    self.refill(node, ctx);
-                }
-            }
-            NetEvent::Arrival { node } => {
-                self.poisson_arrival(node, ctx);
-            }
-            // panic-path: ShardedNetSim::build rejects mobility configs,
-            // and MobilityEpoch is only ever scheduled under one.
-            NetEvent::MobilityEpoch => {
-                unreachable!("mobility epochs cannot occur in a sharded run")
-            }
-        }
+        let (world, mut sched) = self.split(ctx);
+        world.dispatch(now, event, &mut sched);
     }
 }
 
-/// The [`MacContext`] of the sharded engine: the classic `Ctx` plus the
-/// cross-shard wave routing performed at transmit time.
-struct SCtx<'a, 'b> {
-    node: NodeId,
-    sim: &'a mut ShardCtx<'b, NetEvent>,
-    phy: &'a mut Transceiver,
-    channel: &'a Channel,
-    plan: &'a CoveragePlan,
-    params: &'a Dot11Params,
-    rng: &'a mut SmallRng,
-    next_signal: &'a mut u64,
-    app: &'a mut crate::world::AppStats,
-    trace: &'a mut Option<Vec<TraceEntry>>,
-    #[cfg(feature = "trace")]
-    recorder: &'a mut Option<dirca_trace::RingTrace>,
-    record_delays: bool,
-    muted: bool,
+/// The sharded scheduling context: the shard's own queue and outbox, plus
+/// the partition that decides ownership and cross-shard routing.
+struct ShardSched<'a, 'b> {
+    ctx: &'a mut ShardCtx<'b, NetEvent>,
     shard: u32,
     partition: &'a RegionPartition,
-    tx_scratch: &'a mut Vec<NodeId>,
+    footprint: &'a mut Vec<NodeId>,
 }
 
-impl SCtx<'_, '_> {
-    /// Pushes one record attributed to this context's node.
-    #[cfg(feature = "trace")]
-    fn record(&mut self, kind: RecordKind) {
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.push(TraceRecord {
-                time: self.sim.sched.now(),
-                node: self.node,
-                kind,
-            });
-        }
+impl NetSched for ShardSched<'_, '_> {
+    fn sched(&mut self) -> &mut Scheduler<NetEvent> {
+        self.ctx.sched
     }
-}
 
-impl MacContext for SCtx<'_, '_> {
     fn now(&self) -> SimTime {
-        self.sim.sched.now()
+        self.ctx.sched.now()
     }
 
-    fn carrier_busy(&self) -> bool {
-        self.phy.carrier_busy()
+    fn owns(&self, node: NodeId) -> bool {
+        self.partition.shard_of(node) == self.shard
     }
 
-    fn transmit(&mut self, frame: Frame, directional: bool) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEntry {
-                time: self.sim.sched.now(),
-                frame,
-                directional,
-            });
-        }
-        #[cfg(feature = "trace")]
-        self.record(RecordKind::FrameTx {
-            kind: frame.kind,
-            peer: frame.dst,
-            bytes: frame.payload_bytes,
-            directional,
-        });
-        let duration = self.params.frame_airtime(&frame);
-        match frame.kind {
-            FrameKind::Rts => self.app.airtime.rts += duration,
-            FrameKind::Cts => self.app.airtime.cts += duration,
-            FrameKind::Data => self.app.airtime.data += duration,
-            FrameKind::Ack => self.app.airtime.ack += duration,
-        }
-        self.phy.begin_transmit();
-        self.sim
-            .sched
-            .schedule_in(duration, NetEvent::TxEnd { node: self.node });
+    fn shard_tag(&self) -> u32 {
+        self.shard
+    }
 
-        if self.muted {
-            // Out-of-service radio: the MAC went through the motions but no
-            // wave reaches any receiver (same contract as the classic path).
+    fn route_wave(
+        &mut self,
+        plan: &CoveragePlan,
+        src: NodeId,
+        id: SignalId,
+        frame: Frame,
+        directional: bool,
+        [start, end]: [SimTime; 2],
+    ) {
+        if self.partition.shards() == 1 {
             return;
         }
-
-        // Tag the per-shard signal counter with the shard index so ids are
-        // globally unique without coordination. With one shard the tag is
-        // zero and the sequence is exactly the classic engine's.
-        let id = SignalId((u64::from(self.shard) << 48) | *self.next_signal);
-        *self.next_signal += 1;
-        let prop = self.channel.propagation_delay();
-        // The own-shard wave copy is always scheduled locally — with one
-        // shard this is the whole story and reproduces the classic engine
-        // byte for byte.
-        self.sim.sched.schedule_in(
-            prop,
-            NetEvent::WaveStart {
-                src: self.node,
-                id,
-                frame,
-                directional,
-            },
-        );
-        self.sim.sched.schedule_in(
-            duration + prop,
-            NetEvent::WaveEnd {
-                src: self.node,
-                id,
-                frame,
-                directional,
-            },
-        );
-
-        if self.partition.shards() > 1 {
-            // The footprint is a pure function of the static coverage plan,
-            // so computing it at transmit time (rather than dispatch time)
-            // sees exactly the receivers the wave handlers will walk. Route
-            // one copy to every foreign shard owning a covered receiver;
-            // both edges land at `now + prop` or later, which satisfies the
-            // engine's lookahead contract because lookahead == prop.
-            if !directional {
-                self.tx_scratch.clear();
-                self.tx_scratch
-                    .extend_from_slice(self.plan.neighbors(self.node));
-            } else {
-                self.plan
-                    .directional_coverage_into(self.node, frame.dst, self.tx_scratch);
-            }
-            let mut mask: u64 = 0;
-            for &dst in self.tx_scratch.iter() {
-                mask |= 1u64 << self.partition.shard_of(dst);
-            }
-            mask &= !(1u64 << self.shard);
-            let now = self.sim.sched.now();
-            for s in 0..self.partition.shards() {
-                if mask & (1u64 << s) != 0 {
-                    self.sim.outbox.send(
-                        s,
-                        now + prop,
-                        NetEvent::WaveStart {
-                            src: self.node,
-                            id,
-                            frame,
-                            directional,
-                        },
-                    );
-                    self.sim.outbox.send(
-                        s,
-                        now + duration + prop,
-                        NetEvent::WaveEnd {
-                            src: self.node,
-                            id,
-                            frame,
-                            directional,
-                        },
-                    );
-                }
-            }
+        // The footprint is a pure function of the static coverage plan,
+        // so computing it at transmit time (rather than dispatch time)
+        // sees exactly the receivers the wave handlers will walk. Both
+        // edges land at `now + prop` or later, which satisfies the
+        // engine's lookahead contract because lookahead == prop.
+        if directional {
+            plan.directional_coverage_into(src, frame.dst, self.footprint);
+        } else {
+            self.footprint.clear();
+            self.footprint.extend_from_slice(plan.neighbors(src));
         }
-    }
-
-    fn schedule_timer(&mut self, kind: TimerKind, gen: TimerGeneration, delay: SimDuration) {
-        self.sim.sched.schedule_in(
-            delay,
-            NetEvent::MacTimer {
-                node: self.node,
-                kind,
-                gen,
-            },
-        );
-    }
-
-    fn draw_backoff_slots(&mut self, cw: u32) -> u32 {
-        let slots = self.rng.random_range(0..=cw);
-        #[cfg(feature = "trace")]
-        self.record(RecordKind::BackoffDraw { cw, slots });
-        slots
-    }
-
-    fn deliver(&mut self, _frame: &Frame) {
-        self.app.delivered += 1;
-    }
-
-    fn packet_done(&mut self, packet: DataPacket, success: bool) {
-        #[cfg(feature = "trace")]
-        self.record(if success {
-            RecordKind::PacketAcked
-        } else {
-            RecordKind::PacketDropped
-        });
-        if success {
-            self.app.completed += 1;
-            if self.record_delays {
-                let delay = self
-                    .sim
-                    .sched
-                    .now()
-                    .saturating_duration_since(packet.created);
-                self.app.delay_samples.push(delay.as_secs_f64());
+        let mut mask: u64 = 0;
+        for &dst in self.footprint.iter() {
+            mask |= 1u64 << self.partition.shard_of(dst);
+        }
+        mask &= !(1u64 << self.shard);
+        for s in 0..self.partition.shards() {
+            if mask & (1u64 << s) != 0 {
+                self.ctx.outbox.send(
+                    s,
+                    start,
+                    NetEvent::WaveStart {
+                        src,
+                        id,
+                        frame,
+                        directional,
+                    },
+                );
+                self.ctx.outbox.send(
+                    s,
+                    end,
+                    NetEvent::WaveEnd {
+                        src,
+                        id,
+                        frame,
+                        directional,
+                    },
+                );
             }
-        } else {
-            self.app.dropped += 1;
         }
     }
 }
@@ -624,7 +254,7 @@ impl ShardedNetSim {
                 world,
                 shard: s as u32,
                 partition: Arc::clone(&partition),
-                tx_scratch: Vec::with_capacity(n),
+                footprint: Vec::with_capacity(n),
             })
             .collect();
         ShardedNetSim {
@@ -654,7 +284,7 @@ impl ShardedNetSim {
     ///
     /// Panics if `shard` is out of range.
     pub fn net_world(&self, shard: usize) -> &NetWorld {
-        self.sim.world(shard).net()
+        &self.sim.world(shard).world
     }
 
     /// Mutable access to shard `shard`'s world replica (for trace and
@@ -664,22 +294,23 @@ impl ShardedNetSim {
     ///
     /// Panics if `shard` is out of range.
     pub fn net_world_mut(&mut self, shard: usize) -> &mut NetWorld {
-        self.sim.world_mut(shard).net_mut()
+        &mut self.sim.world_mut(shard).world
     }
 
     /// Seeds initial traffic on every shard (each primes its owned
     /// stripe).
     pub fn prime(&mut self) {
         for s in 0..self.sim.shard_count() {
-            let (world, mut ctx) = self.sim.shard_parts_mut(s);
-            world.prime(&mut ctx);
+            let (shard, mut ctx) = self.sim.shard_parts_mut(s);
+            let (world, mut sched) = shard.split(&mut ctx);
+            world.prime_in(&mut sched);
         }
     }
 
     /// Starts transmission tracing on every shard.
     pub fn enable_trace(&mut self) {
-        for world in self.sim.worlds_mut() {
-            world.net_mut().enable_trace();
+        for shard in self.sim.worlds_mut() {
+            shard.world.enable_trace();
         }
     }
 
@@ -689,8 +320,8 @@ impl ShardedNetSim {
     /// `None` unless tracing was enabled on every shard.
     pub fn merged_trace(&self) -> Option<Vec<TraceEntry>> {
         let mut merged: Vec<TraceEntry> = Vec::new();
-        for world in self.sim.worlds() {
-            merged.extend_from_slice(world.net().trace()?);
+        for shard in self.sim.worlds() {
+            merged.extend_from_slice(shard.world.trace()?);
         }
         merged.sort_by_key(|entry| entry.time);
         Some(merged)
@@ -703,8 +334,8 @@ impl ShardedNetSim {
 
     /// Zeroes MAC counters and app stats on every shard (end of warm-up).
     pub fn reset_counters(&mut self) {
-        for world in self.sim.worlds_mut() {
-            world.net_mut().reset_counters();
+        for shard in self.sim.worlds_mut() {
+            shard.world.reset_counters();
         }
     }
 
@@ -742,28 +373,14 @@ impl ShardedNetSim {
         let measured = worlds
             .first()
             .expect("a sharded simulation always has ≥ 1 shard")
-            .net()
+            .world
             .measured();
-        let n = partition.len();
-        let nodes = (0..n)
+        let nodes = (0..partition.len())
             .map(|i| {
                 // panic-path: the partition maps every built node to a valid
                 // shard index, and each replica holds all n node slots.
-                let owner = partition.shard_of(NodeId(i)) as usize;
-                let world = worlds[owner].net();
-                let mac = &world.macs()[i];
-                let app = &world.app_stats()[i];
-                NodeReport {
-                    node: i,
-                    measured: i < measured,
-                    counters: mac.counters().clone(),
-                    queue_drops: app.queue_drops,
-                    fer_losses: app.fer_losses,
-                    outage_losses: app.outage_losses,
-                    delay_samples: app.delay_samples.clone(),
-                    airtime: app.airtime,
-                    backlog: mac.queue_len() as u64,
-                }
+                let world = &worlds[partition.shard_of(NodeId(i)) as usize].world;
+                NodeReport::new(i, i < measured, &world.macs()[i], &world.app_stats()[i])
             })
             .collect();
         RunResult::from_parts(nodes, window, events)
@@ -787,14 +404,8 @@ pub fn run_sharded(
     shards: u32,
     workers: usize,
 ) -> RunResult {
-    let mut sim = ShardedNetSim::build(topology, config, shards);
-    sim.prime();
-    let warmup_end = SimTime::ZERO + config.warmup;
-    sim.run_until(warmup_end, workers);
-    sim.reset_counters();
-    let end = warmup_end + config.measure;
-    sim.run_until(end, workers);
-    sim.into_result(config.measure)
+    run_sharded_with(topology, config, shards, workers, None)
+        .unwrap_or_else(|abort| panic!("{abort}"))
 }
 
 /// Like [`run_sharded`], but the whole run executes under `watchdog`; a
@@ -814,8 +425,20 @@ pub fn run_sharded_guarded(
     workers: usize,
     watchdog: Watchdog,
 ) -> Result<RunResult, RunAborted> {
+    run_sharded_with(topology, config, shards, workers, Some(watchdog))
+}
+
+/// The one sharded run lifecycle: build, prime, warm up, reset, measure,
+/// collect. `None` installs no watchdog, so the window loop checks nothing.
+fn run_sharded_with(
+    topology: &Topology,
+    config: &SimConfig,
+    shards: u32,
+    workers: usize,
+    watchdog: Option<Watchdog>,
+) -> Result<RunResult, RunAborted> {
     let mut sim = ShardedNetSim::build(topology, config, shards);
-    sim.set_watchdog(Some(watchdog));
+    sim.set_watchdog(watchdog);
     sim.prime();
     let warmup_end = SimTime::ZERO + config.warmup;
     sim.try_run_until(warmup_end, workers)?;

@@ -472,26 +472,36 @@ impl NetWorld {
     /// sources get their first packet immediately (and are refilled
     /// forever); Poisson sources get their first arrival scheduled.
     pub fn prime(&mut self, sched: &mut Scheduler<NetEvent>) {
+        self.prime_in(sched);
+    }
+
+    /// [`NetWorld::prime`] under any scheduling context: only the nodes the
+    /// context owns get traffic seeded (all of them in the classic engine).
+    pub(crate) fn prime_in<S: NetSched>(&mut self, sched: &mut S) {
         // panic-path: per-node vectors are all sized to the node count at
         // build time, and node ids come from the topology/coverage plan, so
         // id-indexed access is infallible.
-        sched.reserve(self.expected_events);
+        sched.sched().reserve(self.expected_events);
         if let Some(m) = &self.mobility {
-            sched.schedule_in(m.epoch, NetEvent::MobilityEpoch);
+            sched.sched().schedule_in(m.epoch, NetEvent::MobilityEpoch);
         }
         match self.traffic {
             TrafficModel::Saturated => {
                 for i in 0..self.macs.len() {
-                    self.refill(NodeId(i), sched);
+                    if sched.owns(NodeId(i)) {
+                        self.refill(NodeId(i), sched);
+                    }
                 }
             }
             TrafficModel::Poisson {
                 packets_per_sec, ..
             } => {
                 for i in 0..self.macs.len() {
-                    if !self.neighbors[i].is_empty() {
+                    if sched.owns(NodeId(i)) && !self.neighbors[i].is_empty() {
                         let dt = exp_interval(&mut self.rngs[i], packets_per_sec);
-                        sched.schedule_in(dt, NetEvent::Arrival { node: NodeId(i) });
+                        sched
+                            .sched()
+                            .schedule_in(dt, NetEvent::Arrival { node: NodeId(i) });
                     }
                 }
             }
@@ -561,15 +571,16 @@ impl NetWorld {
     }
 
     /// Dispatches a MAC callback for `node` with a fully wired context.
-    fn with_mac(
+    fn with_mac<S: NetSched>(
         &mut self,
         node: NodeId,
-        sched: &mut Scheduler<NetEvent>,
-        f: impl FnOnce(&mut DcfMac, &mut Ctx<'_>),
+        sched: &mut S,
+        f: impl FnOnce(&mut DcfMac, &mut Ctx<'_, S>),
     ) {
         // panic-path: per-node vectors (macs/phys/rngs/app) are all sized to
         // the node count at build time and `node` comes from the event
         // stream, which only ever carries built node ids.
+        debug_assert!(sched.owns(node), "MAC dispatch for a foreign node");
         // Mute is decided at the instant the MAC acts: if the node's radio
         // is out of service now, any frame it puts on the air this instant
         // reaches nobody (the MAC itself keeps running and will time out
@@ -580,6 +591,7 @@ impl NetWorld {
         };
         let NetWorld {
             channel,
+            plan,
             macs,
             phys,
             rngs,
@@ -597,6 +609,7 @@ impl NetWorld {
             sched,
             phy: &mut phys[node.0],
             channel,
+            plan,
             params,
             rng: &mut rngs[node.0],
             next_signal,
@@ -640,7 +653,7 @@ impl NetWorld {
 
     /// Keeps a saturated node's MAC backlogged with fresh packets to random
     /// neighbours.
-    fn refill(&mut self, node: NodeId, sched: &mut Scheduler<NetEvent>) {
+    fn refill<S: NetSched>(&mut self, node: NodeId, sched: &mut S) {
         // panic-path: per-node vectors are sized to the node count at build,
         // so `node`-indexed access is infallible.
         if self.traffic != TrafficModel::Saturated || self.macs[node.0].has_backlog() {
@@ -661,7 +674,7 @@ impl NetWorld {
 
     /// One Poisson arrival at `node`: enqueue (or drop at a full queue)
     /// and schedule the next arrival.
-    fn poisson_arrival(&mut self, node: NodeId, sched: &mut Scheduler<NetEvent>) {
+    fn poisson_arrival<S: NetSched>(&mut self, node: NodeId, sched: &mut S) {
         // panic-path: per-node vectors are sized to the node count at build,
         // so `node`-indexed access is infallible.
         let TrafficModel::Poisson {
@@ -685,7 +698,7 @@ impl NetWorld {
                 self.app[node.0].queue_drops += 1;
             }
             let dt = exp_interval(&mut self.rngs[node.0], packets_per_sec);
-            sched.schedule_in(dt, NetEvent::Arrival { node });
+            sched.sched().schedule_in(dt, NetEvent::Arrival { node });
         }
     }
 
@@ -894,7 +907,7 @@ impl NetWorld {
     /// rebuilt cache, revive saturated sources the motion reconnected, and
     /// schedule the next epoch. A zero-motion epoch does zero cache work
     /// (counter-asserted by the golden battery) and consumes no RNG.
-    fn mobility_epoch(&mut self, sched: &mut Scheduler<NetEvent>) {
+    fn mobility_epoch<S: NetSched>(&mut self, sched: &mut S) {
         let mut touched = std::mem::take(&mut self.scratch);
         touched.clear();
         let epoch = {
@@ -929,7 +942,7 @@ impl NetWorld {
             self.refill(id, sched);
         }
         self.scratch = touched;
-        sched.schedule_in(epoch, NetEvent::MobilityEpoch);
+        sched.sched().schedule_in(epoch, NetEvent::MobilityEpoch);
     }
 }
 
@@ -953,6 +966,17 @@ impl World for NetWorld {
     type Event = NetEvent;
 
     fn handle(&mut self, now: SimTime, event: NetEvent, sched: &mut Scheduler<NetEvent>) {
+        self.dispatch(now, event, sched);
+    }
+}
+
+impl NetWorld {
+    /// The one event dispatch of the network world, under any scheduling
+    /// context. Wave edges can reach a context that does not own every
+    /// covered receiver (a shard receives copies of foreign waves); the
+    /// receiver walks skip the nodes it does not own, whose owner handles
+    /// its own copy.
+    pub(crate) fn dispatch<S: NetSched>(&mut self, now: SimTime, event: NetEvent, sched: &mut S) {
         // panic-path: events only ever carry node ids the world itself
         // built, and every per-node vector is sized to the node count, so
         // id-indexed access throughout dispatch is infallible.
@@ -972,6 +996,9 @@ impl World for NetWorld {
                     let powers =
                         std::mem::take(&mut self.sinr.as_mut().expect("SINR runtime").powers);
                     for (i, &dst) in wave.iter().enumerate() {
+                        if !sched.owns(dst) {
+                            continue;
+                        }
                         let (heading, distance) = self.coverage(dst).toward(src);
                         let became_busy = self.phys[dst.0]
                             .signal_arrives_powered(id, heading, distance, powers[i], end);
@@ -983,6 +1010,9 @@ impl World for NetWorld {
                 } else {
                     self.fill_wave_targets(src, frame.dst, directional, &mut wave);
                     for &dst in &wave {
+                        if !sched.owns(dst) {
+                            continue;
+                        }
                         let (heading, distance) = self.coverage(dst).toward(src);
                         let became_busy =
                             self.phys[dst.0].signal_arrives_at(id, heading, distance, end);
@@ -1023,6 +1053,9 @@ impl World for NetWorld {
                     self.fill_wave_targets(src, frame.dst, directional, &mut wave);
                 }
                 for &dst in &wave {
+                    if !sched.owns(dst) {
+                        continue;
+                    }
                     let report = self.phys[dst.0].signal_ends(id);
                     if report.delivered {
                         match self.fault_verdict(src, dst, &frame, now) {
@@ -1117,12 +1150,82 @@ impl World for NetWorld {
     }
 }
 
-/// The [`MacContext`] wired to the event queue and the shared channel.
-struct Ctx<'a> {
+/// The scheduling context the network dispatch runs against: the event
+/// queue plus the three points where a partitioned run differs from the
+/// classic one.
+///
+/// `Scheduler<NetEvent>` is the classic context — it owns every node, tags
+/// no signal id, and routes nothing — and every dispatch path is
+/// monomorphised over it, so the classic hot path carries no per-receiver
+/// branch. The sharded engine's context lives in `crate::shard`.
+pub(crate) trait NetSched {
+    /// The local event queue and clock.
+    fn sched(&mut self) -> &mut Scheduler<NetEvent>;
+
+    /// The current simulated instant.
+    fn now(&self) -> SimTime;
+
+    /// Whether this context acts for `node`: drives its MAC and PHY, draws
+    /// from its streams, and keeps its counters.
+    fn owns(&self, node: NodeId) -> bool;
+
+    /// Tag placed above bit 48 of every [`SignalId`] issued here, so ids
+    /// stay globally unique without coordination.
+    fn shard_tag(&self) -> u32;
+
+    /// Posts the copies of a wave just transmitted by `src` to every other
+    /// context owning a covered receiver; `edges` are the absolute arrival
+    /// instants of its leading and trailing edges.
+    fn route_wave(
+        &mut self,
+        plan: &CoveragePlan,
+        src: NodeId,
+        id: SignalId,
+        frame: Frame,
+        directional: bool,
+        edges: [SimTime; 2],
+    );
+}
+
+impl NetSched for Scheduler<NetEvent> {
+    fn sched(&mut self) -> &mut Scheduler<NetEvent> {
+        self
+    }
+
+    fn now(&self) -> SimTime {
+        Scheduler::now(self)
+    }
+
+    fn owns(&self, _node: NodeId) -> bool {
+        true
+    }
+
+    fn shard_tag(&self) -> u32 {
+        0
+    }
+
+    fn route_wave(
+        &mut self,
+        _: &CoveragePlan,
+        _: NodeId,
+        _: SignalId,
+        _: Frame,
+        _: bool,
+        _: [SimTime; 2],
+    ) {
+    }
+}
+
+/// The [`MacContext`] wired to the scheduling context and the shared
+/// channel.
+struct Ctx<'a, S> {
     node: NodeId,
-    sched: &'a mut Scheduler<NetEvent>,
+    sched: &'a mut S,
     phy: &'a mut Transceiver,
     channel: &'a Channel,
+    /// The static plan a transmission's cross-context copies are routed
+    /// by (unused by the classic context).
+    plan: &'a CoveragePlan,
     params: &'a Dot11Params,
     rng: &'a mut SmallRng,
     next_signal: &'a mut u64,
@@ -1136,7 +1239,7 @@ struct Ctx<'a> {
     muted: bool,
 }
 
-impl Ctx<'_> {
+impl<S: NetSched> Ctx<'_, S> {
     /// Pushes one record attributed to this context's node.
     #[cfg(feature = "trace")]
     fn record(&mut self, kind: RecordKind) {
@@ -1150,7 +1253,7 @@ impl Ctx<'_> {
     }
 }
 
-impl MacContext for Ctx<'_> {
+impl<S: NetSched> MacContext for Ctx<'_, S> {
     fn now(&self) -> SimTime {
         self.sched.now()
     }
@@ -1183,6 +1286,7 @@ impl MacContext for Ctx<'_> {
         }
         self.phy.begin_transmit();
         self.sched
+            .sched()
             .schedule_in(duration, NetEvent::TxEnd { node: self.node });
 
         if self.muted {
@@ -1193,14 +1297,15 @@ impl MacContext for Ctx<'_> {
             return;
         }
 
-        let id = SignalId(*self.next_signal);
+        let id = SignalId((u64::from(self.sched.shard_tag()) << 48) | *self.next_signal);
         *self.next_signal += 1;
         let prop = self.channel.propagation_delay();
         // Hot path: one batched wave pair per frame. The handler walks the
         // precomputed footprint with cached headings and distances, so heap
         // traffic stays O(1) per transmission regardless of how many
         // receivers the wave covers.
-        self.sched.schedule_in(
+        let sched = self.sched.sched();
+        sched.schedule_in(
             prop,
             NetEvent::WaveStart {
                 src: self.node,
@@ -1209,7 +1314,7 @@ impl MacContext for Ctx<'_> {
                 directional,
             },
         );
-        self.sched.schedule_in(
+        sched.schedule_in(
             duration + prop,
             NetEvent::WaveEnd {
                 src: self.node,
@@ -1217,6 +1322,15 @@ impl MacContext for Ctx<'_> {
                 frame,
                 directional,
             },
+        );
+        let now = self.sched.now();
+        self.sched.route_wave(
+            self.plan,
+            self.node,
+            id,
+            frame,
+            directional,
+            [now + prop, now + duration + prop],
         );
     }
 
@@ -1226,7 +1340,7 @@ impl MacContext for Ctx<'_> {
         gen: TimerGeneration,
         delay: dirca_sim::SimDuration,
     ) {
-        self.sched.schedule_in(
+        self.sched.sched().schedule_in(
             delay,
             NetEvent::MacTimer {
                 node: self.node,

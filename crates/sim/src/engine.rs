@@ -97,12 +97,12 @@ pub trait World {
 /// the [`Simulation`] for priming initial events.
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    queue: EventQueue<E>,
-    now: SimTime,
+    pub(crate) queue: EventQueue<E>,
+    pub(crate) now: SimTime,
 }
 
 impl<E> Scheduler<E> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Scheduler {
             queue: EventQueue::new(),
             now: SimTime::ZERO,

@@ -62,6 +62,6 @@ pub mod rng;
 
 pub use engine::{AbortReason, RunAborted, Scheduler, Simulation, Watchdog, World};
 pub use queue::EventQueue;
-pub use shard::{Outbox, ShardCtx, ShardScheduler, ShardWorld, ShardedSimulation};
+pub use shard::{Outbox, ShardCtx, ShardWorld, ShardedSimulation};
 pub use time::{SimDuration, SimTime};
 pub use timer::{TimerGeneration, TimerSlot};

@@ -2,11 +2,15 @@
 //!
 //! The classic [`crate::Simulation`] dispatches one global event queue on
 //! one thread. This module partitions a world into *shards*, each with its
-//! own stable event queue, and advances them all through a sequence of
+//! own [`Scheduler`] — the same queue-and-clock type the classic engine
+//! hands to [`crate::World::handle`], so one world implementation can be
+//! driven by either engine — and advances them all through a sequence of
 //! conservative lookahead windows:
 //!
 //! 1. The next window starts at `T`, the minimum pending-event time over
-//!    all shards, and spans `[T, T + lookahead)`.
+//!    all shards, and spans `[T, T + lookahead)`. Every worker computes
+//!    the same window from the minima published at the last barrier; no
+//!    leader decides it.
 //! 2. Every shard processes its own events inside the window with no
 //!    locking at all — the lookahead is chosen (by the caller) so that no
 //!    event processed in a window can schedule a *cross-shard* event
@@ -59,7 +63,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::{AbortReason, EventQueue, RunAborted, SimDuration, SimTime, Watchdog};
+use crate::{AbortReason, RunAborted, Scheduler, SimDuration, SimTime, Watchdog};
 
 /// A world partitioned across shards: the per-shard state acted upon by
 /// events, with cross-shard effects routed through an [`Outbox`].
@@ -80,73 +84,11 @@ pub trait ShardWorld: Send {
 /// shard's own queue plus the outbox for cross-shard messages.
 #[derive(Debug)]
 pub struct ShardCtx<'a, E> {
-    /// The shard's local scheduler (its clock and event queue).
-    pub sched: &'a mut ShardScheduler<E>,
+    /// The shard's local scheduler (its clock and event queue) — the same
+    /// [`Scheduler`] type the classic engine hands to [`crate::World`].
+    pub sched: &'a mut Scheduler<E>,
     /// Cross-shard message rows, merged at the next window barrier.
     pub outbox: &'a mut Outbox<E>,
-}
-
-/// A shard's local scheduler: the [`crate::Scheduler`] contract over one
-/// shard's queue.
-#[derive(Debug)]
-pub struct ShardScheduler<E> {
-    pub(crate) queue: EventQueue<E>,
-    pub(crate) now: SimTime,
-}
-
-impl<E> Default for ShardScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ShardScheduler<E> {
-    /// An empty scheduler at time zero.
-    pub fn new() -> Self {
-        ShardScheduler {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The shard's current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules a local event `delay` after the current instant.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
-    }
-
-    /// Schedules a local event at absolute instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the shard's current instant.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {now}",
-            now = self.now
-        );
-        self.queue.push(at, event);
-    }
-
-    /// Reserves queue room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.queue.reserve(additional);
-    }
-
-    /// Number of pending local events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Timestamp of the earliest pending local event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
 }
 
 /// Cross-shard message rows: one emission-ordered row per destination
@@ -194,7 +136,7 @@ type ShardGroup<W> = Vec<(usize, ShardCell<W>)>;
 /// One shard: its world slice, queue, and message buffers.
 struct ShardCell<W: ShardWorld> {
     world: W,
-    sched: ShardScheduler<W::Event>,
+    sched: Scheduler<W::Event>,
     outbox: Outbox<W::Event>,
     /// Reusable drain buffer swapped against the mailboxes, so the merge
     /// allocates nothing in steady state.
@@ -236,7 +178,7 @@ impl<W: ShardWorld> ShardedSimulation<W> {
                 .into_iter()
                 .map(|world| ShardCell {
                     world,
-                    sched: ShardScheduler::new(),
+                    sched: Scheduler::new(),
                     outbox: Outbox::new(shards),
                     inbox: Vec::new(),
                 })
