@@ -1,10 +1,7 @@
 //! Benchmark support crate.
 //!
-//! The interesting content lives in `benches/`: one Criterion target per
-//! reproduced experiment (`bench_fig5`, `bench_fig6` covering Figs. 6/7
-//! whose runs are shared, `bench_analysis` for the model ablations) plus
-//! `bench_engine` micro-benchmarks of the simulation substrate.
-//!
-//! The `dirca-bench` binary (`src/main.rs`) is the pinned-seed harness:
-//! it times the quick paper grid end to end and writes
-//! `BENCH_paper_grid.json` at the repository root.
+//! Everything lives in the `dirca-bench` binary (`src/main.rs`), the
+//! pinned-seed harness: it times the quick paper grid end to end, the
+//! engine micro-benchmarks, the spatial-index scaling sweep and the
+//! sharded engine, and writes `BENCH_paper_grid.json` at the repository
+//! root. The statistically repeated workloads live in `perfbench/`.

@@ -4,8 +4,9 @@
 //!
 //! The grid runs under the fault-tolerant runner: each cell is isolated
 //! (a panic or watchdog trip fails that cell, not the run), and with
-//! `--checkpoint PATH` every finished cell is persisted so `--resume`
-//! continues an interrupted run where it left off.
+//! `--checkpoint PATH` every finished cell is persisted as a CRC-framed
+//! binary record so `--resume` continues an interrupted run where it left
+//! off. `trace_view PATH` prints a checkpoint's records, one per line.
 //!
 //! Usage: same scale flags as `fig6` (`--quick`, `--topologies`,
 //! `--measure-ms`, `--n`, `--theta`, `--threads`, `--seed`), plus the
@@ -25,9 +26,7 @@
 //! JSONL by default, or the CRC-framed binary encoding with
 //! `--trace-format bin`. See `dirca_experiments::tracegrid` for the
 //! document layouts and the `trace_view` binary for folding either format
-//! into per-node timelines. `--checkpoint-format {jsonl,bin}` selects the
-//! checkpoint encoding the same way (resume auto-detects the existing
-//! file's format).
+//! into per-node timelines.
 //!
 //! Exit status: 0 on a clean complete grid, 1 if any cell failed, 2 on a
 //! usage error, 3 if `--max-cells` stopped the run early.

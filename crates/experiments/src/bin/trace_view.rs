@@ -3,10 +3,18 @@
 //! JSONL format and the CRC-framed binary format (`--trace-format bin`),
 //! auto-detected from the leading bytes.
 //!
+//! It is also the readable view of a runner checkpoint (`paper_grid
+//! --checkpoint PATH`, `dirca-serve --state-dir`): a binary document whose
+//! first frame is `CKPT_HEADER` prints its grid fingerprint and one line
+//! per cell record — the samples of a finished cell, or the diagnosis of
+//! a failed one.
+//!
 //! ```text
 //! trace_view grid_trace.jsonl            # human-readable per-cell fold
 //! trace_view grid_trace.jsonl --check    # schema validation only (exit 0/1)
 //! trace_view grid_trace.bin --check      # same, binary document
+//! trace_view grid.ckpt                   # one line per checkpoint record
+//! trace_view grid.ckpt --check           # validate every frame (exit 0/1)
 //! ```
 //!
 //! Diagnostics locate the first bad input precisely: `line L, byte B` for
@@ -18,7 +26,7 @@
 //! Exit status: 0 on success, 1 on a schema violation, corrupt/truncated
 //! input, or unreadable file, 2 on a usage error.
 
-use dirca_experiments::wireio::sniff_binary;
+use dirca_experiments::wireio::{decode_ckpt_cell, decode_ckpt_header, sniff_binary};
 use dirca_trace::wire::{self, kind};
 use dirca_trace::{Json, RecordKind, TraceRecord};
 
@@ -49,7 +57,10 @@ fn main() {
         std::process::exit(1);
     });
     let result = if sniff_binary(&bytes) {
-        process_bin(&bytes, check)
+        match wire::FrameDecoder::new(&bytes).next() {
+            Some(Ok(first)) if first.kind == kind::CKPT_HEADER => process_ckpt(&bytes, check),
+            _ => process_bin(&bytes, check),
+        }
     } else {
         match std::str::from_utf8(&bytes) {
             Ok(text) => process(text, check),
@@ -361,6 +372,69 @@ fn process_bin(bytes: &[u8], check_only: bool) -> Result<String, String> {
     Ok(out)
 }
 
+/// Prints a runner checkpoint: its fingerprint, then one line per
+/// `CKPT_CELL` record giving the cell, its status, and either the
+/// per-topology samples or the failure's diagnosis. Every frame is
+/// validated either way; unless `check_only`, the records are listed.
+/// Expects the first frame to be `CKPT_HEADER`.
+fn process_ckpt(bytes: &[u8], check_only: bool) -> Result<String, String> {
+    use std::fmt::Write as _;
+    let opt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
+    let mut out = String::new();
+    let mut fingerprint = String::new();
+    let (mut ok, mut failed) = (0u64, 0u64);
+    for (idx, item) in wire::FrameDecoder::new(bytes).enumerate() {
+        let frame = item.map_err(|e| {
+            format!(
+                "byte {}: corrupt or truncated frame: {e} \
+                 ({idx} frames validated before the first bad input)",
+                e.offset()
+            )
+        })?;
+        let frame_no = idx + 1;
+        let bad = |what: String| format!("frame {frame_no} ({:#04x}): {what}", frame.kind);
+        if idx == 0 {
+            fingerprint = decode_ckpt_header(&frame.payload).map_err(|e| bad(e.to_string()))?;
+            let _ = writeln!(out, "checkpoint fingerprint {fingerprint}");
+            continue;
+        }
+        if frame.kind != kind::CKPT_CELL {
+            return Err(bad("unexpected frame kind in a checkpoint".to_string()));
+        }
+        let (cell, result) = decode_ckpt_cell(&frame.payload).map_err(|e| bad(e.to_string()))?;
+        let _ = write!(out, "frame {frame_no}: {cell}: ");
+        match result {
+            Ok(samples) => {
+                ok += 1;
+                let _ = write!(out, "ok, {} topologies", samples.len());
+                for (t, s) in samples.iter().enumerate() {
+                    let _ = write!(
+                        out,
+                        " | t{t} throughput={} delay_ms={} collision_ratio={} jain={}",
+                        s.throughput,
+                        opt(s.delay_ms),
+                        opt(s.collision_ratio),
+                        opt(s.jain)
+                    );
+                }
+                out.push('\n');
+            }
+            Err(failure) => {
+                failed += 1;
+                let _ = writeln!(out, "FAILED {}", failure.to_string().escape_debug());
+            }
+        }
+    }
+    if check_only {
+        return Ok(format!(
+            "ok: checkpoint {fingerprint}, {} records validated ({ok} ok, {failed} failed)\n",
+            ok + failed
+        ));
+    }
+    let _ = writeln!(out, "{} records ({ok} ok, {failed} failed)", ok + failed);
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -479,5 +553,71 @@ mod tests {
         doc[last] ^= 0x40;
         let err = process_bin(&doc, true).unwrap_err();
         assert!(err.contains("CRC mismatch"), "got: {err}");
+    }
+
+    fn ckpt_fixture() -> Vec<u8> {
+        use dirca_experiments::ringsim::{CellFailure, TopologySample};
+        use dirca_experiments::runner::Cell;
+        use dirca_experiments::wireio::{ckpt_cell_frame, ckpt_header_frame};
+        let cell = |scheme| Cell {
+            n: 3,
+            theta: 90.0,
+            scheme,
+        };
+        let mut doc = ckpt_header_frame("0123456789abcdef");
+        doc.extend(ckpt_cell_frame(
+            &cell(dirca_mac::Scheme::OrtsOcts),
+            &Err(CellFailure::Panicked {
+                topology: 0,
+                message: "drill: injected\ncell panic".into(),
+            }),
+        ));
+        doc.extend(ckpt_cell_frame(
+            &cell(dirca_mac::Scheme::DrtsOcts),
+            &Ok(vec![TopologySample {
+                throughput: 0.25,
+                delay_ms: Some(1.5),
+                collision_ratio: None,
+                jain: Some(0.875),
+            }]),
+        ));
+        doc
+    }
+
+    #[test]
+    fn checkpoint_view_prints_one_line_per_record() {
+        let doc = ckpt_fixture();
+        let view = process_ckpt(&doc, false).unwrap();
+        let lines: Vec<&str> = view.lines().collect();
+        assert_eq!(lines.len(), 4, "{view}");
+        assert_eq!(lines[0], "checkpoint fingerprint 0123456789abcdef");
+        assert_eq!(
+            lines[1],
+            "frame 2: N=3 θ=90° ORTS-OCTS: FAILED panicked in topology 0: drill: injected\\ncell panic"
+        );
+        assert_eq!(
+            lines[2],
+            "frame 3: N=3 θ=90° DRTS-OCTS: ok, 1 topologies \
+             | t0 throughput=0.25 delay_ms=1.5 collision_ratio=- jain=0.875"
+        );
+        assert_eq!(lines[3], "2 records (1 ok, 1 failed)");
+        assert_eq!(
+            process_ckpt(&doc, true).unwrap(),
+            "ok: checkpoint 0123456789abcdef, 2 records validated (1 ok, 1 failed)\n"
+        );
+    }
+
+    #[test]
+    fn torn_checkpoint_check_names_the_byte_offset() {
+        let doc = ckpt_fixture();
+        let (frames, _) = wire::decode_all(&doc);
+        let last_len = wire::HEADER_LEN + frames[2].payload.len() + wire::TRAILER_LEN;
+        let last_frame = doc.len() - last_len;
+        let err = process_ckpt(&doc[..doc.len() - 5], true).unwrap_err();
+        assert!(
+            err.starts_with(&format!("byte {last_frame}: corrupt or truncated frame")),
+            "got: {err}"
+        );
+        assert!(err.contains("2 frames validated"), "got: {err}");
     }
 }

@@ -1,22 +1,18 @@
-//! Fault-tolerant grid runner: per-cell isolation, JSONL checkpointing,
+//! Fault-tolerant grid runner: per-cell isolation, binary checkpointing,
 //! and resume.
 //!
 //! The Figs. 6/7 grid is hours of CPU at paper scale; one panicking cell
 //! or a runaway simulation must not throw the rest away. This module runs
 //! each (N, θ, scheme) cell through [`try_run_cell`] — panics are caught
 //! per topology, an optional [`Watchdog`] bounds runaway simulations — and
-//! appends each cell's outcome to a checkpoint file as one JSON line.
-//! `--resume` replays the checkpoint, re-runs only missing or failed
-//! cells, and produces a final report identical to an uninterrupted run
-//! (per-cell results are deterministic, so order of completion is
-//! irrelevant).
+//! appends each cell's outcome to a checkpoint file as one CRC-framed
+//! `CKPT_CELL` frame ([`crate::wireio`]). `--resume` replays the
+//! checkpoint, re-runs only missing or failed cells, and produces a final
+//! report identical to an uninterrupted run (per-cell results are
+//! deterministic, so order of completion is irrelevant). Samples
+//! round-trip bit-exactly through their IEEE-754 patterns.
 //!
-//! The checkpoint format is a deliberately small JSON subset (objects,
-//! arrays, strings, numbers, `null`) written by hand and parsed with the
-//! workspace's one JSON codec, [`dirca_trace::json`] — no serialization
-//! dependency, and strict typed errors instead of silent tolerance.
-//! Floats round-trip exactly through Rust's shortest-representation
-//! `Display`.
+//! `trace_view <checkpoint>` prints a checkpoint's records, one per line.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,13 +22,12 @@ use std::path::{Path, PathBuf};
 
 use dirca_mac::Scheme;
 use dirca_net::Watchdog;
-use dirca_sim::AbortReason;
-use dirca_trace::json::{escape_into, Json};
+use dirca_trace::wire::{self, kind, FrameDecoder, WireError};
 
 use crate::cli::{Flags, UsageError};
 use crate::report::GridScale;
 use crate::ringsim::{try_run_cell, CellFailure, CellGuards, TopologySample};
-use crate::wireio::{self, WireFormat};
+use crate::wireio;
 
 /// One grid coordinate: density × beamwidth × scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,14 +132,14 @@ pub struct RunnerConfig {
     pub retries: u32,
     /// Watchdog budget applied to every topology simulation.
     pub watchdog: Option<Watchdog>,
-    /// Checkpoint file to write (and resume from).
+    /// Binary checkpoint file to write (and resume from): a
+    /// `CKPT_HEADER` frame pinning the grid fingerprint, then one
+    /// `CKPT_CELL` frame per finished cell, flushed before the next cell
+    /// starts.
     pub checkpoint: Option<PathBuf>,
-    /// Encoding for a freshly created checkpoint. On resume the existing
-    /// file's format wins (sniffed from its leading bytes), so appended
-    /// records always match what is already there.
-    pub checkpoint_format: WireFormat,
-    /// Re-use completed cells from the checkpoint instead of starting
-    /// over.
+    /// Re-use completed cells from an existing checkpoint instead of
+    /// starting over. A torn final frame is salvaged with a warning;
+    /// anything else that is not a valid checkpoint is refused.
     pub resume: bool,
     /// Stop after executing this many cells this invocation.
     pub max_cells: Option<usize>,
@@ -166,7 +161,6 @@ impl Default for RunnerConfig {
             retries: 1,
             watchdog: None,
             checkpoint: None,
-            checkpoint_format: WireFormat::Jsonl,
             resume: false,
             max_cells: None,
             inject_panic: None,
@@ -178,9 +172,8 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// Builds the runner policy from flags: `--threads`, `--retries`,
-    /// `--events-budget`, `--checkpoint PATH`,
-    /// `--checkpoint-format {jsonl,bin}`, `--resume`, `--max-cells`, and
-    /// the drill switches `--inject-panic n,theta,scheme` /
+    /// `--events-budget`, `--checkpoint PATH`, `--resume`, `--max-cells`,
+    /// `--engine-threads`, and the drill switches `--inject-panic n,theta,scheme` /
     /// `--inject-timeout n,theta,scheme`.
     pub fn try_from_flags(flags: &Flags) -> Result<Self, UsageError> {
         let parse_cell = |flag: &str| -> Result<Option<Cell>, UsageError> {
@@ -202,7 +195,6 @@ impl RunnerConfig {
             retries: u32::try_from(flags.try_get_usize("retries", 1)?).unwrap_or(u32::MAX),
             watchdog: (events_budget > 0).then(|| Watchdog::max_events(events_budget)),
             checkpoint: flags.get("checkpoint").map(PathBuf::from),
-            checkpoint_format: WireFormat::try_from_flags(flags, "checkpoint-format")?,
             resume: flags.has("resume"),
             max_cells: match flags.try_get_usize("max-cells", 0)? {
                 0 => None,
@@ -269,7 +261,8 @@ pub fn grid_fingerprint_for(scale: &GridScale, engine_threads: usize) -> String 
 // Checkpoint errors.
 // ---------------------------------------------------------------------
 
-/// Why a checkpoint could not be written or replayed.
+/// Why a checkpoint could not be written or replayed. Frame numbers are
+/// 1-based; the header is frame 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Filesystem failure (message carries the OS error text).
@@ -279,7 +272,7 @@ pub enum CheckpointError {
         /// What failed.
         what: String,
     },
-    /// The first line is not a valid checkpoint header.
+    /// The file does not start with a valid `CKPT_HEADER` frame.
     MissingHeader,
     /// The checkpoint was taken for a different grid configuration.
     FingerprintMismatch {
@@ -288,24 +281,25 @@ pub enum CheckpointError {
         /// Fingerprint recorded in the file.
         found: String,
     },
-    /// A line is not valid checkpoint JSON.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What the parser choked on.
-        what: String,
+    /// A frame before the tail is damaged: an intact frame follows it, so
+    /// this is corruption, not a torn final write. The file is left as is.
+    CorruptFrame {
+        /// The damaged frame.
+        frame: usize,
+        /// Why the decoder refused it (carries its byte offset).
+        error: WireError,
     },
-    /// A line parsed as JSON but is not a valid record.
+    /// A CRC-valid frame is not a valid checkpoint record.
     BadRecord {
-        /// 1-based line number.
-        line: usize,
+        /// The offending frame.
+        frame: usize,
         /// Which field or value is wrong.
         what: String,
     },
     /// A record names a cell outside the requested grid.
     UnknownCell {
-        /// 1-based line number.
-        line: usize,
+        /// The offending frame.
+        frame: usize,
         /// The offending cell, rendered.
         cell: String,
     },
@@ -317,167 +311,34 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io { path, what } => {
                 write!(f, "checkpoint {path}: {what}")
             }
-            CheckpointError::MissingHeader => {
-                write!(f, "checkpoint: missing or malformed header line")
-            }
+            CheckpointError::MissingHeader => write!(
+                f,
+                "checkpoint: missing or malformed binary header (checkpoints are \
+                 CRC-framed binary; JSONL checkpoints from older versions cannot be resumed)"
+            ),
             CheckpointError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different grid (fingerprint {found}, expected {expected})"
             ),
-            CheckpointError::Syntax { line, what } => {
-                write!(f, "checkpoint line {line}: syntax error: {what}")
+            CheckpointError::CorruptFrame { frame, error } => write!(
+                f,
+                "checkpoint frame {frame} is corrupt ({error}) and intact frames follow it; \
+                 refusing to resume"
+            ),
+            CheckpointError::BadRecord { frame, what } => {
+                write!(f, "checkpoint frame {frame}: bad record: {what}")
             }
-            CheckpointError::BadRecord { line, what } => {
-                write!(f, "checkpoint line {line}: bad record: {what}")
-            }
-            CheckpointError::UnknownCell { line, cell } => {
-                write!(f, "checkpoint line {line}: cell {cell} is not in this grid")
+            CheckpointError::UnknownCell { frame, cell } => {
+                write!(
+                    f,
+                    "checkpoint frame {frame}: cell {cell} is not in this grid"
+                )
             }
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// A JSON number as a `usize`, iff it is exactly a non-negative integer
-/// in range.
-fn as_usize(json: &Json) -> Option<usize> {
-    let v = json.as_num()?;
-    if !(0.0..=usize::MAX as f64).contains(&v) {
-        return None;
-    }
-    // Exact integrality check without a float comparison: the cast
-    // truncates, so the round trip is bit-identical iff `v` already was
-    // that integer.
-    let n = v as usize;
-    ((n as f64).to_bits() == v.to_bits()).then_some(n)
-}
-
-// ---------------------------------------------------------------------
-// Record rendering and parsing.
-// ---------------------------------------------------------------------
-
-fn header_line(fingerprint: &str) -> String {
-    format!("{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fingerprint}\"}}")
-}
-
-fn opt_num(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v}"),
-        None => "null".into(),
-    }
-}
-
-fn record_line(cell: &Cell, result: &Result<Vec<TopologySample>, CellFailure>) -> String {
-    let head = format!(
-        "{{\"n\":{},\"theta\":{},\"scheme\":\"{}\"",
-        cell.n, cell.theta, cell.scheme
-    );
-    match result {
-        Ok(samples) => {
-            let body: Vec<String> = samples
-                .iter()
-                .map(|s| {
-                    format!(
-                        "[{},{},{},{}]",
-                        s.throughput,
-                        opt_num(s.delay_ms),
-                        opt_num(s.collision_ratio),
-                        opt_num(s.jain)
-                    )
-                })
-                .collect();
-            format!(
-                "{head},\"status\":\"ok\",\"samples\":[{}]}}",
-                body.join(",")
-            )
-        }
-        Err(CellFailure::Panicked { topology, message }) => {
-            let mut line =
-                format!("{head},\"status\":\"panicked\",\"topology\":{topology},\"message\":\"");
-            escape_into(&mut line, message);
-            line.push_str("\"}");
-            line
-        }
-        Err(CellFailure::TimedOut { topology, aborted }) => {
-            let reason = match aborted.reason {
-                AbortReason::MaxEvents => "max_events",
-                AbortReason::MaxSimTime => "max_sim_time",
-            };
-            format!(
-                "{head},\"status\":\"timed_out\",\"topology\":{topology},\"reason\":\"{reason}\",\"events\":{},\"at_ns\":{}}}",
-                aborted.events,
-                aborted.now.as_nanos()
-            )
-        }
-    }
-}
-
-fn bad(line: usize, what: impl Into<String>) -> CheckpointError {
-    CheckpointError::BadRecord {
-        line,
-        what: what.into(),
-    }
-}
-
-fn parse_record(
-    line_no: usize,
-    json: &Json,
-) -> Result<(Cell, Option<Vec<TopologySample>>), CheckpointError> {
-    let n = json
-        .get("n")
-        .and_then(as_usize)
-        .ok_or_else(|| bad(line_no, "missing or non-integer 'n'"))?;
-    let theta = json
-        .get("theta")
-        .and_then(Json::as_num)
-        .ok_or_else(|| bad(line_no, "missing or non-numeric 'theta'"))?;
-    let scheme: Scheme = json
-        .get("scheme")
-        .and_then(Json::as_str)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad(line_no, "missing or unknown 'scheme'"))?;
-    let cell = Cell { n, theta, scheme };
-    let status = json
-        .get("status")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad(line_no, "missing 'status'"))?;
-    match status {
-        "ok" => {
-            let raw = match json.get("samples") {
-                Some(Json::Arr(items)) => items,
-                _ => return Err(bad(line_no, "'ok' record without 'samples' array")),
-            };
-            let mut samples = Vec::with_capacity(raw.len());
-            for item in raw {
-                let tuple = match item {
-                    Json::Arr(vs) if vs.len() == 4 => vs,
-                    _ => return Err(bad(line_no, "sample is not a 4-element array")),
-                };
-                let opt = |j: &Json| -> Result<Option<f64>, CheckpointError> {
-                    match j {
-                        Json::Null => Ok(None),
-                        Json::Num(v) => Ok(Some(*v)),
-                        _ => Err(bad(line_no, "sample field is neither number nor null")),
-                    }
-                };
-                samples.push(TopologySample {
-                    throughput: tuple[0]
-                        .as_num()
-                        .ok_or_else(|| bad(line_no, "non-numeric throughput"))?,
-                    delay_ms: opt(&tuple[1])?,
-                    collision_ratio: opt(&tuple[2])?,
-                    jain: opt(&tuple[3])?,
-                });
-            }
-            Ok((cell, Some(samples)))
-        }
-        // Failed cells are recorded for diagnosis but never restored: the
-        // resume pass re-runs them.
-        "panicked" | "timed_out" => Ok((cell, None)),
-        other => Err(bad(line_no, format!("unknown status {other:?}"))),
-    }
-}
 
 fn io_err(path: &Path, e: std::io::Error) -> CheckpointError {
     CheckpointError::Io {
@@ -486,126 +347,43 @@ fn io_err(path: &Path, e: std::io::Error) -> CheckpointError {
     }
 }
 
+// ---------------------------------------------------------------------
+// Replay.
+// ---------------------------------------------------------------------
+
 /// What a checkpoint replay restored: the completed cells' samples plus
 /// any non-fatal degradations encountered along the way.
 type Restored = (BTreeMap<CellKey, Vec<TopologySample>>, Vec<String>);
 
-/// Replays a checkpoint from its raw bytes, dispatching on the sniffed
-/// format: validates the header fingerprint and returns the completed
-/// cells' samples (later records for the same cell win, so a retried cell
-/// restores its newest outcome).
+/// Whether the decoder's stop at `error` is a torn tail: no intact frame
+/// starts anywhere after the refused frame's first byte. A crash
+/// mid-append leaves only a prefix of the last frame, so a real tear
+/// always passes; damage with whole frames behind it never does.
+fn is_torn_tail(bytes: &[u8], error: &WireError) -> bool {
+    let from = usize::try_from(error.offset()).map_or(bytes.len(), |o| o + 1);
+    let rest = bytes.get(from..).unwrap_or_default();
+    !(0..rest.len())
+        .filter(|&i| rest[i..].starts_with(&wire::MAGIC))
+        .any(|i| matches!(FrameDecoder::new(&rest[i..]).next(), Some(Ok(_))))
+}
+
+/// Replays a checkpoint from its raw bytes: validates the header
+/// fingerprint and returns the completed cells' samples (later records
+/// for the same cell win, so a retried cell restores its newest outcome;
+/// recorded failures restore nothing, so their cells re-run).
 ///
-/// Crash tolerance: a torn or corrupt *trailing* record — the signature
-/// of a crash mid-write — is skipped with a warning and its cell re-run,
-/// instead of failing the whole resume. Corruption anywhere *before* the
-/// tail still hard-errors: that is not a torn write, and silently
-/// dropping interior records would resurrect stale results.
+/// Crash tolerance: a torn or corrupt *final* frame — the signature of a
+/// crash mid-write — is skipped with a warning and its cell re-run,
+/// instead of failing the whole resume. Damage anywhere *before* the
+/// tail is a hard [`CheckpointError::CorruptFrame`]: that is not a torn
+/// write, and silently dropping the intact records behind it would throw
+/// away finished work.
 fn load_checkpoint(
     bytes: &[u8],
     fingerprint: &str,
     grid: &[Cell],
 ) -> Result<Restored, CheckpointError> {
-    if wireio::sniff_binary(bytes) {
-        load_checkpoint_bin(bytes, fingerprint, grid)
-    } else {
-        load_checkpoint_jsonl(bytes, fingerprint, grid)
-    }
-}
-
-/// Applies one parsed record to the restore map (shared by both formats):
-/// `ok` records restore, recorded failures un-restore so the cell re-runs.
-fn apply_record(
-    done: &mut BTreeMap<CellKey, Vec<TopologySample>>,
-    cell: Cell,
-    samples: Option<Vec<TopologySample>>,
-) {
-    match samples {
-        Some(s) => {
-            done.insert(cell.key(), s);
-        }
-        None => {
-            // A newer failure supersedes an older success only if the
-            // cell was re-run and failed — keep the latest verdict.
-            done.remove(&cell.key());
-        }
-    }
-}
-
-fn unknown_cell(grid: &[Cell], cell: &Cell, line: usize) -> Option<CheckpointError> {
-    (!grid.iter().any(|c| c.key() == cell.key())).then(|| CheckpointError::UnknownCell {
-        line,
-        cell: cell.to_string(),
-    })
-}
-
-fn load_checkpoint_jsonl(
-    bytes: &[u8],
-    fingerprint: &str,
-    grid: &[Cell],
-) -> Result<Restored, CheckpointError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| CheckpointError::MissingHeader)?;
-    let lines: Vec<&str> = text.lines().collect();
-    let header = match lines.first() {
-        Some(first) => Json::parse(first).map_err(|_| CheckpointError::MissingHeader)?,
-        None => return Err(CheckpointError::MissingHeader),
-    };
-    if header.get("dirca_checkpoint").and_then(as_usize) != Some(1) {
-        return Err(CheckpointError::MissingHeader);
-    }
-    let found = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or(CheckpointError::MissingHeader)?;
-    if found != fingerprint {
-        return Err(CheckpointError::FingerprintMismatch {
-            expected: fingerprint.to_string(),
-            found: found.to_string(),
-        });
-    }
-    let last_data_line = lines
-        .iter()
-        .rposition(|l| !l.trim().is_empty())
-        .unwrap_or(0);
-    let mut done = BTreeMap::new();
-    let mut warnings = Vec::new();
-    for (i, text) in lines.iter().enumerate().skip(1) {
-        let line_no = i + 1;
-        if text.trim().is_empty() {
-            continue; // a torn final write leaves at most a blank tail
-        }
-        let is_tail = i == last_data_line;
-        let parsed = Json::parse(text)
-            .map_err(|e| CheckpointError::Syntax {
-                line: line_no,
-                what: e.to_string(),
-            })
-            .and_then(|json| parse_record(line_no, &json));
-        let (cell, samples) = match parsed {
-            Ok(v) => v,
-            Err(e) if is_tail => {
-                warnings.push(format!(
-                    "checkpoint line {line_no} is torn or corrupt and was skipped \
-                     (its cell will re-run): {e}"
-                ));
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        if let Some(e) = unknown_cell(grid, &cell, line_no) {
-            return Err(e);
-        }
-        apply_record(&mut done, cell, samples);
-    }
-    Ok((done, warnings))
-}
-
-fn load_checkpoint_bin(
-    bytes: &[u8],
-    fingerprint: &str,
-    grid: &[Cell],
-) -> Result<Restored, CheckpointError> {
-    use dirca_trace::wire::{decode_all, kind};
-    let (frames, tail_error) = decode_all(bytes);
+    let (frames, tail_error) = wire::decode_all(bytes);
     let Some(header) = frames.first() else {
         return Err(CheckpointError::MissingHeader);
     };
@@ -620,34 +398,49 @@ fn load_checkpoint_bin(
             found,
         });
     }
-    let mut done = BTreeMap::new();
     let mut warnings = Vec::new();
+    if let Some(error) = tail_error {
+        if !is_torn_tail(bytes, &error) {
+            return Err(CheckpointError::CorruptFrame {
+                frame: frames.len() + 1,
+                error,
+            });
+        }
+        warnings.push(format!(
+            "checkpoint tail is torn or corrupt and was skipped \
+             (at most one cell will re-run): {error}"
+        ));
+    }
+    let mut done = BTreeMap::new();
     for (i, frame) in frames.iter().enumerate().skip(1) {
-        // "Line" numbers in binary diagnostics are 1-based frame indices.
         let frame_no = i + 1;
+        let bad = |what: String| CheckpointError::BadRecord {
+            frame: frame_no,
+            what,
+        };
         if frame.kind != kind::CKPT_CELL {
-            return Err(bad(
-                frame_no,
-                format!("unexpected frame kind {:#04x}", frame.kind),
-            ));
+            return Err(bad(format!("unexpected frame kind {:#04x}", frame.kind)));
         }
         // A CRC-valid frame with an undecodable payload is not a torn
         // write — it is a schema mismatch, and stays a hard error.
-        let (cell, samples) =
-            wireio::decode_ckpt_cell(&frame.payload).map_err(|e| bad(frame_no, e.to_string()))?;
-        if let Some(e) = unknown_cell(grid, &cell, frame_no) {
-            return Err(e);
+        let (cell, result) =
+            wireio::decode_ckpt_cell(&frame.payload).map_err(|e| bad(e.to_string()))?;
+        if !grid.iter().any(|c| c.key() == cell.key()) {
+            return Err(CheckpointError::UnknownCell {
+                frame: frame_no,
+                cell: cell.to_string(),
+            });
         }
-        apply_record(&mut done, cell, samples);
-    }
-    if let Some(e) = tail_error {
-        // The CRC framing makes every decoded prefix frame trustworthy,
-        // so whatever stopped the decoder is by definition a tail problem
-        // — degrade to a warning and re-run the lost cell.
-        warnings.push(format!(
-            "checkpoint tail is torn or corrupt and was skipped \
-             (at most one cell will re-run): {e}"
-        ));
+        match result {
+            Ok(samples) => {
+                done.insert(cell.key(), samples);
+            }
+            // A newer failure supersedes an older success only if the
+            // cell was re-run and failed — keep the latest verdict.
+            Err(_) => {
+                done.remove(&cell.key());
+            }
+        }
     }
     Ok((done, warnings))
 }
@@ -657,65 +450,19 @@ fn load_checkpoint_bin(
 // ---------------------------------------------------------------------
 
 /// The longest valid prefix of a checkpoint document: the header plus
-/// every intact record, with any torn or corrupt tail dropped. Valid
-/// content is preserved byte-for-byte (binary frames re-encode to their
-/// exact original bytes; JSONL lines are kept verbatim), so recorded
-/// failures keep their full diagnosis. Idempotent: compacting an already
-/// clean document returns it unchanged. Bytes that do not even start
-/// with a valid header are returned untouched — compaction never
-/// destroys what it cannot parse (resume will reject such a file with a
-/// hard error instead).
+/// every intact frame before the first damaged byte. Frame encoding is
+/// deterministic, so valid frames re-encode to their exact original
+/// bytes and recorded failures keep their full diagnosis. Idempotent:
+/// compacting an already clean document returns it unchanged. Bytes that
+/// do not even start with a valid header are returned untouched —
+/// compaction never destroys what it cannot parse. The runner compacts
+/// only after [`load_checkpoint`] has classified the damage as a torn
+/// tail, so no intact record is ever dropped.
 pub fn compacted_checkpoint(bytes: &[u8]) -> Vec<u8> {
-    if wireio::sniff_binary(bytes) {
-        compacted_checkpoint_bin(bytes)
-    } else {
-        compacted_checkpoint_jsonl(bytes)
-    }
-}
-
-fn compacted_checkpoint_jsonl(bytes: &[u8]) -> Vec<u8> {
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        return bytes.to_vec();
-    };
-    let mut lines = text.lines();
-    let Some(header) = lines.next() else {
-        return bytes.to_vec();
-    };
-    let valid_header = Json::parse(header)
-        .ok()
-        .is_some_and(|h| h.get("dirca_checkpoint").and_then(as_usize) == Some(1));
-    if !valid_header {
-        return bytes.to_vec();
-    }
-    let mut out = String::with_capacity(text.len());
-    out.push_str(header);
-    out.push('\n');
-    for line in lines {
-        // Blank interior lines are skippable on load but carry nothing;
-        // a torn write leaves at most a blank or partial tail. Either
-        // way, the first non-record line ends the valid prefix.
-        let intact = !line.trim().is_empty()
-            && Json::parse(line)
-                .ok()
-                .is_some_and(|json| parse_record(0, &json).is_ok());
-        if !intact {
-            break;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.into_bytes()
-}
-
-fn compacted_checkpoint_bin(bytes: &[u8]) -> Vec<u8> {
-    use dirca_trace::wire::{self, kind};
     let (frames, _tail_error) = wire::decode_all(bytes);
     if frames.first().is_none_or(|f| f.kind != kind::CKPT_HEADER) {
         return bytes.to_vec();
     }
-    // Frame encoding is deterministic (kind + length + payload + CRC), so
-    // re-encoding every decoded frame reproduces the valid prefix of the
-    // original bytes exactly, minus whatever stopped the decoder.
     let mut out = Vec::with_capacity(bytes.len());
     for frame in &frames {
         wire::encode_frame_into(frame.kind, &frame.payload, &mut out);
@@ -779,17 +526,9 @@ pub fn run_grid_with(
     let mut done: BTreeMap<CellKey, Vec<TopologySample>> = BTreeMap::new();
     let mut warnings = Vec::new();
     let mut sink: Option<File> = None;
-    // Appended records must match the existing file, whatever the flag
-    // says; a fresh file is written in the configured format.
-    let mut sink_format = config.checkpoint_format;
     if let Some(path) = &config.checkpoint {
         if config.resume && path.exists() {
             let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-            sink_format = if wireio::sniff_binary(&bytes) {
-                WireFormat::Bin
-            } else {
-                WireFormat::Jsonl
-            };
             (done, warnings) = load_checkpoint(&bytes, &fingerprint, &cells)?;
             if !warnings.is_empty() {
                 // A torn tail was salvaged: compact it out of the file
@@ -806,15 +545,8 @@ pub fn run_grid_with(
             );
         } else {
             let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-            match sink_format {
-                WireFormat::Jsonl => {
-                    writeln!(file, "{}", header_line(&fingerprint)).map_err(|e| io_err(path, e))?;
-                }
-                WireFormat::Bin => {
-                    file.write_all(&wireio::ckpt_header_frame(&fingerprint))
-                        .map_err(|e| io_err(path, e))?;
-                }
-            }
+            file.write_all(&wireio::ckpt_header_frame(&fingerprint))
+                .map_err(|e| io_err(path, e))?;
             sink = Some(file);
         }
     }
@@ -860,16 +592,8 @@ pub fn run_grid_with(
             }
         };
         if let (Some(file), Some(path)) = (sink.as_mut(), config.checkpoint.as_ref()) {
-            match sink_format {
-                WireFormat::Jsonl => {
-                    writeln!(file, "{}", record_line(cell, &result))
-                        .map_err(|e| io_err(path, e))?;
-                }
-                WireFormat::Bin => {
-                    file.write_all(&wireio::ckpt_cell_frame(cell, &result))
-                        .map_err(|e| io_err(path, e))?;
-                }
-            }
+            file.write_all(&wireio::ckpt_cell_frame(cell, &result))
+                .map_err(|e| io_err(path, e))?;
             file.flush().map_err(|e| io_err(path, e))?;
         }
         outcomes.push(CellOutcome {
@@ -891,86 +615,6 @@ pub fn run_grid_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dirca_sim::SimTime;
-
-    #[test]
-    fn json_subset_round_trips_records() {
-        let cell = Cell {
-            n: 3,
-            theta: 90.0,
-            scheme: Scheme::OrtsOcts,
-        };
-        let samples = vec![
-            TopologySample {
-                throughput: 0.123456789,
-                delay_ms: Some(1.5),
-                collision_ratio: None,
-                jain: Some(0.875),
-            },
-            TopologySample {
-                throughput: 0.2,
-                delay_ms: None,
-                collision_ratio: Some(0.1),
-                jain: None,
-            },
-        ];
-        let line = record_line(&cell, &Ok(samples.clone()));
-        let json = Json::parse(&line).unwrap();
-        let (back_cell, back) = parse_record(2, &json).unwrap();
-        assert_eq!(back_cell, cell);
-        assert_eq!(back.unwrap(), samples, "floats must round-trip exactly");
-    }
-
-    #[test]
-    fn failure_records_parse_but_do_not_restore() {
-        let cell = Cell {
-            n: 5,
-            theta: 150.0,
-            scheme: Scheme::DrtsDcts,
-        };
-        let panicked = record_line(
-            &cell,
-            &Err(CellFailure::Panicked {
-                topology: 3,
-                message: "weird \"quoted\"\npayload".into(),
-            }),
-        );
-        let json = Json::parse(&panicked).unwrap();
-        let (_, restored) = parse_record(2, &json).unwrap();
-        assert!(restored.is_none());
-        let timed = record_line(
-            &cell,
-            &Err(CellFailure::TimedOut {
-                topology: 0,
-                aborted: dirca_net::RunAborted {
-                    reason: AbortReason::MaxEvents,
-                    events: 7,
-                    now: SimTime::from_micros(9),
-                },
-            }),
-        );
-        let json = Json::parse(&timed).unwrap();
-        let (_, restored) = parse_record(3, &json).unwrap();
-        assert!(restored.is_none());
-    }
-
-    #[test]
-    fn parser_rejects_malformed_lines() {
-        for bad in [
-            "not json",
-            "{\"n\":3",
-            "{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\"}",
-            "{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"weird\"}",
-            "{\"n\":3,\"theta\":90,\"scheme\":\"BOGUS\",\"status\":\"ok\",\"samples\":[]}",
-        ] {
-            let parsed = Json::parse(bad);
-            let failed = match parsed {
-                Err(_) => true,
-                Ok(json) => parse_record(1, &json).is_err(),
-            };
-            assert!(failed, "must reject {bad:?}");
-        }
-    }
 
     #[test]
     fn cell_parse_round_trips_flag_syntax() {

@@ -1,17 +1,21 @@
-//! Binary (CRC-framed) encodings of the runner's checkpoint records,
-//! plus the `--trace-format` / `--checkpoint-format` flag vocabulary.
+//! The runner's checkpoint encoding, plus the `--trace-format` flag
+//! vocabulary.
 //!
-//! The JSONL checkpoint and trace formats stay the human-auditable
-//! default; the binary twin defined here (built on
-//! [`dirca_trace::wire`]) is roughly 4–5× denser and, thanks to
-//! per-frame CRCs, distinguishes "torn tail from a crash mid-write"
-//! from "actually corrupt data" — the property the crash-tolerant
-//! resume path and `dirca-serve` are built on. Readers pick the format
-//! by sniffing the leading bytes ([`sniff_binary`]): no JSONL document
-//! starts with the wire magic.
+//! A checkpoint is a CRC-framed binary document built on
+//! [`dirca_trace::wire`]: one `CKPT_HEADER` frame carrying the grid
+//! fingerprint, then one `CKPT_CELL` frame per finished cell. Per-frame
+//! CRCs are what let resume tell "torn tail from a crash mid-write" from
+//! "actually corrupt data" — the property the crash-tolerant resume path
+//! and `dirca-serve` are built on. `trace_view <checkpoint>` is the
+//! readable view: it prints the fingerprint and one line per record.
+//!
+//! Trace documents still come in two encodings ([`WireFormat`]); readers
+//! pick one by sniffing the leading bytes ([`sniff_binary`]): no JSONL
+//! document starts with the wire magic.
 
 use std::fmt;
 
+use dirca_net::RunAborted;
 use dirca_sim::{AbortReason, SimTime};
 use dirca_trace::wire::{
     self, decode_scheme, encode_scheme, kind, PayloadError, WireReader, WireWriter,
@@ -21,7 +25,7 @@ use crate::cli::{Flags, UsageError};
 use crate::ringsim::{CellFailure, TopologySample};
 use crate::runner::Cell;
 
-/// On-disk encoding for checkpoints and trace documents.
+/// On-disk encoding for `--trace` documents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
     /// One JSON object per line (the original, human-auditable format).
@@ -107,10 +111,9 @@ fn take_opt_f64(r: &mut WireReader<'_>) -> Result<Option<f64>, PayloadError> {
     }
 }
 
-/// One cell outcome as a `CKPT_CELL` frame (raw bytes ready to append);
-/// the binary twin of the runner's JSONL `record_line`. Failures are
-/// recorded with their diagnosis but — exactly like the JSONL path —
-/// never restored on resume.
+/// One cell outcome as a `CKPT_CELL` frame (raw bytes ready to append).
+/// Failures are recorded with their full diagnosis but never restored on
+/// resume: the runner re-runs them.
 pub fn ckpt_cell_frame(cell: &Cell, result: &Result<Vec<TopologySample>, CellFailure>) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u64(cell.n as u64);
@@ -146,20 +149,20 @@ pub fn ckpt_cell_frame(cell: &Cell, result: &Result<Vec<TopologySample>, CellFai
     wire::encode_frame(kind::CKPT_CELL, &w.into_bytes())
 }
 
-/// Decodes a `CKPT_CELL` payload into its cell and, for `ok` records,
-/// the restorable samples (`None` for recorded failures, which resume
-/// re-runs). The exact inverse of [`ckpt_cell_frame`]; floats round-trip
-/// bit-exactly through their IEEE-754 patterns.
-pub fn decode_ckpt_cell(
-    payload: &[u8],
-) -> Result<(Cell, Option<Vec<TopologySample>>), PayloadError> {
+/// A decoded `CKPT_CELL` record: the cell and its recorded outcome.
+pub type CkptCell = (Cell, Result<Vec<TopologySample>, CellFailure>);
+
+/// Decodes a `CKPT_CELL` payload into its cell and outcome — the exact
+/// inverse of [`ckpt_cell_frame`]. Floats round-trip bit-exactly through
+/// their IEEE-754 patterns, and failures keep their panic message or
+/// abort report.
+pub fn decode_ckpt_cell(payload: &[u8]) -> Result<CkptCell, PayloadError> {
     let mut r = WireReader::new(payload);
     let n = r.take_u64()? as usize;
     let theta = r.take_f64()?;
     let scheme = decode_scheme(r.take_u8()?, 16)?;
     let cell = Cell { n, theta, scheme };
-    let status = r.take_u8()?;
-    let samples = match status {
+    let result = match r.take_u8()? {
         STATUS_OK => {
             let count = r.take_u32()? as usize;
             let mut samples = Vec::with_capacity(count.min(1 << 16));
@@ -171,25 +174,32 @@ pub fn decode_ckpt_cell(
                     jain: take_opt_f64(&mut r)?,
                 });
             }
-            Some(samples)
+            Ok(samples)
         }
-        STATUS_PANICKED => {
-            let _topology = r.take_u64()?;
-            let _message = r.take_str()?;
-            None
-        }
+        STATUS_PANICKED => Err(CellFailure::Panicked {
+            topology: r.take_u64()? as usize,
+            message: r.take_str()?.to_string(),
+        }),
         STATUS_TIMED_OUT => {
-            let _topology = r.take_u64()?;
-            let reason = r.take_u8()?;
-            if reason != REASON_MAX_EVENTS && reason != REASON_MAX_SIM_TIME {
-                return Err(PayloadError {
-                    offset: 0,
-                    what: "unknown abort reason byte",
-                });
-            }
-            let _events = r.take_u64()?;
-            let _at = SimTime::from_nanos(r.take_u64()?);
-            None
+            let topology = r.take_u64()? as usize;
+            let reason = match r.take_u8()? {
+                REASON_MAX_EVENTS => AbortReason::MaxEvents,
+                REASON_MAX_SIM_TIME => AbortReason::MaxSimTime,
+                _ => {
+                    return Err(PayloadError {
+                        offset: 0,
+                        what: "unknown abort reason byte",
+                    })
+                }
+            };
+            Err(CellFailure::TimedOut {
+                topology,
+                aborted: RunAborted {
+                    reason,
+                    events: r.take_u64()?,
+                    now: SimTime::from_nanos(r.take_u64()?),
+                },
+            })
         }
         _ => {
             return Err(PayloadError {
@@ -199,14 +209,13 @@ pub fn decode_ckpt_cell(
         }
     };
     r.finish()?;
-    Ok((cell, samples))
+    Ok((cell, result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dirca_mac::Scheme;
-    use dirca_net::RunAborted;
 
     fn cell() -> Cell {
         Cell {
@@ -238,36 +247,39 @@ mod tests {
         assert_eq!(frames[0].kind, kind::CKPT_CELL);
         let (back_cell, back) = decode_ckpt_cell(&frames[0].payload).unwrap();
         assert_eq!(back_cell, cell());
-        assert_eq!(back.unwrap(), samples);
+        assert_eq!(back, Ok(samples));
     }
 
     #[test]
-    fn failure_cells_decode_but_do_not_restore() {
-        let panicked = ckpt_cell_frame(
-            &cell(),
-            &Err(CellFailure::Panicked {
+    fn failure_cells_round_trip_with_their_diagnosis() {
+        for failure in [
+            CellFailure::Panicked {
                 topology: 3,
                 message: "weird \"quoted\"\npayload".into(),
-            }),
-        );
-        let (frames, _) = wire::decode_all(&panicked);
-        let (_, restored) = decode_ckpt_cell(&frames[0].payload).unwrap();
-        assert!(restored.is_none());
-
-        let timed = ckpt_cell_frame(
-            &cell(),
-            &Err(CellFailure::TimedOut {
+            },
+            CellFailure::TimedOut {
                 topology: 0,
                 aborted: RunAborted {
                     reason: AbortReason::MaxEvents,
                     events: 7,
                     now: SimTime::from_micros(9),
                 },
-            }),
-        );
-        let (frames, _) = wire::decode_all(&timed);
-        let (_, restored) = decode_ckpt_cell(&frames[0].payload).unwrap();
-        assert!(restored.is_none());
+            },
+            CellFailure::TimedOut {
+                topology: 4,
+                aborted: RunAborted {
+                    reason: AbortReason::MaxSimTime,
+                    events: 1 << 40,
+                    now: SimTime::from_nanos(u64::MAX),
+                },
+            },
+        ] {
+            let frame = ckpt_cell_frame(&cell(), &Err(failure.clone()));
+            let (frames, _) = wire::decode_all(&frame);
+            let (back_cell, back) = decode_ckpt_cell(&frames[0].payload).unwrap();
+            assert_eq!(back_cell, cell());
+            assert_eq!(back, Err(failure));
+        }
     }
 
     #[test]
@@ -291,14 +303,14 @@ mod tests {
 
     #[test]
     fn format_flag_parses_and_rejects() {
-        let flags = Flags::parse(["--checkpoint-format", "bin"].iter().map(|s| s.to_string()));
+        let flags = Flags::parse(["--trace-format", "bin"].iter().map(|s| s.to_string()));
         assert_eq!(
-            WireFormat::try_from_flags(&flags, "checkpoint-format").unwrap(),
+            WireFormat::try_from_flags(&flags, "trace-format").unwrap(),
             WireFormat::Bin
         );
         let flags = Flags::parse(std::iter::empty());
         assert_eq!(
-            WireFormat::try_from_flags(&flags, "checkpoint-format").unwrap(),
+            WireFormat::try_from_flags(&flags, "trace-format").unwrap(),
             WireFormat::Jsonl
         );
         let flags = Flags::parse(["--trace-format", "xml"].iter().map(|s| s.to_string()));
@@ -309,7 +321,7 @@ mod tests {
     #[test]
     fn sniffing_separates_the_formats() {
         assert!(sniff_binary(&ckpt_header_frame("x")));
-        assert!(!sniff_binary(b"{\"dirca_checkpoint\":1}"));
+        assert!(!sniff_binary(b"{\"schema\":\"dirca-trace/v1\"}"));
         assert!(!sniff_binary(b""));
     }
 }

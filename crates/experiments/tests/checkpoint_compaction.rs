@@ -17,32 +17,15 @@ use dirca_experiments::runner::{
 use dirca_experiments::wireio::{ckpt_cell_frame, ckpt_header_frame};
 use dirca_mac::Scheme;
 use dirca_sim::SimDuration;
+use dirca_trace::wire;
 use proptest::prelude::*;
 
 // -------------------------------------------------------------------
 // Synthetic documents.
 // -------------------------------------------------------------------
 
-fn sample_record_line(n: usize, theta: f64, scheme: Scheme, tp: f64) -> String {
-    format!("{{\"n\":{n},\"theta\":{theta},\"scheme\":\"{scheme}\",\"status\":\"ok\",\"samples\":[[{tp},null,0.25,null]]}}")
-}
-
 fn scheme_of(idx: u8) -> Scheme {
     Scheme::ALL[idx as usize % Scheme::ALL.len()]
-}
-
-fn jsonl_doc(records: &[(usize, u8, u8, f64)]) -> (Vec<u8>, Vec<usize>) {
-    // Returns the document plus each record line's exclusive end offset
-    // (i.e. the offset just past its newline).
-    let mut doc = String::from("{\"dirca_checkpoint\":1,\"fingerprint\":\"feedface00000000\"}\n");
-    let mut ends = Vec::new();
-    for &(n, theta, scheme, tp) in records {
-        let theta = THETAS[theta as usize % THETAS.len()];
-        doc.push_str(&sample_record_line(n.max(1), theta, scheme_of(scheme), tp));
-        doc.push('\n');
-        ends.push(doc.len());
-    }
-    (doc.into_bytes(), ends)
 }
 
 fn bin_doc(records: &[(usize, u8, u8, f64)]) -> (Vec<u8>, Vec<usize>) {
@@ -76,33 +59,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn jsonl_compaction_is_idempotent_and_loss_free(
-        records in record_params(),
-        cut_back in 0usize..64,
-    ) {
-        let (doc, ends) = jsonl_doc(&records);
-        // Cut somewhere in the record region (a cut inside the header is
-        // the "unparseable" case covered below).
-        let header_end = doc.iter().position(|&b| b == b'\n').map_or(doc.len(), |i| i + 1);
-        let cut = doc.len().saturating_sub(cut_back).max(header_end);
-        let torn = &doc[..cut];
-        let compacted = compacted_checkpoint(torn);
-        // Idempotent: a second compaction is a no-op.
-        prop_assert_eq!(&compacted_checkpoint(&compacted), &compacted);
-        // Loss-free: every record whose bytes (newline included) lie
-        // entirely before the cut survives verbatim, in order.
-        let keep = ends.iter().rev().find(|&&e| e <= cut).copied().unwrap_or(header_end);
-        prop_assert!(
-            compacted.starts_with(&doc[..keep]),
-            "records before the tear must survive byte-for-byte"
-        );
-        // An untorn document compacts to itself exactly.
-        if cut == doc.len() {
-            prop_assert_eq!(&compacted, &doc);
-        }
-    }
-
-    #[test]
     fn bin_compaction_is_idempotent_and_loss_free(
         records in record_params(),
         cut_back in 0usize..64,
@@ -126,10 +82,9 @@ proptest! {
 
     #[test]
     fn compaction_never_touches_unparseable_bytes(tail in prop::collection::vec(0u8..=255, 0..64)) {
-        // No valid header (JSONL or wire magic): compaction refuses to
-        // rewrite, so a hard resume error still points at the real file.
-        // The leading 0xFF rules out accidentally generating either
-        // header.
+        // No valid header: compaction refuses to rewrite, so a hard
+        // resume error still points at the real file. The leading 0xFF
+        // rules out accidentally generating the wire magic.
         let mut garbage = vec![0xFFu8];
         garbage.extend_from_slice(&tail);
         prop_assert_eq!(compacted_checkpoint(&garbage), garbage);
@@ -172,10 +127,10 @@ fn kill_during_compaction_leaves_old_or_new_never_hybrid() {
 
     run_grid(&scale, &cfg(false)).unwrap();
     let full = std::fs::read(&path).unwrap();
-    let text = std::str::from_utf8(&full).unwrap();
-    let last_line_start = text.trim_end().rfind('\n').unwrap() + 1;
-    let cut = last_line_start + (text.len() - last_line_start) / 2;
-    let torn = full[..cut].to_vec();
+    // Cut into the middle of the last frame, as a crash mid-append would.
+    let (frames, _) = wire::decode_all(&full);
+    let last_len = wire::HEADER_LEN + frames.last().unwrap().payload.len() + wire::TRAILER_LEN;
+    let torn = full[..full.len() - last_len / 2].to_vec();
     let compacted = compacted_checkpoint(&torn);
     assert_ne!(torn, compacted, "the tear must actually drop bytes");
 

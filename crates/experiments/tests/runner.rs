@@ -11,9 +11,10 @@ use dirca_experiments::ringsim::{CellFailure, RingOutcome};
 use dirca_experiments::runner::{
     enumerate_cells, run_grid, Cell, CheckpointError, GridRun, RunnerConfig,
 };
-use dirca_experiments::wireio::WireFormat;
+use dirca_experiments::wireio::{ckpt_cell_frame, ckpt_header_frame};
 use dirca_mac::Scheme;
 use dirca_sim::SimDuration;
+use dirca_trace::wire;
 
 fn tiny_scale() -> GridScale {
     GridScale {
@@ -37,7 +38,7 @@ fn runner() -> RunnerConfig {
 }
 
 fn ckpt_path(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("dirca_ckpt_{}_{label}.jsonl", std::process::id()))
+    std::env::temp_dir().join(format!("dirca_ckpt_{}_{label}.ckpt", std::process::id()))
 }
 
 fn report_of(scale: &GridScale, run: &GridRun) -> String {
@@ -252,34 +253,50 @@ fn resume_rejects_garbage_checkpoints_with_typed_errors() {
         resume(&path).unwrap_err(),
         CheckpointError::MissingHeader
     ));
-    // Valid header, torn record line *mid-file* (a later intact record
-    // follows): that is corruption, not a crash tail — still a hard error.
+    // A JSONL checkpoint from before checkpoints became binary-only: not
+    // resumable, and left exactly as it was.
     let fp = dirca_experiments::runner::grid_fingerprint(&scale);
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fp}\"}}\n\
-             {{\"n\":3,\"thet\n\
-             {{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"ok\",\"samples\":[]}}\n"
-        ),
-    )
-    .unwrap();
+    let legacy = format!(
+        "{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fp}\"}}\n\
+         {{\"n\":3,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"ok\",\"samples\":[]}}\n"
+    );
+    std::fs::write(&path, &legacy).unwrap();
+    let err = resume(&path).unwrap_err();
+    assert!(matches!(err, CheckpointError::MissingHeader), "got {err:?}");
+    assert!(err.to_string().contains("JSONL"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), legacy.as_bytes());
+    // Valid header, damaged record *mid-file* (a later intact record
+    // follows): that is corruption, not a crash tail — still a hard
+    // error, naming the frame and its byte offset.
+    let cell = |n| Cell {
+        n,
+        theta: 90.0,
+        scheme: Scheme::OrtsOcts,
+    };
+    let header = ckpt_header_frame(&fp);
+    let mut doc = header.clone();
+    doc.extend(ckpt_cell_frame(&cell(3), &Ok(vec![])));
+    doc.extend(ckpt_cell_frame(&cell(3), &Ok(vec![])));
+    doc[header.len() + wire::HEADER_LEN] ^= 0x01;
+    std::fs::write(&path, &doc).unwrap();
+    match resume(&path).unwrap_err() {
+        CheckpointError::CorruptFrame { frame: 2, error } => {
+            assert_eq!(error.offset(), header.len() as u64);
+        }
+        other => panic!("expected CorruptFrame at frame 2, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        doc,
+        "file must stay untouched"
+    );
+    // Valid record, cell outside this grid.
+    let mut doc = header;
+    doc.extend(ckpt_cell_frame(&cell(99), &Ok(vec![])));
+    std::fs::write(&path, &doc).unwrap();
     assert!(matches!(
         resume(&path).unwrap_err(),
-        CheckpointError::Syntax { line: 2, .. }
-    ));
-    // Valid JSON, cell outside this grid.
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"dirca_checkpoint\":1,\"fingerprint\":\"{fp}\"}}\n\
-             {{\"n\":99,\"theta\":90,\"scheme\":\"ORTS-OCTS\",\"status\":\"ok\",\"samples\":[]}}\n"
-        ),
-    )
-    .unwrap();
-    assert!(matches!(
-        resume(&path).unwrap_err(),
-        CheckpointError::UnknownCell { line: 2, .. }
+        CheckpointError::UnknownCell { frame: 2, .. }
     ));
     let _ = std::fs::remove_file(&path);
 }
@@ -290,20 +307,20 @@ fn torn_trailing_checkpoint_line_is_skipped_with_a_warning() {
     let want = report_of(&scale, &run_grid(&scale, &runner()).unwrap());
 
     // Run the full grid with a checkpoint, then simulate a crash
-    // mid-write by truncating the file into the middle of its last line.
+    // mid-write by truncating the file into the middle of its last frame.
     let path = ckpt_path("torn_tail");
     let with_ckpt = RunnerConfig {
         checkpoint: Some(path.clone()),
         ..runner()
     };
     run_grid(&scale, &with_ckpt).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let last_line_start = text.trim_end().rfind('\n').unwrap() + 1;
-    let cut = last_line_start + (text.len() - last_line_start) / 2;
-    std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let (frames, _) = wire::decode_all(&bytes);
+    let last_len = wire::HEADER_LEN + frames.last().unwrap().payload.len() + wire::TRAILER_LEN;
+    std::fs::write(&path, &bytes[..bytes.len() - last_len / 2]).unwrap();
 
     // Resume: the torn cell re-runs instead of the resume failing, a
-    // warning names the skipped line, and the report is byte-identical.
+    // warning names the skipped frame, and the report is byte-identical.
     let resumed = run_grid(
         &scale,
         &RunnerConfig {
@@ -335,7 +352,6 @@ fn binary_checkpoint_resumes_to_an_identical_report() {
         &scale,
         &RunnerConfig {
             checkpoint: Some(path.clone()),
-            checkpoint_format: WireFormat::Bin,
             max_cells: Some(1),
             ..runner()
         },
@@ -348,8 +364,6 @@ fn binary_checkpoint_resumes_to_an_identical_report() {
         "binary checkpoints must start with the wire magic"
     );
 
-    // Resume WITHOUT the format flag: the reader sniffs the existing
-    // file and keeps appending binary frames.
     let second = run_grid(
         &scale,
         &RunnerConfig {
@@ -365,7 +379,7 @@ fn binary_checkpoint_resumes_to_an_identical_report() {
     assert_eq!(report_of(&scale, &second), want);
 
     // A torn binary tail (crash mid-frame-write) degrades to a warning
-    // plus a re-run of the lost cell, exactly like the JSONL path.
+    // plus a re-run of the lost cell.
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
     let third = run_grid(

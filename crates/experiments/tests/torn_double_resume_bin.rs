@@ -1,5 +1,5 @@
-//! Binary twin of the torn-tail double-resume probe: a frame torn by a
-//! crash mid-write must be compacted out on the first resume, so the
+//! Torn-tail double-resume probe: a checkpoint frame torn by a crash
+//! mid-write must be compacted out on the first resume, so the
 //! second resume restores every cell with zero warnings — instead of the
 //! torn bytes desyncing the CRC frame decoder right where the first
 //! resume appended its re-run record.
@@ -8,7 +8,6 @@
 
 use dirca_experiments::report::GridScale;
 use dirca_experiments::runner::{run_grid, RunnerConfig};
-use dirca_experiments::wireio::WireFormat;
 use dirca_sim::SimDuration;
 
 fn tiny_scale() -> GridScale {
@@ -31,7 +30,6 @@ fn second_resume_after_torn_bin_frame() {
     let cfg = |resume: bool| RunnerConfig {
         threads: 1,
         checkpoint: Some(path.clone()),
-        checkpoint_format: WireFormat::Bin,
         resume,
         ..RunnerConfig::default()
     };

@@ -16,7 +16,6 @@ use std::path::PathBuf;
 use dirca_experiments::report::render_combined;
 use dirca_experiments::ringsim::RingOutcome;
 use dirca_experiments::runner::{enumerate_cells, grid_fingerprint, run_grid_with, RunnerConfig};
-use dirca_experiments::wireio::WireFormat;
 use dirca_net::Watchdog;
 use dirca_trace::wire::kind;
 
@@ -226,7 +225,6 @@ impl Server {
             watchdog: (spec.events_budget > 0).then(|| Watchdog::max_events(spec.events_budget)),
             resume: checkpoint.exists(),
             checkpoint: Some(checkpoint),
-            checkpoint_format: WireFormat::Bin,
             max_cells: None,
             inject_panic: spec.inject_panic,
             inject_timeout: None,
