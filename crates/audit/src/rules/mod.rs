@@ -69,10 +69,10 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/mac/src/dcf.rs",
     "crates/radio/src/coverage.rs",
     "crates/radio/src/spatial.rs",
-    // The mobility + SINR extension put three more files on the per-event
-    // path: position epochs re-bin nodes and rebuild coverage caches, and
-    // every arrival edge evaluates the antenna gain.
-    "crates/radio/src/dynamic.rs",
+    // The footprint kernel runs on every plan build and every position
+    // epoch; epochs also step the mobility model, and every arrival edge
+    // evaluates the antenna gain.
+    "crates/radio/src/edges.rs",
     "crates/radio/src/pattern.rs",
     "crates/topology/src/mobility.rs",
 ];

@@ -1,4 +1,9 @@
 //! The simulated world: nodes, channel, and event plumbing.
+//!
+//! One [`CoveragePlan`] answers every coverage query of a run. Under
+//! mobility each position epoch rebuilds it in place
+//! ([`CoveragePlan::apply_moves`]) and refreshes the traffic rows derived
+//! from it; static runs build it once.
 
 use std::collections::BTreeMap;
 
@@ -7,8 +12,8 @@ use rand::Rng;
 
 use dirca_mac::{DataPacket, DcfMac, Dot11Params, Frame, FrameKind, MacContext, TimerKind};
 use dirca_radio::{
-    AntennaPattern, Channel, CompiledFaults, CoveragePlan, DynamicCoveragePlan, InvalidationStats,
-    NodeCoverage, NodeId, ReceptionMode, SignalId, SinrPhy, Transceiver,
+    AntennaPattern, Channel, CompiledFaults, CoveragePlan, InvalidationStats, NodeId,
+    ReceptionMode, SignalId, SinrPhy, Transceiver,
 };
 use dirca_sim::{
     rng::{derive_seed, stream_rng},
@@ -78,8 +83,8 @@ pub enum NetEvent {
         node: NodeId,
     },
     /// A position epoch: the mobility model advances every node and the
-    /// coverage caches are incrementally invalidated. Only ever scheduled
-    /// when the run has a mobility configuration.
+    /// coverage plan is rebuilt in place. Only ever scheduled when the run
+    /// has a mobility configuration.
     MobilityEpoch,
 }
 
@@ -179,17 +184,14 @@ pub(crate) struct FaultState {
     pub(crate) rngs: Vec<SmallRng>,
 }
 
-/// Runtime mobility state: the trajectory model plus the incrementally
-/// invalidated coverage plan it drives. `None` for static runs, so the
-/// immutable [`CoveragePlan`] hot path is exactly the code that ran before
-/// mobility existed.
+/// Runtime mobility state: the trajectory model and its epoch length.
+/// Each epoch feeds the model's moves to the world's one coverage plan
+/// ([`CoveragePlan::apply_moves`]). `None` for static runs, which never
+/// schedule an epoch.
 #[derive(Debug)]
 pub(crate) struct MobilityRuntime {
     /// The evolving node positions (seeded from `MOBILITY_STREAM_SALT`).
     pub(crate) state: MobilityState,
-    /// Coverage queries over the *current* positions, refreshed
-    /// incrementally each epoch (see [`DynamicCoveragePlan::apply_moves`]).
-    pub(crate) plan: DynamicCoveragePlan,
     /// Position epoch length.
     pub(crate) epoch: SimDuration,
 }
@@ -312,19 +314,9 @@ impl NetWorld {
         let phys = (0..n).map(|_| Transceiver::new(reception)).collect();
         let rngs = (0..n).map(|i| stream_rng(config.seed, i as u64)).collect();
         let plan = CoveragePlan::new(&channel, config.beamwidth);
-        // Traffic adjacency as a strict `d² ≤ R²` filter of each node's
-        // omni slice (O(n · density), replacing the O(n²)
-        // `Topology::adjacency` scan): strict ⊆ slack, so the predicate and
-        // ascending order are preserved bit for bit.
-        let neighbors = {
-            let mut adj = Vec::with_capacity(n);
-            let mut row: Vec<NodeId> = Vec::new();
-            for i in 0..n {
-                plan.node(NodeId(i)).adjacency_into(&mut row);
-                adj.push(row.iter().map(|id| id.0).collect());
-            }
-            adj
-        };
+        let mut scratch = Vec::with_capacity(n);
+        let mut neighbors = vec![Vec::new(); n];
+        fill_traffic_rows(&plan, &mut neighbors, &mut scratch);
         // Expected steady-state event population: per handshake a node puts
         // 4 frames on the air, each costing one TxEnd plus one batched
         // WaveStart/WaveEnd pair, with roughly one armed MAC timer per node
@@ -360,10 +352,8 @@ impl NetWorld {
                 radius,
                 derive_seed(config.seed, MOBILITY_STREAM_SALT),
             );
-            let dyn_plan = DynamicCoveragePlan::from_channel(&channel, config.beamwidth);
             MobilityRuntime {
                 state,
-                plan: dyn_plan,
                 epoch: m.epoch,
             }
         });
@@ -400,7 +390,7 @@ impl NetWorld {
             #[cfg(feature = "trace")]
             recorder: None,
             expected_events,
-            scratch: Vec::with_capacity(n),
+            scratch,
             mobility,
             sinr,
             inflight: BTreeMap::new(),
@@ -552,22 +542,18 @@ impl NetWorld {
         &self.params
     }
 
-    /// The incremental-invalidation work counters of the mobility plan,
-    /// or `None` for a static run. A speed-0 mobility model ticks only the
-    /// epoch counter: re-bins and rebuilds stay at exactly zero (the
-    /// counter-asserted golden regression).
+    /// The coverage plan's position-epoch work counters, or `None` for a
+    /// static run. A speed-0 mobility model ticks only the epoch counter:
+    /// re-bins and rebuilds stay at exactly zero (the counter-asserted
+    /// golden regression).
     pub fn invalidation_stats(&self) -> Option<InvalidationStats> {
-        self.mobility.as_ref().map(|m| m.plan.stats())
+        self.mobility.as_ref().map(|_| self.plan.stats())
     }
 
-    /// The node positions queries are currently answered over: the mobile
-    /// plan's evolving positions under mobility, the immutable build-time
-    /// positions otherwise.
+    /// The node positions queries are currently answered over: the
+    /// build-time positions, moved by every position epoch so far.
     pub fn current_positions(&self) -> &[dirca_geometry::Point] {
-        match self.mobility.as_ref() {
-            Some(m) => m.plan.positions(),
-            None => self.channel.positions(),
-        }
+        self.plan.positions()
     }
 
     /// Dispatches a MAC callback for `node` with a fully wired context.
@@ -749,15 +735,6 @@ impl NetWorld {
         self.wave_targets(src, aim, directional)
     }
 
-    /// `id`'s coverage answers over the positions currently in force:
-    /// the dynamic plan's under mobility, the static plan's otherwise.
-    fn coverage(&self, id: NodeId) -> NodeCoverage<'_> {
-        match self.mobility.as_ref() {
-            Some(m) => m.plan.node(id),
-            None => self.plan.node(id),
-        }
-    }
-
     /// Fills `out` with the receivers covered by a transmission from `src`
     /// (aimed at `aim` when `directional`), in ascending id order, under
     /// the binary (non-SINR) footprint rule.
@@ -776,7 +753,7 @@ impl NetWorld {
         directional: bool,
         out: &mut Vec<NodeId>,
     ) {
-        let node = self.coverage(src);
+        let node = self.plan.node(src);
         if directional {
             node.directional_coverage_into(aim, out);
         } else {
@@ -811,7 +788,7 @@ impl NetWorld {
             // on every candidate: nothing is filtered.
             return;
         }
-        let node = self.coverage(src);
+        let node = self.plan.node(src);
         let (boresight, _) = node.toward(aim);
         out.retain(|&dst| {
             let (heading, dist) = node.toward(dst);
@@ -853,16 +830,8 @@ impl NetWorld {
             let ideal = s.phy.is_ideal_pattern();
             self.fill_wave_targets(src, aim, directional && ideal, out);
         }
-        let NetWorld {
-            plan,
-            mobility,
-            sinr,
-            ..
-        } = self;
-        let node = match mobility.as_ref() {
-            Some(m) => m.plan.node(src),
-            None => plan.node(src),
-        };
+        let NetWorld { plan, sinr, .. } = self;
+        let node = plan.node(src);
         let boresight = directional.then(|| node.toward(aim).0);
         let s = sinr
             .as_mut()
@@ -902,18 +871,18 @@ impl NetWorld {
         out.truncate(kept);
     }
 
-    /// One position epoch: advance the mobility model, incrementally
-    /// refresh the coverage plan and the derived traffic rows of every
-    /// rebuilt cache, revive saturated sources the motion reconnected, and
-    /// schedule the next epoch. A zero-motion epoch does zero cache work
-    /// (counter-asserted by the golden battery) and consumes no RNG.
+    /// One position epoch: advance the mobility model, rebuild the
+    /// coverage plan and every traffic row over the new positions, revive
+    /// saturated sources the motion reconnected, and schedule the next
+    /// epoch. A zero-motion epoch does zero cache work (counter-asserted
+    /// by the golden battery) and consumes no RNG.
     fn mobility_epoch<S: NetSched>(&mut self, sched: &mut S) {
-        let mut touched = std::mem::take(&mut self.scratch);
-        touched.clear();
-        let epoch = {
+        let (moved, epoch) = {
             let NetWorld {
                 mobility,
+                plan,
                 neighbors,
+                scratch,
                 ..
             } = self;
             // panic-path: the event is only ever scheduled when a mobility
@@ -922,15 +891,11 @@ impl NetWorld {
                 .as_mut()
                 .expect("mobility epoch without a mobility runtime");
             let moves = m.state.step(m.epoch.as_secs_f64());
-            touched.extend_from_slice(m.plan.apply_moves(moves));
-            let mut row: Vec<NodeId> = Vec::new();
-            for &id in &touched {
-                m.plan.node(id).adjacency_into(&mut row);
-                let slot = &mut neighbors[id.0];
-                slot.clear();
-                slot.extend(row.iter().map(|n| n.0));
+            plan.apply_moves(moves);
+            if !moves.is_empty() {
+                fill_traffic_rows(plan, neighbors, scratch);
             }
-            m.epoch
+            (!moves.is_empty(), m.epoch)
         };
         // A saturated node that went idle while isolated gets no further
         // events, so motion that reconnects it must restart its source
@@ -938,11 +903,25 @@ impl NetWorld {
         // Poisson chains are not revived: an arrival finding no neighbours
         // ends its schedule permanently, matching the static contract that
         // isolated sources generate nothing.
-        for &id in &touched {
-            self.refill(id, sched);
+        if moved {
+            for id in 0..self.macs.len() {
+                self.refill(NodeId(id), sched);
+            }
         }
-        self.scratch = touched;
         sched.sched().schedule_in(epoch, NetEvent::MobilityEpoch);
+    }
+}
+
+/// Refills every node's traffic row from `plan`: the strict `d² ≤ R²`
+/// filter of its omni slice (O(n · density), replacing the O(n²)
+/// `Topology::adjacency` scan). Strict ⊆ slack, so the predicate and
+/// ascending order are preserved bit for bit. `scratch` is a buffer.
+fn fill_traffic_rows(plan: &CoveragePlan, rows: &mut [Vec<usize>], scratch: &mut Vec<NodeId>) {
+    for (id, row) in rows.iter_mut().enumerate() {
+        plan.node(NodeId(id)).adjacency_into(scratch);
+        row.clear();
+        row.reserve_exact(scratch.len());
+        row.extend(scratch.iter().map(|n| n.0));
     }
 }
 
@@ -999,7 +978,7 @@ impl NetWorld {
                         if !sched.owns(dst) {
                             continue;
                         }
-                        let (heading, distance) = self.coverage(dst).toward(src);
+                        let (heading, distance) = self.plan.node(dst).toward(src);
                         let became_busy = self.phys[dst.0]
                             .signal_arrives_powered(id, heading, distance, powers[i], end);
                         if became_busy {
@@ -1013,7 +992,7 @@ impl NetWorld {
                         if !sched.owns(dst) {
                             continue;
                         }
-                        let (heading, distance) = self.coverage(dst).toward(src);
+                        let (heading, distance) = self.plan.node(dst).toward(src);
                         let became_busy =
                             self.phys[dst.0].signal_arrives_at(id, heading, distance, end);
                         if became_busy {
@@ -1223,8 +1202,8 @@ struct Ctx<'a, S> {
     sched: &'a mut S,
     phy: &'a mut Transceiver,
     channel: &'a Channel,
-    /// The static plan a transmission's cross-context copies are routed
-    /// by (unused by the classic context).
+    /// The plan a transmission's cross-context copies are routed by
+    /// (unused by the classic context).
     plan: &'a CoveragePlan,
     params: &'a Dot11Params,
     rng: &'a mut SmallRng,
@@ -1539,5 +1518,50 @@ mod tests {
             .map(|m| m.counters().packets_acked)
             .sum();
         assert!(acked > 0, "directional handshakes must complete");
+    }
+
+    #[test]
+    fn moving_epochs_keep_traffic_rows_on_the_current_positions() {
+        let topo = {
+            let mut rng = dirca_sim::rng::stream_rng(3, 0xA11CE);
+            dirca_topology::RingSpec::paper(5, 1.0)
+                .generate(&mut rng)
+                .expect("ring")
+        };
+        let walkers = dirca_topology::MobilityModel::RandomWaypoint {
+            speed_min: 2.0,
+            speed_max: 4.0,
+            pause_secs: 0.05,
+        };
+        let config = SimConfig::new(Scheme::DrtsDcts)
+            .with_seed(3)
+            .with_beamwidth_degrees(30.0)
+            .with_mobility(walkers, SimDuration::from_millis(5));
+        let mut sim = Simulation::new(NetWorld::build(&topo, &config));
+        {
+            let (world, sched) = sim.world_and_scheduler_mut();
+            world.prime(sched);
+        }
+        sim.run_until(SimTime::from_millis(52));
+        let world = sim.world();
+        let n = topo.len();
+
+        // One plan: the counters and positions the world reports are the
+        // plan's that answers every coverage query.
+        let stats = world.invalidation_stats().expect("mobility attached");
+        assert_eq!(stats, world.plan.stats());
+        assert_eq!(stats.epochs, 10);
+        assert_eq!(stats.rebuilds, stats.epochs * n as u64);
+        let positions = world.current_positions();
+        assert!(std::ptr::eq(positions, world.plan.positions()));
+        assert_ne!(positions, topo.positions.as_slice(), "nothing moved");
+
+        let r2 = topo.range * topo.range;
+        for (i, row) in world.neighbors.iter().enumerate() {
+            let strict: Vec<usize> = (0..n)
+                .filter(|&j| j != i && positions[i].distance_squared(positions[j]) <= r2)
+                .collect();
+            assert_eq!(row, &strict, "traffic row of node {i}");
+        }
     }
 }

@@ -7,13 +7,14 @@
 //! battery also pins the three-scheme coincidence at θ = 360° (where
 //! directional and omni transmissions are the same physical footprint,
 //! with or without SINR capture), determinism of genuinely mobile runs,
-//! and the zero-cache-work contract of speed-0 position epochs.
+//! the recorded hashes of five moving runs, and the zero-cache-work
+//! contract of speed-0 position epochs.
 
 // Byte-identical runs are the point: exact float equality is intended.
 #![allow(clippy::float_cmp)]
 
 use dirca_mac::Scheme;
-use dirca_net::{run, NetWorld, SimConfig};
+use dirca_net::{run, NetWorld, SimConfig, TrafficModel};
 use dirca_radio::SinrPhy;
 use dirca_sim::rng::stream_rng;
 use dirca_sim::{SimDuration, SimTime, Simulation};
@@ -265,4 +266,69 @@ fn moving_runs_actually_invalidate() {
         stats.rebuilds > 0,
         "walking nodes never rebuilt a cache: {stats:?}"
     );
+}
+
+/// Random waypoint fast enough to finish legs inside a run and pause
+/// 0.3 s at each waypoint: at any epoch a share of the nodes stands still.
+fn sprinters() -> MobilityModel {
+    MobilityModel::RandomWaypoint {
+        speed_min: 20.0,
+        speed_max: 40.0,
+        pause_secs: 0.3,
+    }
+}
+
+/// Ring-trace hashes (DRTS-DCTS, seed 11, 5 ms epochs) of runs in which
+/// nodes actually move, pinned so a change to how position epochs refresh
+/// coverage cannot shift a moving run unnoticed. In the `rpgm`,
+/// `sprinters` and `sprinters_poisson` runs only part of the field moves
+/// in an epoch (rigid groups and waypoint pauses), unlike a workload in
+/// which every node moves every epoch.
+const MOVING: &[(&str, u64)] = &[
+    ("walkers", 0x9823_dbc1_095e_32a9),
+    ("rpgm", 0x7321_1779_e93c_6a36),
+    ("walkers_leaky_sinr", 0xdca8_a97b_232f_ec03),
+    ("sprinters", 0x4e37_4fe6_c99d_320e),
+    ("sprinters_poisson", 0xeaf2_07ac_ca88_374c),
+];
+
+/// The config mutation of the [`MOVING`] run `name`.
+fn moving_config(name: &str) -> impl Fn(SimConfig) -> SimConfig + '_ {
+    move |config: SimConfig| {
+        let epoch = SimDuration::from_millis(5);
+        match name {
+            "walkers" => config.with_mobility(walkers(), epoch),
+            "rpgm" => config.with_mobility(
+                MobilityModel::Rpgm {
+                    groups: 4,
+                    speed_min: 20.0,
+                    speed_max: 40.0,
+                    pause_secs: 0.2,
+                    deviation: 0.0,
+                },
+                epoch,
+            ),
+            "walkers_leaky_sinr" => config
+                .with_mobility(walkers(), epoch)
+                .with_sinr(SinrPhy::ideal().with_side_floor(0.2).with_margin(0.2)),
+            "sprinters" => config.with_mobility(sprinters(), epoch),
+            "sprinters_poisson" => {
+                config
+                    .with_mobility(sprinters(), epoch)
+                    .with_traffic(TrafficModel::Poisson {
+                        packets_per_sec: 200.0,
+                        max_queue: 8,
+                    })
+            }
+            other => panic!("unknown moving run {other}"),
+        }
+    }
+}
+
+#[test]
+fn moving_runs_reproduce_recorded_hashes() {
+    for &(name, want) in MOVING {
+        let got = ring_trace_hash(Scheme::DrtsDcts, 11, moving_config(name));
+        assert_eq!(got, want, "{name}: the moving run's trace changed");
+    }
 }

@@ -1,12 +1,11 @@
-//! Per-edge tables shared by both coverage-plan types, and the trig-free
-//! beam-footprint kernel that fills them.
+//! The coverage plan's per-edge table and the trig-free beam-footprint
+//! kernel that fills it, on every plan build and every position epoch.
 //!
 //! An [`EdgeTable`] stores omni neighbour slices together with, per edge,
 //! the distance and bearing `heading_to(neighbour)` and the footprint of
 //! a beam aimed along that edge. [`crate::CoveragePlan`] keeps every
-//! node's slices in one table; [`crate::DynamicCoveragePlan`] keeps one
-//! table per node, so a mobility epoch can rebuild a node in place. Both
-//! answer their queries through the same [`NodeCoverage`].
+//! node's slices in one table, refilled in place when nodes move, and
+//! answers its queries through [`NodeCoverage`].
 //!
 //! A beam aimed at a neighbour has that neighbour's cached bearing as its
 //! boresight, and every candidate's bearing from the apex is cached too,
@@ -24,7 +23,7 @@ use std::ops::Range;
 use dirca_geometry::{Angle, Beamwidth, Point, EPSILON};
 
 use crate::channel::TxPattern;
-use crate::spatial::Candidates;
+use crate::spatial::SpatialGrid;
 use crate::NodeId;
 
 /// Omni neighbour slices with their per-edge geometry and footprints.
@@ -57,11 +56,6 @@ impl EdgeTable {
         self.arena.len()
     }
 
-    /// Omni slots whose edges [`EdgeTable::push_edges`] has completed.
-    pub(crate) fn edge_count(&self) -> usize {
-        self.dist.len()
-    }
-
     /// Heap bytes of the table.
     pub(crate) fn index_bytes(&self) -> usize {
         self.arena.len() * std::mem::size_of::<NodeId>()
@@ -84,11 +78,11 @@ impl EdgeTable {
     /// accepts. Every slice must be pushed before the first
     /// [`EdgeTable::push_edges`].
     ///
-    /// panic-path: grids only enumerate ids of `positions`, and callers
+    /// panic-path: the grid only enumerates ids of `positions`, and callers
     /// pass an in-range `src`.
     pub(crate) fn push_neighbors(
         &mut self,
-        grid: &impl Candidates,
+        grid: &SpatialGrid,
         positions: &[Point],
         range: f64,
         src: usize,
@@ -159,7 +153,7 @@ impl EdgeTable {
 }
 
 /// One node's coverage answers, borrowed from a coverage plan by
-/// [`crate::CoveragePlan::node`] or [`crate::DynamicCoveragePlan::node`].
+/// [`crate::CoveragePlan::node`].
 /// Every answer equals its reference [`crate::Channel`] query bit for bit;
 /// none allocates beyond the caller's buffer.
 #[derive(Debug, Clone)]
@@ -182,6 +176,7 @@ impl<'a> NodeCoverage<'a> {
     /// [`crate::Channel::neighbors`].
     #[inline]
     pub fn neighbors(&self) -> &'a [NodeId] {
+        // panic-path: the omni range is a completed slice of the table.
         &self.table.arena[self.omni.clone()]
     }
 
@@ -258,6 +253,8 @@ impl<'a> NodeCoverage<'a> {
     /// of the omni slice: no grid scan, no sort.
     pub fn adjacency_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
+        // panic-path: the view's own id and every neighbour index
+        // `positions`.
         let origin = self.positions[self.id.0];
         let r2 = self.range * self.range;
         out.extend(
@@ -269,7 +266,7 @@ impl<'a> NodeCoverage<'a> {
 }
 
 /// The widest distance any coverage predicate accepts, √(R² + EPSILON),
-/// with a 1e-9 relative margin that dwarfs the ulp error of the grids'
+/// with a 1e-9 relative margin that dwarfs the ulp error of the grid's
 /// float cell arithmetic: a grid with cell edge ≥ this reach has a 3×3
 /// block that is a guaranteed superset of every acceptable candidate.
 pub(crate) fn coverage_reach(range: f64) -> f64 {

@@ -22,15 +22,15 @@
 //! machine fed with signal-arrival/end notifications; the `dirca-net` crate
 //! wires it to the discrete-event loop.
 //!
-//! Because positions, range, and beamwidth are immutable for a run,
-//! [`CoveragePlan`] serves every spatial answer the per-frame hot path
-//! needs — omni neighbour lists as borrowed id-sorted slices, directional
-//! footprints as an O(deg) filter of them, distance/heading computed
-//! bit-identically to the reference — from a uniform-grid
+//! One [`CoveragePlan`] serves every spatial answer the per-frame hot
+//! path needs — omni neighbour lists as borrowed id-sorted slices,
+//! directional footprints as an O(deg) filter of them, distance/heading
+//! computed bit-identically to the reference — from a uniform-grid
 //! [`SpatialGrid`] index that costs O(n) memory and O(local density) per
-//! query, so 100k-node fields are as tractable as the paper's 130.
-//! [`Channel::covered_by`] remains the reference implementation the plan
-//! is built from and tested against.
+//! query, so 100k-node fields are as tractable as the paper's 130. Static
+//! and mobile runs share it: a position epoch rebuilds it in place
+//! ([`CoveragePlan::apply_moves`]). [`Channel::covered_by`] remains the
+//! reference implementation the plan is built from and tested against.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,7 +39,6 @@
 
 mod channel;
 mod coverage;
-mod dynamic;
 mod edges;
 mod fault;
 mod partition;
@@ -48,8 +47,7 @@ mod spatial;
 mod transceiver;
 
 pub use channel::{Channel, ChannelError, TxPattern};
-pub use coverage::CoveragePlan;
-pub use dynamic::{DynamicCoveragePlan, InvalidationStats};
+pub use coverage::{CoveragePlan, DynamicCoveragePlan, InvalidationStats};
 pub use edges::NodeCoverage;
 pub use fault::{CompiledFaults, FaultPlan, FaultPlanError, LinkFault, Outage};
 pub use partition::RegionPartition;

@@ -1,4 +1,4 @@
-//! Uniform-grid spatial index over static node positions.
+//! Uniform-grid spatial index over node positions.
 //!
 //! At the paper's 30–130 nodes a dense pairwise arena is fine; at the
 //! roadmap's 10k–100k-node Poisson fields anything O(n²) — matrices,
@@ -21,6 +21,9 @@
 //! no pointer identity, nothing that could vary between runs — so every
 //! consumer that sorts (or merges) the filtered candidates gets the exact
 //! ascending-id ordering the reference [`crate::Channel`] queries produce.
+//! A position epoch re-runs the same counting sort in place under the
+//! frame (bounding-box origin, cell edge, dimensions) fixed at
+//! construction.
 //!
 //! # Degenerate geometry
 //!
@@ -39,7 +42,7 @@ use dirca_geometry::Point;
 
 use crate::NodeId;
 
-/// A uniform grid over immutable node positions, answering "which nodes
+/// A uniform grid over node positions, answering "which nodes
 /// can possibly lie within `reach` of this point" in O(local density).
 ///
 /// # Example
@@ -86,14 +89,39 @@ impl SpatialGrid {
     /// Panics if `reach` is not positive and finite, or if `positions`
     /// holds ≥ `u32::MAX` nodes (the arena uses 32-bit offsets).
     pub fn new(positions: &[Point], reach: f64) -> Self {
-        let n = positions.len();
+        let mut grid = SpatialGrid {
+            frame: GridFrame::new(positions, reach),
+            starts: Vec::new(),
+            order: Vec::new(),
+        };
+        grid.rebin(positions);
+        grid
+    }
+
+    /// Re-bins `positions` into the grid's own buffers under its
+    /// construction frame: points outside the original bounding box clamp
+    /// to the border cells, which only ever widens the 3×3 superset.
+    ///
+    /// Cost: O(n + cells) time, two counting-sort passes, no allocation
+    /// once the buffers are warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` holds ≥ `u32::MAX` nodes (the arena uses
+    /// 32-bit offsets).
+    pub(crate) fn rebin(&mut self, positions: &[Point]) {
         assert!(
-            (n as u64) < u64::from(u32::MAX),
+            (positions.len() as u64) < u64::from(u32::MAX),
             "spatial grid supports fewer than u32::MAX nodes"
         );
-        let frame = GridFrame::new(positions, reach);
-        let mut starts = vec![0u32; frame.cells() + 1];
+        let SpatialGrid {
+            frame,
+            starts,
+            order,
+        } = self;
         let flat = |p: &Point| frame.index(frame.cell_of(*p));
+        starts.clear();
+        starts.resize(frame.cells() + 1, 0);
         for p in positions {
             // panic-path: `flat` clamps both axes into the grid, so the
             // +1-shifted counting slot is within `starts`' cells+1 length.
@@ -106,23 +134,28 @@ impl SpatialGrid {
         }
         // Stable placement: walking ids in ascending order fills each
         // cell's slice in ascending id order — the property every
-        // determinism argument downstream leans on.
-        let mut cursor: Vec<u32> = starts.clone();
-        let mut order = vec![NodeId(0); n];
+        // determinism argument downstream leans on. Each cell's start
+        // serves as its cursor and ends at the next cell's start, so one
+        // shift restores the offsets.
+        order.clear();
+        order.resize(positions.len(), NodeId(0));
         for (id, p) in positions.iter().enumerate() {
             let slot = flat(p);
-            // panic-path: `cursor[slot]` starts at the cell's offset and is
+            // panic-path: `starts[slot]` begins at the cell's offset and is
             // bumped once per node in the cell, so it stays within the
             // cell's slice of the n-length arena.
-            order[cursor[slot] as usize] = NodeId(id);
-            cursor[slot] += 1;
+            order[starts[slot] as usize] = NodeId(id);
+            starts[slot] += 1;
         }
+        starts.copy_within(..frame.cells(), 1);
+        // panic-path: `starts` holds cells + 1 ≥ 2 entries.
+        starts[0] = 0;
+    }
 
-        SpatialGrid {
-            frame,
-            starts,
-            order,
-        }
+    /// The clamped `(col, row)` cell of `p` under the construction frame.
+    #[inline]
+    pub(crate) fn cell_of(&self, p: Point) -> (u32, u32) {
+        self.frame.cell_of(p)
     }
 
     /// Number of indexed nodes.
@@ -197,25 +230,10 @@ impl SpatialGrid {
     }
 }
 
-/// A grid that enumerates, around any point, a superset of the nodes
-/// within one coverage reach of it.
-pub(crate) trait Candidates {
-    /// Invokes `f` for every candidate around `around`.
-    fn for_each_candidate(&self, around: Point, f: impl FnMut(NodeId));
-}
-
-impl Candidates for SpatialGrid {
-    #[inline]
-    fn for_each_candidate(&self, around: Point, f: impl FnMut(NodeId)) {
-        SpatialGrid::for_each_candidate(self, around, f);
-    }
-}
-
 /// The geometry of a uniform grid — bounding-box origin, cell edge and
-/// dimensions — shared by [`SpatialGrid`] and the mobile plan's mutable
-/// grid, so both bin points with the same arithmetic.
+/// dimensions — fixed when the grid is built and kept across re-bins.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GridFrame {
+struct GridFrame {
     /// Cell edge length; always ≥ the `reach` the grid was built for.
     cell: f64,
     /// Bounding-box origin (minimum finite coordinates, or 0 if none).
@@ -232,7 +250,7 @@ impl GridFrame {
     /// # Panics
     ///
     /// Panics if `reach` is not positive and finite.
-    pub(crate) fn new(positions: &[Point], reach: f64) -> Self {
+    fn new(positions: &[Point], reach: f64) -> Self {
         assert!(
             reach.is_finite() && reach > 0.0,
             "grid reach must be positive and finite, got {reach}"
@@ -279,19 +297,19 @@ impl GridFrame {
     }
 
     /// Number of cells.
-    pub(crate) fn cells(&self) -> usize {
+    fn cells(&self) -> usize {
         (self.cols as usize) * (self.rows as usize)
     }
 
     /// The row-major index of cell `(col, row)`.
     #[inline]
-    pub(crate) fn index(&self, (col, row): (u32, u32)) -> usize {
+    fn index(&self, (col, row): (u32, u32)) -> usize {
         (row as usize) * (self.cols as usize) + (col as usize)
     }
 
     /// The clamped (col, row) cell of `p`.
     #[inline]
-    pub(crate) fn cell_of(&self, p: Point) -> (u32, u32) {
+    fn cell_of(&self, p: Point) -> (u32, u32) {
         // `clamp` keeps NaN (→ cast saturates to 0) and out-of-box points
         // deterministic.
         let c = ((p.x - self.min_x) / self.cell)
@@ -306,7 +324,7 @@ impl GridFrame {
     /// The 3×3 block around cell `(col, row)`, clamped to the grid: its
     /// rows, and its first and last column.
     #[inline]
-    pub(crate) fn block(&self, (col, row): (u32, u32)) -> (RangeInclusive<u32>, u32, u32) {
+    fn block(&self, (col, row): (u32, u32)) -> (RangeInclusive<u32>, u32, u32) {
         let rows = row.saturating_sub(1)..=(row + 1).min(self.rows - 1);
         (rows, col.saturating_sub(1), (col + 1).min(self.cols - 1))
     }

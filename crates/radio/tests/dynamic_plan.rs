@@ -1,23 +1,26 @@
-//! Equivalence battery for the incrementally-invalidated
-//! [`DynamicCoveragePlan`] under real mobility traces.
+//! Equivalence battery for [`CoveragePlan::apply_moves`] under real
+//! mobility traces.
 //!
 //! The property that matters: after *any* sequence of position epochs
-//! driven by the deterministic mobility models, the incrementally
-//! maintained plan equals a from-scratch rebuild over the final positions
-//! **field for field** (cache equality via `PartialEq`), and both answer
-//! every query exactly like the reference [`Channel`] queries and the
-//! immutable [`CoveragePlan`] built over the same positions. Checked by
-//! proptest across epoch counts, node densities, beamwidths, both mobility
-//! families, and layouts on the beam's exact edges and apex.
+//! driven by the deterministic mobility models — excursions out of the
+//! construction bounding box included — the moved plan equals a fresh
+//! [`CoveragePlan::new`] over the final positions **field for field**
+//! (table equality via `PartialEq`, which ignores work counters and the
+//! grid), and both answer every query exactly like the reference
+//! [`Channel`] queries. Checked by proptest across epoch counts, node
+//! densities, beamwidths, both mobility families, and layouts on the
+//! beam's exact edges and apex.
 //!
-//! The golden regression rides along: a zero-motion epoch does **zero**
-//! cache work — counter-asserted via [`InvalidationStats`], not timed.
+//! The counters ride along: a zero-motion epoch does **zero** work, and
+//! `rebins` equals a brute-force count of the movers whose construction
+//! grid cell changed — counter-asserted via
+//! [`InvalidationStats`](dirca_radio::InvalidationStats), not timed.
 
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use dirca_geometry::{Angle, Beamwidth, Point};
-use dirca_radio::{Channel, CoveragePlan, DynamicCoveragePlan, NodeId, TxPattern};
+use dirca_radio::{Channel, CoveragePlan, NodeId, TxPattern};
 use dirca_sim::SimDuration;
 use dirca_topology::{MobilityModel, MobilityState};
 use proptest::prelude::*;
@@ -62,12 +65,33 @@ fn model_strategy() -> impl Strategy<Value = MobilityModel> {
     ]
 }
 
+/// A plan built from a [`Channel`] over `positions`.
+fn plan_over(positions: &[Point], beamwidth: Beamwidth) -> CoveragePlan {
+    let chan = Channel::new(positions.to_vec(), RANGE, SimDuration::from_micros(1))
+        .expect("finite positions");
+    CoveragePlan::new(&chan, beamwidth)
+}
+
+/// Every node's grid cell, found by scanning every cell of `plan`'s grid.
+fn cells_by_scan(plan: &CoveragePlan) -> Vec<(u32, u32)> {
+    let grid = plan.grid();
+    let mut cell = vec![(u32::MAX, u32::MAX); plan.len()];
+    for row in 0..grid.rows() {
+        for col in 0..grid.cols() {
+            for &id in grid.cell_nodes(col, row) {
+                cell[id.0] = (col, row);
+            }
+        }
+    }
+    cell
+}
+
 /// Asserts `plan` answers every query exactly like the reference
 /// [`Channel`] queries over the same positions — `covered_by`, `heading`,
 /// `distance` and the brute-force strict adjacency, an oracle that shares
 /// no code with the footprint kernel — and like a [`CoveragePlan`] built
 /// fresh over them.
-fn assert_matches_oracle(plan: &DynamicCoveragePlan, beamwidth: Beamwidth) {
+fn assert_matches_oracle(plan: &CoveragePlan, beamwidth: Beamwidth) {
     let chan = Channel::new(
         plan.positions().to_vec(),
         RANGE,
@@ -87,7 +111,7 @@ fn assert_matches_oracle(plan: &DynamicCoveragePlan, beamwidth: Beamwidth) {
                 p != src && origin.distance_squared(chan.position(p).unwrap()) <= RANGE * RANGE
             })
             .collect();
-        for (which, node) in [("dynamic", plan.node(src)), ("static", fresh.node(src))] {
+        for (which, node) in [("moved", plan.node(src)), ("fresh", fresh.node(src))] {
             assert_eq!(
                 node.neighbors(),
                 omni.as_slice(),
@@ -118,10 +142,10 @@ fn assert_matches_oracle(plan: &DynamicCoveragePlan, beamwidth: Beamwidth) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// After k mobility epochs the incremental plan equals a from-scratch
-    /// rebuild field for field, and both match the immutable oracle.
+    /// After k mobility epochs the moved plan equals a fresh build field
+    /// for field, and both match the reference oracle.
     #[test]
-    fn incremental_plan_equals_scratch_rebuild(
+    fn moved_plan_equals_fresh_build(
         positions in positions_strategy(),
         beamwidth in beamwidth_strategy(),
         model in model_strategy(),
@@ -131,13 +155,62 @@ proptest! {
     ) {
         let radius = MobilityState::field_radius(&positions, RANGE);
         let mut state = MobilityState::new(model, &positions, radius, seed);
-        let mut plan = DynamicCoveragePlan::new(&positions, RANGE, beamwidth);
+        let mut plan = plan_over(&positions, beamwidth);
         for _ in 0..epochs {
             let moves = state.step(dt).to_vec();
             plan.apply_moves(&moves);
         }
-        let scratch = DynamicCoveragePlan::new(state.positions(), RANGE, beamwidth);
-        prop_assert_eq!(&plan, &scratch, "incremental plan drifted from a scratch rebuild");
+        let fresh = plan_over(state.positions(), beamwidth);
+        prop_assert_eq!(&plan, &fresh, "moved plan drifted from a fresh build");
+        assert_matches_oracle(&plan, beamwidth);
+    }
+
+    /// Arbitrary move histories — any subset of nodes, far outside the
+    /// construction bounding box included — keep the moved plan equal to
+    /// a fresh build, and `rebins` equals a brute-force count over a full
+    /// scan of the grid's cells: the movers whose cell under the
+    /// construction frame changed. Every epoch that moves a node rebuilds
+    /// all of them.
+    #[test]
+    fn arbitrary_moves_match_fresh_build_and_rebin_oracle(
+        positions in positions_strategy(),
+        beamwidth in beamwidth_strategy(),
+        history in prop::collection::vec(
+            prop::collection::vec((0usize..64, -20.0f64..20.0, -20.0f64..20.0), 0..6),
+            1..6,
+        ),
+    ) {
+        let n = positions.len();
+        let mut plan = plan_over(&positions, beamwidth);
+        let frame = (plan.grid().cols(), plan.grid().rows(), plan.grid().cell_size());
+        let mut want_rebins = 0;
+        let mut want_rebuilds = 0;
+        for epoch in &history {
+            let mut moves: Vec<(usize, Point)> = epoch
+                .iter()
+                .map(|&(i, x, y)| (i % n, Point::new(x, y)))
+                .collect();
+            moves.sort_by_key(|m| m.0);
+            moves.dedup_by_key(|m| m.0);
+            let before = cells_by_scan(&plan);
+            plan.apply_moves(&moves);
+            let after = cells_by_scan(&plan);
+            want_rebins += moves.iter().filter(|m| before[m.0] != after[m.0]).count() as u64;
+            if !moves.is_empty() {
+                want_rebuilds += n as u64;
+            }
+            prop_assert_eq!(
+                (plan.grid().cols(), plan.grid().rows(), plan.grid().cell_size()),
+                frame,
+                "an epoch changed the construction frame"
+            );
+        }
+        let stats = plan.stats();
+        prop_assert_eq!(stats.epochs, history.len() as u64);
+        prop_assert_eq!(stats.rebins, want_rebins);
+        prop_assert_eq!(stats.rebuilds, want_rebuilds);
+        let fresh = plan_over(plan.positions(), beamwidth);
+        prop_assert_eq!(&plan, &fresh, "moved plan drifted from a fresh build");
         assert_matches_oracle(&plan, beamwidth);
     }
 
@@ -170,9 +243,9 @@ proptest! {
     }
 
     /// Golden regression, counter-asserted: feeding a speed-0 model's
-    /// (empty) move lists through the plan does zero cache work — the
-    /// epoch counter ticks, re-bins and rebuilds stay at exactly zero, and
-    /// the plan still equals a fresh build.
+    /// (empty) move lists through the plan does zero work — the epoch
+    /// counter ticks, re-bins and rebuilds stay at exactly zero, and the
+    /// plan still equals a fresh build.
     #[test]
     fn zero_motion_epochs_do_zero_cache_work(
         positions in positions_strategy(),
@@ -181,43 +254,18 @@ proptest! {
     ) {
         let radius = MobilityState::field_radius(&positions, RANGE);
         let mut state = MobilityState::new(MobilityModel::STATIC, &positions, radius, 7);
-        let mut plan = DynamicCoveragePlan::new(&positions, RANGE, beamwidth);
+        let mut plan = plan_over(&positions, beamwidth);
         for _ in 0..epochs {
             let moves = state.step(0.1).to_vec();
             prop_assert!(moves.is_empty(), "a static model produced moves");
-            prop_assert!(plan.apply_moves(&moves).is_empty());
+            plan.apply_moves(&moves);
         }
         let stats = plan.stats();
         prop_assert_eq!(stats.epochs, epochs);
         prop_assert_eq!(stats.rebins, 0, "zero-motion epochs re-binned");
         prop_assert_eq!(stats.rebuilds, 0, "zero-motion epochs rebuilt caches");
-        let fresh = DynamicCoveragePlan::new(&positions, RANGE, beamwidth);
+        let fresh = plan_over(&positions, beamwidth);
         prop_assert_eq!(&plan, &fresh);
-    }
-
-    /// Work-proportionality: a single mover's epoch rebuilds only caches in
-    /// its 3×3 neighbourhood blocks — bounded by the occupancy around its
-    /// old and new cells, never the whole arena.
-    #[test]
-    fn single_move_work_is_local(
-        beamwidth in beamwidth_strategy(),
-        dx in -0.4f64..0.4,
-        dy in -0.4f64..0.4,
-    ) {
-        // A sparse 6×6 lattice at pitch 1.2 (> range): each node's 3×3
-        // block holds a bounded handful of the 36 nodes.
-        let positions: Vec<Point> = (0..36)
-            .map(|i| Point::new((i % 6) as f64 * 1.2, (i / 6) as f64 * 1.2))
-            .collect();
-        let mut plan = DynamicCoveragePlan::new(&positions, RANGE, beamwidth);
-        let target = Point::new(positions[14].x + dx, positions[14].y + dy);
-        plan.apply_moves(&[(14, target)]);
-        let stats = plan.stats();
-        prop_assert!(
-            stats.rebuilds <= 18,
-            "one sub-cell move rebuilt {} of 36 caches", stats.rebuilds
-        );
-        assert_matches_oracle(&plan, beamwidth);
     }
 
     /// Beam edges exactly θ/2 off boresight (including the ±π wrap), the
@@ -229,13 +277,13 @@ proptest! {
         beamwidth in beamwidth_strategy(),
     ) {
         let target = boundary_layout(phi, beamwidth, r_aim, r_edge);
-        let fresh = DynamicCoveragePlan::new(&target, RANGE, beamwidth);
+        let fresh = plan_over(&target, beamwidth);
         assert_matches_oracle(&fresh, beamwidth);
         let mut aimed = Vec::new();
         fresh.node(NodeId(0)).directional_coverage_into(NodeId(1), &mut aimed);
         prop_assert!(aimed.contains(&NodeId(5)) && aimed.contains(&NodeId(6)), "apex rule missed");
         let start: Vec<Point> = target.iter().rev().copied().collect();
-        let mut moved = DynamicCoveragePlan::new(&start, RANGE, beamwidth);
+        let mut moved = plan_over(&start, beamwidth);
         let moves: Vec<(usize, Point)> = target.iter().copied().enumerate().collect();
         moved.apply_moves(&moves);
         prop_assert_eq!(&moved, &fresh);
