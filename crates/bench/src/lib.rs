@@ -1,7 +1,8 @@
 //! Benchmark support crate.
 //!
 //! Everything lives in the `dirca-bench` binary (`src/main.rs`), the
-//! pinned-seed harness: it times the quick paper grid end to end, the
-//! engine micro-benchmarks, the spatial-index scaling sweep and the
-//! sharded engine, and writes `BENCH_paper_grid.json` at the repository
-//! root. The statistically repeated workloads live in `perfbench/`.
+//! pinned-seed harness: it times the spatial-index scaling sweep and the
+//! sharded engine at 1/2/4 workers, and writes `BENCH_paper_grid.json` at
+//! the repository root. The statistically repeated single-threaded
+//! workloads, including the traced per-event-class dispatch breakdown, live
+//! in `perfbench/`.

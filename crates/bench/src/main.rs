@@ -1,17 +1,15 @@
-//! `dirca-bench`: the pinned-seed performance harness.
+//! `dirca-bench`: the pinned-seed scaling and sharding harness.
 //!
-//! Runs the quick profile of the paper's Figs. 6/7 ring grid (every
-//! `(N, θ, scheme)` cell at 4 topologies each, master seed `0xD1CA`),
-//! two engine micro-benchmarks, a large-field scaling benchmark
-//! (pinned Poisson fields of 1k/10k/100k nodes exercising the uniform-grid
-//! coverage index), and a sharded-engine speedup benchmark (one pinned
-//! field simulated classically and then on the deterministic sharded
-//! engine at 1/2/4 workers), and writes the measurements to
-//! `BENCH_paper_grid.json` at the repository root:
+//! Runs the two measurements perfbench's single-threaded workloads do not
+//! cover: a large-field scaling benchmark (pinned Poisson fields of
+//! 1k/10k/100k nodes exercising the uniform-grid coverage index) and a
+//! sharded-engine speedup benchmark (one pinned field simulated classically
+//! and then on the deterministic sharded engine at 1/2/4 workers). It writes
+//! the measurements to `BENCH_paper_grid.json` at the repository root:
 //!
 //! ```text
 //! cargo run --release -p dirca-bench            # default output path
-//! cargo run --release -p dirca-bench -- --out /tmp/bench.json --threads 4
+//! cargo run --release -p dirca-bench -- --out /tmp/bench.json
 //! cargo run --release -p dirca-bench -- --scaling-max 100000   # full sweep
 //! ```
 //!
@@ -30,83 +28,30 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use dirca_experiments::ringsim::{paper_grid, run_cell, topology_config, RingExperiment};
 use dirca_mac::Scheme;
 use dirca_net::{run, run_sharded, SimConfig, DEFAULT_SHARDS};
 use dirca_radio::{Channel, CoveragePlan};
 use dirca_sim::rng::derive_seed;
-use dirca_sim::{EventQueue, SimDuration, SimTime};
-use dirca_topology::{poisson_field_pinned, RingSpec};
+use dirca_sim::SimDuration;
+use dirca_topology::poisson_field_pinned;
 
 /// Master seed shared with the `paper_grid` experiment binary.
 const SEED: u64 = 0xD1CA;
 
 fn main() {
-    let (out_path, threads, scaling_max) = parse_args();
-    let mut cells = Vec::new();
-
-    eprintln!("dirca-bench: quick paper grid, {threads} threads, seed {SEED:#x}");
-    let grid_start = Instant::now();
-    for (n_avg, theta, scheme) in paper_grid() {
-        let experiment = RingExperiment::quick(scheme, n_avg, theta);
-        let plan = plan_metrics(&experiment);
-        let cell_start = Instant::now();
-        let outcome = run_cell(&experiment, threads);
-        let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
-        eprintln!("  {scheme:?} N={n_avg} θ={theta:>5.1}°: {wall_ms:7.1} ms");
-        cells.push(CellRow {
-            scheme,
-            n_avg,
-            theta,
-            wall_ms,
-            throughput_mean: outcome.throughput.mean().unwrap_or(0.0),
-            plan_build_ms: plan.build_ms,
-            plan_arena_bytes: plan.arena_bytes,
-        });
-    }
-    let grid_wall_ms = grid_start.elapsed().as_secs_f64() * 1e3;
-
-    let engine = engine_microbench();
-    let queue_ns = queue_microbench();
-    eprintln!(
-        "  grid {grid_wall_ms:.0} ms | engine {:.2} Mev/s, {:.0} ns/transmit | queue {queue_ns:.1} ns/cycle",
-        engine.events_per_sec / 1e6,
-        engine.ns_per_transmit
-    );
-
+    let (out_path, scaling_max) = parse_args();
+    eprintln!("dirca-bench: scaling and sharding, seed {SEED:#x}");
     let scaling = scaling_bench(scaling_max);
     let sharding = sharding_bench();
-
-    #[cfg(feature = "trace")]
-    let extra_sections = {
-        eprintln!("  profiling per-event-class dispatch (trace feature)");
-        vec![profile::event_profile_section()]
-    };
-    #[cfg(not(feature = "trace"))]
-    let extra_sections: Vec<String> = Vec::new();
-
-    let json = render_json(
-        &Report {
-            threads,
-            grid_wall_ms,
-            cells: &cells,
-            engine: &engine,
-            queue_ns,
-            scaling: &scaling,
-            sharding: &sharding,
-        },
-        &extra_sections,
-    );
-    std::fs::write(&out_path, json).expect("failed to write benchmark report");
+    std::fs::write(&out_path, render_json(&scaling, &sharding))
+        .expect("failed to write benchmark report");
     eprintln!("dirca-bench: wrote {out_path}");
 }
 
-/// Parses `--out <path>`, `--threads <n>`, and `--scaling-max <nodes>`
-/// (all optional).
-fn parse_args() -> (String, usize, usize) {
+/// Parses `--out <path>` and `--scaling-max <nodes>` (both optional).
+fn parse_args() -> (String, usize) {
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper_grid.json");
     let mut out = default_out.to_string();
-    let mut threads = 2usize;
     let mut scaling_max = 10_000usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -114,61 +59,16 @@ fn parse_args() -> (String, usize, usize) {
             "--out" => {
                 out = args.next().expect("--out requires a path");
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads requires a positive integer");
-            }
             "--scaling-max" => {
                 scaling_max = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--scaling-max requires a non-negative integer");
             }
-            other => {
-                panic!("unrecognized flag {other:?} (expected --out, --threads, or --scaling-max)")
-            }
+            other => panic!("unrecognized flag {other:?} (expected --out or --scaling-max)"),
         }
     }
-    assert!(threads > 0, "--threads requires a positive integer");
-    (out, threads, scaling_max)
-}
-
-/// One measured grid cell.
-struct CellRow {
-    scheme: Scheme,
-    n_avg: usize,
-    theta: f64,
-    wall_ms: f64,
-    throughput_mean: f64,
-    plan_build_ms: f64,
-    plan_arena_bytes: usize,
-}
-
-/// Coverage-plan construction cost for one grid cell's first topology.
-struct PlanMetrics {
-    build_ms: f64,
-    arena_bytes: usize,
-}
-
-/// Times `CoveragePlan` construction on topology 0 of the cell — the
-/// plan-build cost the steady-state throughput numbers never showed.
-fn plan_metrics(experiment: &RingExperiment) -> PlanMetrics {
-    let (topology, config) = topology_config(experiment, 0);
-    let channel = Channel::new(
-        topology.positions.clone(),
-        topology.range,
-        config.params.propagation_delay,
-    )
-    .expect("ring topology range is valid");
-    let start = Instant::now();
-    let plan = CoveragePlan::new(&channel, config.beamwidth);
-    let build_ms = start.elapsed().as_secs_f64() * 1e3;
-    PlanMetrics {
-        build_ms,
-        arena_bytes: black_box(plan).index_bytes(),
-    }
+    (out, scaling_max)
 }
 
 /// One row of the large-field scaling benchmark.
@@ -344,136 +244,13 @@ fn sharding_bench() -> ShardingBench {
     }
 }
 
-/// End-to-end engine throughput on one pinned quick-profile workload.
-struct EngineBench {
-    events: u64,
-    frames: u64,
-    wall_ms: f64,
-    events_per_sec: f64,
-    ns_per_transmit: f64,
-}
-
-/// Simulates the densest quick cell's four topologies single-threaded and
-/// reports raw event throughput and per-frame cost.
-fn engine_microbench() -> EngineBench {
-    let spec = RingSpec::paper(8, 1.0);
-    let mut topologies = Vec::new();
-    for t in 0..4u64 {
-        let mut rng = dirca_sim::rng::stream_rng(
-            dirca_sim::rng::derive_seed(SEED, dirca_net::salts::TOPOLOGY_STREAM_SALT),
-            t,
-        );
-        topologies.push(spec.generate(&mut rng).expect("ring topology generation"));
-    }
-    let config = SimConfig::new(Scheme::DrtsDcts)
-        .with_beamwidth_degrees(30.0)
-        .with_seed(1)
-        .with_warmup(SimDuration::from_millis(100))
-        .with_measure(SimDuration::from_secs(1));
-
-    let start = Instant::now();
-    let mut events = 0u64;
-    let mut frames = 0u64;
-    for topology in &topologies {
-        let result = run(topology, &config);
-        events += result.events_processed();
-        let c = result.aggregate_counters();
-        frames += c.rts_tx + c.cts_tx + c.data_tx + c.ack_tx;
-    }
-    let wall = start.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    EngineBench {
-        events,
-        frames,
-        wall_ms,
-        events_per_sec: events as f64 / wall.as_secs_f64(),
-        ns_per_transmit: wall.as_secs_f64() * 1e9 / frames as f64,
-    }
-}
-
-/// Times pop+push cycles on a steady-state ~400-entry event heap with
-/// near-future deadlines, the access pattern the simulator produces.
-fn queue_microbench() -> f64 {
-    let mut q = EventQueue::new();
-    let mut horizon = 0u64;
-    for i in 0..400u64 {
-        q.push(SimTime::from_nanos(i * 131 % 50_000), i);
-    }
-    let cycles = 1_000_000u64;
-    let start = Instant::now();
-    let mut acc = 0u64;
-    for i in 0..cycles {
-        let (t, v) = q.pop().expect("queue stays non-empty");
-        acc = acc.wrapping_add(v);
-        horizon = horizon.max(t.as_nanos());
-        q.push(SimTime::from_nanos(horizon + (i * 977) % 40_000), i);
-    }
-    black_box(acc);
-    start.elapsed().as_secs_f64() * 1e9 / cycles as f64
-}
-
 /// Renders the report by hand; the workspace deliberately has no JSON
-/// dependency. `extra_sections` holds pre-rendered `"key": {...}` fragments
-/// (e.g. the trace feature's event profile) appended after the fixed
-/// sections.
-/// Every fixed measurement section of the report, bundled so the renderer
-/// signature stays flat.
-struct Report<'a> {
-    threads: usize,
-    grid_wall_ms: f64,
-    cells: &'a [CellRow],
-    engine: &'a EngineBench,
-    queue_ns: f64,
-    scaling: &'a [ScalingRow],
-    sharding: &'a ShardingBench,
-}
-
-fn render_json(report: &Report<'_>, extra_sections: &[String]) -> String {
-    let Report {
-        threads,
-        grid_wall_ms,
-        cells,
-        engine,
-        queue_ns,
-        scaling,
-        sharding,
-    } = *report;
+/// dependency.
+fn render_json(scaling: &[ScalingRow], sharding: &ShardingBench) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"dirca-bench/paper-grid/v3\",\n");
-    s.push_str("  \"profile\": \"quick\",\n");
+    s.push_str("  \"schema\": \"dirca-bench/paper-grid/v4\",\n");
     let _ = writeln!(s, "  \"seed\": {SEED},");
-    let _ = writeln!(s, "  \"threads\": {threads},");
-    let _ = writeln!(s, "  \"grid_wall_ms\": {grid_wall_ms:.1},");
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"scheme\": \"{:?}\", \"n_avg\": {}, \"theta_deg\": {:.1}, \
-             \"wall_ms\": {:.1}, \"throughput_mean\": {:.6}, \
-             \"plan_build_ms\": {:.3}, \"plan_arena_bytes\": {}}}{comma}",
-            c.scheme,
-            c.n_avg,
-            c.theta,
-            c.wall_ms,
-            c.throughput_mean,
-            c.plan_build_ms,
-            c.plan_arena_bytes
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"engine\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"DrtsDcts N=8 theta=30 x4 topologies, 1s measure\","
-    );
-    let _ = writeln!(s, "    \"events\": {},", engine.events);
-    let _ = writeln!(s, "    \"frames\": {},", engine.frames);
-    let _ = writeln!(s, "    \"wall_ms\": {:.1},", engine.wall_ms);
-    let _ = writeln!(s, "    \"events_per_sec\": {:.0},", engine.events_per_sec);
-    let _ = writeln!(s, "    \"ns_per_transmit\": {:.1}", engine.ns_per_transmit);
-    s.push_str("  },\n");
     s.push_str("  \"scaling\": [\n");
     for (i, r) in scaling.iter().enumerate() {
         let comma = if i + 1 < scaling.len() { "," } else { "" };
@@ -522,147 +299,7 @@ fn render_json(report: &Report<'_>, extra_sections: &[String]) -> String {
         );
     }
     s.push_str("    ]\n");
-    s.push_str("  },\n");
-    let tail = if extra_sections.is_empty() { "" } else { "," };
-    let _ = writeln!(s, "  \"event_queue_ns_per_cycle\": {queue_ns:.1}{tail}");
-    for (i, section) in extra_sections.iter().enumerate() {
-        let comma = if i + 1 < extra_sections.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(s, "  {section}{comma}");
-    }
+    s.push_str("  }\n");
     s.push_str("}\n");
     s
-}
-
-/// Per-event-class dispatch profiling via the engine's probe hooks
-/// (compiled only with the `trace` feature).
-#[cfg(feature = "trace")]
-mod profile {
-    use std::cell::RefCell;
-    use std::fmt::Write as _;
-    use std::rc::Rc;
-    use std::time::Instant;
-
-    use dirca_mac::Scheme;
-    use dirca_net::{NetEvent, NetWorld, SimConfig};
-    use dirca_sim::probe::Probe;
-    use dirca_sim::{SimDuration, SimTime, Simulation};
-    use dirca_stats::{Histogram, Summary};
-    use dirca_topology::RingSpec;
-
-    /// Dispatch-time samples keyed by event class. A linear scan over a
-    /// handful of classes beats hashing on this hot path.
-    #[derive(Debug, Default)]
-    struct ProfileData {
-        classes: Vec<(&'static str, Summary, Histogram)>,
-    }
-
-    impl ProfileData {
-        fn record(&mut self, class: &'static str, ns: f64) {
-            let entry = match self.classes.iter().position(|(c, _, _)| *c == class) {
-                Some(i) => &mut self.classes[i],
-                None => {
-                    self.classes.push((
-                        class,
-                        Summary::new(),
-                        // 64 ns bins to 4.096 µs cover dispatch costs; the
-                        // overflow gutter catches allocation hiccups.
-                        Histogram::new(0.0, 4096.0, 64).expect("static bounds are valid"),
-                    ));
-                    self.classes.last_mut().expect("just pushed")
-                }
-            };
-            entry.1.push(ns);
-            entry.2.record(ns);
-        }
-    }
-
-    /// The probe: stamps `Instant::now()` around every dispatch and books
-    /// the elapsed time under the event's class.
-    #[derive(Debug)]
-    struct DispatchProfiler {
-        data: Rc<RefCell<ProfileData>>,
-        inflight: Option<(&'static str, Instant)>,
-    }
-
-    impl Probe<NetWorld> for DispatchProfiler {
-        fn before_event(&mut self, _now: SimTime, event: &NetEvent) {
-            self.inflight = Some((event.class(), Instant::now()));
-        }
-
-        fn after_event(&mut self, _now: SimTime) {
-            if let Some((class, start)) = self.inflight.take() {
-                self.data
-                    .borrow_mut()
-                    .record(class, start.elapsed().as_nanos() as f64);
-            }
-        }
-    }
-
-    /// Runs the engine micro-benchmark's densest topology with the profiler
-    /// installed and renders the `"event_profile"` report section.
-    pub fn event_profile_section() -> String {
-        let spec = RingSpec::paper(8, 1.0);
-        let mut rng = dirca_sim::rng::stream_rng(
-            dirca_sim::rng::derive_seed(super::SEED, dirca_net::salts::TOPOLOGY_STREAM_SALT),
-            0,
-        );
-        let topology = spec.generate(&mut rng).expect("ring topology generation");
-        let config = SimConfig::new(Scheme::DrtsDcts)
-            .with_beamwidth_degrees(30.0)
-            .with_seed(1)
-            .with_warmup(SimDuration::from_millis(100))
-            .with_measure(SimDuration::from_secs(1));
-
-        let data = Rc::new(RefCell::new(ProfileData::default()));
-        let world = NetWorld::build(&topology, &config);
-        let mut sim = Simulation::new(world);
-        sim.set_probe(Some(Box::new(DispatchProfiler {
-            data: Rc::clone(&data),
-            inflight: None,
-        })));
-        {
-            let (world, sched) = sim.world_and_scheduler_mut();
-            world.prime(sched);
-        }
-        sim.run_until(SimTime::ZERO + config.warmup + config.measure);
-
-        let mut data = data.borrow_mut();
-        data.classes.sort_by_key(|(class, _, _)| *class);
-        let mut s = String::new();
-        s.push_str("\"event_profile\": {\n");
-        s.push_str("    \"workload\": \"DrtsDcts N=8 theta=30 topology 0, 1s measure\",\n");
-        s.push_str("    \"hist\": {\"unit\": \"ns\", \"lo\": 0, \"hi\": 4096, \"bins\": 64},\n");
-        s.push_str("    \"classes\": {\n");
-        for (i, (class, summary, hist)) in data.classes.iter().enumerate() {
-            let comma = if i + 1 < data.classes.len() { "," } else { "" };
-            let _ = write!(
-                s,
-                "      \"{class}\": {{\"count\": {}, \"mean_ns\": {:.1}, \
-                 \"min_ns\": {:.0}, \"max_ns\": {:.0}, \"bins\": [",
-                summary.count(),
-                summary.mean().unwrap_or(0.0),
-                summary.min().unwrap_or(0.0),
-                summary.max().unwrap_or(0.0),
-            );
-            for b in 0..hist.len() {
-                if b > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{}", hist.bin_count(b));
-            }
-            let _ = writeln!(
-                s,
-                "], \"underflow\": {}, \"overflow\": {}}}{comma}",
-                hist.underflow(),
-                hist.overflow()
-            );
-        }
-        s.push_str("    }\n");
-        s.push_str("  }");
-        s
-    }
 }

@@ -21,12 +21,11 @@
 //! not byte-equal to classic ones, so checkpoints record which engine
 //! produced them and refuse to resume across engines.
 //!
-//! With `--trace PATH` (requires building with `--features trace`) the run
-//! additionally exports a structured trace of topology 0 of every cell —
-//! JSONL by default, or the CRC-framed binary encoding with
-//! `--trace-format bin`. See `dirca_experiments::tracegrid` for the
-//! document layouts and the `trace_view` binary for folding either format
-//! into per-node timelines.
+//! With `--trace PATH` the run additionally exports a structured trace of
+//! topology 0 of every cell — JSONL by default, or the CRC-framed binary
+//! encoding with `--trace-format bin`. See `dirca_experiments::tracegrid`
+//! for the document layouts and the `trace_view` binary for folding either
+//! format into per-node timelines.
 //!
 //! Exit status: 0 on a clean complete grid, 1 if any cell failed, 2 on a
 //! usage error, 3 if `--max-cells` stopped the run early.
@@ -35,6 +34,8 @@ use dirca_experiments::cli::Flags;
 use dirca_experiments::report::{render_combined, GridScale};
 use dirca_experiments::ringsim::RingOutcome;
 use dirca_experiments::runner::{run_grid, RunnerConfig};
+use dirca_experiments::tracegrid::{export_grid_trace, export_grid_trace_bin};
+use dirca_experiments::wireio::WireFormat;
 
 fn main() {
     let flags = Flags::from_env();
@@ -56,32 +57,17 @@ fn main() {
         );
     }
     if let Some(path) = flags.get("trace") {
-        #[cfg(feature = "trace")]
-        {
-            use dirca_experiments::wireio::WireFormat;
-            let format =
-                WireFormat::try_from_flags(&flags, "trace-format").unwrap_or_else(|e| e.exit());
-            eprintln!("exporting structured {format} trace to {path}");
-            match format {
-                WireFormat::Jsonl => dirca_experiments::tracegrid::export_grid_trace(&scale, path),
-                WireFormat::Bin => {
-                    dirca_experiments::tracegrid::export_grid_trace_bin(&scale, path)
-                }
-            }
-            .unwrap_or_else(|e| {
-                eprintln!("failed to write trace {path}: {e}");
-                std::process::exit(1);
-            });
+        let format =
+            WireFormat::try_from_flags(&flags, "trace-format").unwrap_or_else(|e| e.exit());
+        eprintln!("exporting structured {format} trace to {path}");
+        match format {
+            WireFormat::Jsonl => export_grid_trace(&scale, path),
+            WireFormat::Bin => export_grid_trace_bin(&scale, path),
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = path;
-            eprintln!(
-                "--trace requires a build with the trace feature: \
-                 cargo run -p dirca-experiments --features trace --bin paper_grid"
-            );
-            std::process::exit(2);
-        }
+        .unwrap_or_else(|e| {
+            eprintln!("failed to write trace {path}: {e}");
+            std::process::exit(1);
+        });
     }
     let outcome = run_grid(&scale, &runner).unwrap_or_else(|e| {
         eprintln!("{e}");

@@ -21,7 +21,7 @@
 //! | E17 | mobility + side-lobe sweep (ours) | [`mobility_sweep`] | `mobility_sweep` |
 //! | E18 | directional connectivity vs closed-form theory (ours) | [`connectivity`] | `connectivity` |
 //! | — | SVG figure rendering | [`plot`] | `figures` |
-//! | — | structured trace export (`trace` feature) | `tracegrid` | `trace_view` |
+//! | — | structured trace export | [`tracegrid`] | `paper_grid --trace`, `trace_view` |
 //!
 //! Every binary accepts `--quick` (a fast smoke-test scale) plus
 //! experiment-specific flags; see each binary's `--help`.
@@ -48,6 +48,5 @@ pub mod rts_threshold;
 pub mod runner;
 pub mod table;
 pub mod table1;
-#[cfg(feature = "trace")]
 pub mod tracegrid;
 pub mod wireio;

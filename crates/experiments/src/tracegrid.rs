@@ -1,5 +1,4 @@
-//! Structured trace export over the paper grid (compiled only with the
-//! `trace` feature).
+//! Structured trace export over the paper grid.
 //!
 //! [`render_grid_trace`] re-runs topology 0 of every `(N, θ, scheme)` cell
 //! of a [`GridScale`] with the ring recorder attached and folds the runs

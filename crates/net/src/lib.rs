@@ -39,7 +39,6 @@ mod config;
 mod result;
 pub mod salts;
 mod shard;
-#[cfg(feature = "trace")]
 pub mod trace;
 mod world;
 

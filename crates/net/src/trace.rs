@@ -1,5 +1,4 @@
-//! Traced runs and metrics snapshots (compiled only with the `trace`
-//! feature).
+//! Traced runs and metrics snapshots.
 //!
 //! [`run_traced`] is [`crate::run`] with a structured recorder attached:
 //! the returned [`RingTrace`] holds the run's last `capacity` records, and

@@ -25,7 +25,6 @@ use crate::config::TrafficModel;
 use crate::salts::{FAULT_STREAM_SALT, MOBILITY_STREAM_SALT, SINR_STREAM_SALT};
 use crate::SimConfig;
 
-#[cfg(feature = "trace")]
 use dirca_trace::{RecordKind, RingTrace, TraceRecord};
 
 /// Events flowing through the network simulation.
@@ -248,7 +247,6 @@ pub struct NetWorld {
     /// Observation only: recording consumes no randomness and schedules
     /// nothing, so an attached recorder leaves runs byte-identical (the
     /// golden ring-hash battery enforces this).
-    #[cfg(feature = "trace")]
     pub(crate) recorder: Option<RingTrace>,
     /// Event-queue capacity hint applied at [`NetWorld::prime`] time (the
     /// expected steady-state event population, sized at build).
@@ -387,7 +385,6 @@ impl NetWorld {
             next_signal: 0,
             faults,
             trace: None,
-            #[cfg(feature = "trace")]
             recorder: None,
             expected_events,
             scratch,
@@ -410,25 +407,21 @@ impl NetWorld {
 
     /// Attaches a structured trace recorder; subsequent MAC/PHY activity is
     /// pushed into it as typed [`TraceRecord`]s.
-    #[cfg(feature = "trace")] // audit-allow(gate-symmetry): signature needs the gated RingTrace type; callers gate themselves
     pub fn attach_recorder(&mut self, recorder: RingTrace) {
         self.recorder = Some(recorder);
     }
 
     /// Detaches and returns the structured trace recorder, if attached.
-    #[cfg(feature = "trace")] // audit-allow(gate-symmetry): signature needs the gated RingTrace type; callers gate themselves
     pub fn take_recorder(&mut self) -> Option<RingTrace> {
         self.recorder.take()
     }
 
     /// The attached structured trace recorder, if any.
-    #[cfg(feature = "trace")] // audit-allow(gate-symmetry): signature needs the gated RingTrace type; callers gate themselves
     pub fn recorder(&self) -> Option<&RingTrace> {
         self.recorder.as_ref()
     }
 
     /// Pushes one record into the attached recorder, if any.
-    #[cfg(feature = "trace")] // audit-allow(gate-symmetry): signature needs the gated RecordKind type; callers gate themselves
     pub(crate) fn record(&mut self, time: SimTime, node: NodeId, kind: RecordKind) {
         if let Some(recorder) = self.recorder.as_mut() {
             recorder.push(TraceRecord { time, node, kind });
@@ -585,7 +578,6 @@ impl NetWorld {
             params,
             next_signal,
             trace,
-            #[cfg(feature = "trace")]
             recorder,
             record_delays,
             ..
@@ -601,7 +593,6 @@ impl NetWorld {
             next_signal,
             app: &mut app[node.0],
             trace,
-            #[cfg(feature = "trace")]
             recorder,
             record_delays: *record_delays,
             muted,
@@ -1042,7 +1033,6 @@ impl NetWorld {
                                 // Mirror what the MAC will do with the frame:
                                 // addressed frames are received, overheard
                                 // frames load the receiver's NAV.
-                                #[cfg(feature = "trace")]
                                 self.record(
                                     now,
                                     dst,
@@ -1064,7 +1054,6 @@ impl NetWorld {
                             FaultVerdict::Corrupt => {
                                 // Channel errors look like noise to the MAC:
                                 // same EIFS + retry path as a collision.
-                                #[cfg(feature = "trace")]
                                 self.record(now, dst, RecordKind::FaultCorrupt);
                                 self.app[dst.0].fer_losses += 1;
                                 self.with_mac(dst, sched, |mac, ctx| mac.on_rx_corrupted(ctx));
@@ -1072,13 +1061,11 @@ impl NetWorld {
                             FaultVerdict::Outage => {
                                 // A dead decoder produces nothing at all —
                                 // no frame, no noise burst, no EIFS.
-                                #[cfg(feature = "trace")]
                                 self.record(now, dst, RecordKind::FaultOutage);
                                 self.app[dst.0].outage_losses += 1;
                             }
                         }
                     } else if report.corrupted {
-                        #[cfg(feature = "trace")]
                         self.record(now, dst, RecordKind::RxCorrupted);
                         self.with_mac(dst, sched, |mac, ctx| mac.on_rx_corrupted(ctx));
                     }
@@ -1105,7 +1092,6 @@ impl NetWorld {
                     // Only response timeouts and NAV expiry are trace-worthy:
                     // backoff/SIFS firings are the normal cadence, and the
                     // backoff decision itself is captured at draw time.
-                    #[cfg(feature = "trace")]
                     match kind {
                         TimerKind::CtsTimeout | TimerKind::DataTimeout | TimerKind::AckTimeout => {
                             self.record(now, node, RecordKind::Timeout { timer: kind });
@@ -1210,7 +1196,6 @@ struct Ctx<'a, S> {
     next_signal: &'a mut u64,
     app: &'a mut AppStats,
     trace: &'a mut Option<Vec<TraceEntry>>,
-    #[cfg(feature = "trace")]
     recorder: &'a mut Option<RingTrace>,
     record_delays: bool,
     /// The node's radio is in an outage window at this instant: its
@@ -1220,7 +1205,6 @@ struct Ctx<'a, S> {
 
 impl<S: NetSched> Ctx<'_, S> {
     /// Pushes one record attributed to this context's node.
-    #[cfg(feature = "trace")]
     fn record(&mut self, kind: RecordKind) {
         if let Some(recorder) = self.recorder.as_mut() {
             recorder.push(TraceRecord {
@@ -1249,7 +1233,6 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
                 directional,
             });
         }
-        #[cfg(feature = "trace")]
         self.record(RecordKind::FrameTx {
             kind: frame.kind,
             peer: frame.dst,
@@ -1331,7 +1314,6 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
 
     fn draw_backoff_slots(&mut self, cw: u32) -> u32 {
         let slots = self.rng.random_range(0..=cw);
-        #[cfg(feature = "trace")]
         self.record(RecordKind::BackoffDraw { cw, slots });
         slots
     }
@@ -1341,7 +1323,6 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
     }
 
     fn packet_done(&mut self, packet: DataPacket, success: bool) {
-        #[cfg(feature = "trace")]
         self.record(if success {
             RecordKind::PacketAcked
         } else {

@@ -21,7 +21,7 @@ fn ring_trace_hash(scheme: Scheme, seed: u64) -> u64 {
 }
 
 /// Runs the golden ring configuration and hashes its frame trace. With
-/// `recorder` set (trace feature only), a [`dirca_net::trace::RingTrace`]
+/// `recorder` set, a [`dirca_net::trace::RingTrace`]
 /// recorder rides along and its JSONL export is returned for inspection —
 /// the frame-trace hash must not change either way, which is the
 /// observability layer's non-perturbation proof.
@@ -34,24 +34,17 @@ fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Opti
         .with_beamwidth_degrees(30.0);
     let mut world = NetWorld::build(&topology, &config);
     world.enable_trace();
-    #[cfg(feature = "trace")]
     if recorder {
         world.attach_recorder(dirca_net::trace::RingTrace::with_capacity(1 << 16));
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = recorder;
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.prime(sched);
     }
     sim.run_until(SimTime::from_millis(400));
-    #[cfg_attr(not(feature = "trace"), allow(unused_mut))]
     let mut world = sim.into_world();
-    #[cfg(feature = "trace")]
     let jsonl = world.take_recorder().map(|r| r.to_jsonl());
-    #[cfg(not(feature = "trace"))]
-    let jsonl = None;
     let trace = world.trace().expect("trace enabled");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in format!("{trace:?}").bytes() {
@@ -87,7 +80,6 @@ fn ring_traces_match_recorded_golden_hashes() {
 /// (the recorder observes frames and RNG draws without touching either),
 /// and the exported JSONL itself must be deterministic across same-seed
 /// runs.
-#[cfg(feature = "trace")]
 mod recorder_does_not_perturb {
     use super::*;
 

@@ -12,7 +12,7 @@
 //!    recorded constants (the stripe interleaving legitimately differs
 //!    from the single-queue engine), and those bytes must be identical at
 //!    1, 2, and 4 workers.
-//! 3. **Recorder non-perturbation** (trace feature) — attaching ring-trace
+//! 3. **Recorder non-perturbation** — attaching ring-trace
 //!    recorders to every shard must leave the sharded hashes untouched.
 //!
 //! Re-record after a deliberate behaviour change with `cargo test -p
@@ -47,15 +47,12 @@ fn sharded_ring_hash_with(
         .with_beamwidth_degrees(30.0);
     let mut sim = ShardedNetSim::build(&topology, &config, shards);
     sim.enable_trace();
-    #[cfg(feature = "trace")]
     if recorder {
         for s in 0..sim.shard_count() {
             sim.net_world_mut(s)
                 .attach_recorder(dirca_net::trace::RingTrace::with_capacity(1 << 16));
         }
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = recorder;
     sim.prime();
     sim.run_until(SimTime::from_millis(400), workers);
     let trace = sim.merged_trace().expect("trace enabled on every shard");
@@ -116,7 +113,6 @@ fn four_shards_are_byte_identical_at_any_worker_count() {
 
 /// The observability non-perturbation battery extended to the sharded
 /// engine: a recorder on every shard must not move a byte.
-#[cfg(feature = "trace")]
 #[test]
 fn sharded_hashes_survive_attached_recorders() {
     for &(scheme, seed, want) in RECORDED_SHARDED {

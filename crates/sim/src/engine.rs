@@ -165,7 +165,6 @@ pub struct Simulation<W: World> {
     watchdog: Option<Watchdog>,
     #[cfg(feature = "audit")]
     auditors: Vec<Box<dyn crate::audit::Auditor<W>>>,
-    #[cfg(feature = "trace")]
     probe: Option<Box<dyn crate::probe::Probe<W>>>,
 }
 
@@ -180,7 +179,6 @@ impl<W: World> Simulation<W> {
             watchdog: None,
             #[cfg(feature = "audit")]
             auditors: Vec::new(),
-            #[cfg(feature = "trace")]
             probe: None,
         }
     }
@@ -220,13 +218,11 @@ impl<W: World> Simulation<W> {
 
     /// Installs (or clears) the dispatch-loop probe; it observes every
     /// event dispatched from now on.
-    #[cfg(feature = "trace")] // audit-allow(gate-symmetry): signature needs the gated Probe trait; callers gate themselves
     pub fn set_probe(&mut self, probe: Option<Box<dyn crate::probe::Probe<W>>>) {
         self.probe = probe;
     }
 
     /// Removes and returns the installed probe, if any.
-    #[cfg(feature = "trace")] // audit-allow(gate-symmetry): signature needs the gated Probe trait; callers gate themselves
     pub fn take_probe(&mut self) -> Option<Box<dyn crate::probe::Probe<W>>> {
         self.probe.take()
     }
@@ -291,6 +287,18 @@ impl<W: World> Simulation<W> {
     /// On abort the offending event is left in the queue and the clock
     /// reads the last dispatched instant, so the world remains inspectable.
     pub fn try_run_until(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
+        // The probe can only change through `&mut self` between calls, so
+        // whether one is attached is decided once here, not per event.
+        if self.probe.is_some() {
+            self.run_loop::<true>(deadline)
+        } else {
+            self.run_loop::<false>(deadline)
+        }
+    }
+
+    /// The body of [`Simulation::try_run_until`], monomorphised over
+    /// whether a probe is attached.
+    fn run_loop<const PROBED: bool>(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
         let before = self.processed;
         while let Some(t) = self.scheduler.queue.peek_time() {
             if t > deadline {
@@ -317,7 +325,7 @@ impl<W: World> Simulation<W> {
             // non-empty, and nothing between the peek and this pop touches it.
             let (time, event) = self.scheduler.queue.pop().expect("peeked event vanished");
             debug_assert!(time >= self.scheduler.now, "event queue went backwards");
-            self.dispatch(time, event);
+            self.dispatch::<PROBED>(time, event);
         }
         if deadline != SimTime::MAX {
             self.scheduler.now = deadline;
@@ -337,28 +345,31 @@ impl<W: World> Simulation<W> {
     /// queue was empty.
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.scheduler.queue.pop()?;
-        self.dispatch(time, event);
+        // One event: the probed body's own `Option` check is the choice.
+        self.dispatch::<true>(time, event);
         Some(time)
     }
 
     /// Advances the clock to `time` and hands `event` to the world,
-    /// running the auditor hooks (feature `audit`) and the probe hooks
-    /// (feature `trace`) around the dispatch.
-    fn dispatch(&mut self, time: SimTime, event: W::Event) {
+    /// running the auditor hooks (feature `audit`) and, when `PROBED`, the
+    /// probe hooks around the dispatch.
+    fn dispatch<const PROBED: bool>(&mut self, time: SimTime, event: W::Event) {
         self.scheduler.now = time;
         #[cfg(feature = "audit")]
         for auditor in &mut self.auditors {
             auditor.before_event(time, &event, &self.world);
         }
-        #[cfg(feature = "trace")]
-        if let Some(probe) = &mut self.probe {
-            probe.before_event(time, &event);
+        if PROBED {
+            if let Some(probe) = &mut self.probe {
+                probe.before_event(time, &event);
+            }
         }
         self.world.handle(time, event, &mut self.scheduler);
         self.processed += 1;
-        #[cfg(feature = "trace")]
-        if let Some(probe) = &mut self.probe {
-            probe.after_event(time);
+        if PROBED {
+            if let Some(probe) = &mut self.probe {
+                probe.after_event(time);
+            }
         }
         #[cfg(feature = "audit")]
         for auditor in &mut self.auditors {
@@ -369,7 +380,11 @@ impl<W: World> Simulation<W> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
+    use crate::probe::Probe;
 
     /// Records (time, label) pairs; `Spawn` events fan out two `Leaf` events.
     struct Recorder {
@@ -520,6 +535,77 @@ mod tests {
         sim.set_watchdog(Some(Watchdog::max_events(10)));
         sim.scheduler_mut().schedule_at(SimTime::ZERO, ());
         sim.run_until(SimTime::MAX);
+    }
+
+    /// Tallies `(before_event, after_event)` hook calls in a shared cell
+    /// that outlives the probe.
+    #[derive(Debug)]
+    struct Counting(Rc<Cell<(u64, u64)>>);
+
+    impl<W: World> Probe<W> for Counting {
+        fn before_event(&mut self, _now: SimTime, _event: &W::Event) {
+            let (before, after) = self.0.get();
+            self.0.set((before + 1, after));
+        }
+
+        fn after_event(&mut self, _now: SimTime) {
+            let (before, after) = self.0.get();
+            self.0.set((before, after + 1));
+        }
+    }
+
+    #[test]
+    fn probe_sees_every_dispatch_and_perturbs_nothing() {
+        let run = |seen: Option<&Rc<Cell<(u64, u64)>>>| {
+            let mut sim = Simulation::new(Recorder { log: Vec::new() });
+            if let Some(seen) = seen {
+                sim.set_probe(Some(Box::new(Counting(Rc::clone(seen)))));
+            }
+            for t in [5, 8, 30] {
+                sim.scheduler_mut()
+                    .schedule_at(SimTime::from_nanos(t), Ev::Spawn);
+            }
+            assert_eq!(sim.step(), Some(SimTime::from_nanos(5)));
+            sim.run_until(SimTime::from_nanos(20));
+            assert_eq!(sim.step(), Some(SimTime::from_nanos(30)));
+            sim.run_to_completion();
+            if let Some(seen) = seen {
+                let n = sim.events_processed();
+                assert_eq!(seen.get(), (n, n), "one hook pair per dispatch");
+            }
+            sim.into_world().log
+        };
+        let seen = Rc::new(Cell::new((0, 0)));
+        let plain = run(None);
+        let probed = run(Some(&seen));
+        assert_eq!(plain.len(), 9);
+        assert_eq!(
+            plain, probed,
+            "an attached probe changed the dispatch order"
+        );
+    }
+
+    #[test]
+    fn watchdog_trips_identically_with_a_probe_attached() {
+        let abort = |probed: bool| {
+            let seen = Rc::new(Cell::new((0, 0)));
+            let mut sim = Simulation::new(Runaway);
+            if probed {
+                sim.set_probe(Some(Box::new(Counting(Rc::clone(&seen)))));
+            }
+            sim.set_watchdog(Some(Watchdog::max_events(1000)));
+            sim.scheduler_mut().schedule_at(SimTime::ZERO, ());
+            let abort = sim
+                .try_run_until(SimTime::MAX)
+                .expect_err("a runaway world must trip the event budget");
+            if probed {
+                assert_eq!(seen.get(), (1000, 1000));
+            }
+            abort
+        };
+        let plain = abort(false);
+        assert_eq!(plain.events, 1000);
+        assert_eq!(plain, abort(true), "the probe moved the watchdog trip");
     }
 
     #[test]

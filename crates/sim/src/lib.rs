@@ -56,7 +56,6 @@ mod timer;
 
 #[cfg(feature = "audit")]
 pub mod audit;
-#[cfg(feature = "trace")]
 pub mod probe;
 pub mod rng;
 

@@ -1,10 +1,10 @@
 //! Deterministic observability for the DirCA simulation stack.
 //!
-//! This crate is the data layer behind the workspace's `trace` feature: the
-//! consuming crates (`dirca-sim`, `dirca-net`, `dirca-experiments`,
-//! `dirca-bench`) gate their hooks behind `--features trace` and pull this
-//! crate in as an optional dependency, so a default build carries none of
-//! it. It provides three pieces:
+//! This crate is the data layer behind the workspace's structured traces.
+//! Every build compiles it in: `dirca-net` pushes records into an attached
+//! recorder, `dirca-experiments` exports them (`paper_grid --trace`) and
+//! reads them back (`trace_view`), and a run with nothing attached records
+//! nothing. It provides three pieces:
 //!
 //! * [`TraceRecord`] / [`RecordKind`] — typed, `Copy`, fixed-size records
 //!   of MAC/PHY events (frame tx/rx, backoff draws, NAV activity, timeouts,
