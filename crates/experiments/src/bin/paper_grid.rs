@@ -22,10 +22,12 @@
 //! produced them and refuse to resume across engines.
 //!
 //! With `--trace PATH` the run additionally exports a structured trace of
-//! topology 0 of every cell — JSONL by default, or the CRC-framed binary
-//! encoding with `--trace-format bin`. See `dirca_experiments::tracegrid`
-//! for the document layouts and the `trace_view` binary for folding either
-//! format into per-node timelines.
+//! topology 0 of every cell as one CRC-framed binary document. See
+//! `dirca_experiments::tracegrid` for the layout and the `trace_view`
+//! binary for validating it and folding it into per-node timelines. Trace
+//! documents are binary-only: any other `--trace-…` flag (a leftover
+//! encoding choice) is refused with a usage error rather than silently
+//! ignored.
 //!
 //! Exit status: 0 on a clean complete grid, 1 if any cell failed, 2 on a
 //! usage error, 3 if `--max-cells` stopped the run early.
@@ -34,11 +36,17 @@ use dirca_experiments::cli::Flags;
 use dirca_experiments::report::{render_combined, GridScale};
 use dirca_experiments::ringsim::RingOutcome;
 use dirca_experiments::runner::{run_grid, RunnerConfig};
-use dirca_experiments::tracegrid::{export_grid_trace, export_grid_trace_bin};
-use dirca_experiments::wireio::WireFormat;
+use dirca_experiments::tracegrid::{export_grid_trace, stale_trace_flag};
 
 fn main() {
     let flags = Flags::from_env();
+    if let Some(stale) = stale_trace_flag(&flags) {
+        eprintln!(
+            "usage error: --{stale} is not accepted: trace documents are binary-only and \
+             `--trace PATH` is the only trace flag"
+        );
+        std::process::exit(2);
+    }
     let scale = GridScale::from_flags(&flags);
     let runner = RunnerConfig::try_from_flags(&flags).unwrap_or_else(|e| e.exit());
     eprintln!(
@@ -57,14 +65,8 @@ fn main() {
         );
     }
     if let Some(path) = flags.get("trace") {
-        let format =
-            WireFormat::try_from_flags(&flags, "trace-format").unwrap_or_else(|e| e.exit());
-        eprintln!("exporting structured {format} trace to {path}");
-        match format {
-            WireFormat::Jsonl => export_grid_trace(&scale, path),
-            WireFormat::Bin => export_grid_trace_bin(&scale, path),
-        }
-        .unwrap_or_else(|e| {
+        eprintln!("exporting structured trace to {path}");
+        export_grid_trace(&scale, path).unwrap_or_else(|e| {
             eprintln!("failed to write trace {path}: {e}");
             std::process::exit(1);
         });

@@ -1,34 +1,42 @@
 //! Folds a `paper_grid --trace` document into per-node handshake
-//! timelines, or validates it against the record schema. Reads both the
-//! JSONL format and the CRC-framed binary format (`--trace-format bin`),
-//! auto-detected from the leading bytes.
+//! timelines, or validates it frame by frame.
 //!
 //! It is also the readable view of a runner checkpoint (`paper_grid
-//! --checkpoint PATH`, `dirca-serve --state-dir`): a binary document whose
-//! first frame is `CKPT_HEADER` prints its grid fingerprint and one line
-//! per cell record — the samples of a finished cell, or the diagnosis of
-//! a failed one.
+//! --checkpoint PATH`, `dirca-serve --state-dir`): it prints the grid
+//! fingerprint and one line per cell record — the samples of a finished
+//! cell, or the diagnosis of a failed one.
 //!
 //! ```text
-//! trace_view grid_trace.jsonl            # human-readable per-cell fold
-//! trace_view grid_trace.jsonl --check    # schema validation only (exit 0/1)
-//! trace_view grid_trace.bin --check      # same, binary document
-//! trace_view grid.ckpt                   # one line per checkpoint record
-//! trace_view grid.ckpt --check           # validate every frame (exit 0/1)
+//! trace_view grid_trace.bin            # human-readable per-cell fold
+//! trace_view grid_trace.bin --check    # validation only (exit 0/1)
+//! trace_view grid.ckpt                 # one line per checkpoint record
+//! trace_view grid.ckpt --check         # validate every frame (exit 0/1)
 //! ```
 //!
-//! Diagnostics locate the first bad input precisely: `line L, byte B` for
-//! JSONL (B is the absolute file offset of the corrupt character), the
-//! frame's byte offset for binary documents — plus how many records
-//! validated before the damage, so a torn tail is distinguishable from a
-//! wholly corrupt file at a glance.
+//! Both are CRC-framed `dirca_trace::wire` documents: a first frame of
+//! kind `CKPT_HEADER` selects the checkpoint view, anything else the trace
+//! view. Input that does not start with the wire magic — a JSONL trace
+//! written by an older version, for one — is refused with
+//! [`ViewError::NotWire`], and a trace whose `METRICS` frames still carry
+//! the older JSON-string payload with [`ViewError::JsonMetrics`]; re-export
+//! either with `paper_grid --trace`.
+//!
+//! A trace document is checked as a whole, not only frame by frame: the
+//! header's cell count must match the cell markers, every cell must be
+//! closed by exactly one `METRICS` frame, and no frame may follow the last
+//! one. A document cut at a frame boundary is therefore refused rather
+//! than read as a shorter clean one. Diagnostics name the frame or byte
+//! offset of the first bad input, plus how many records validated before
+//! it, so a torn tail is distinguishable from a wholly corrupt file.
 //!
 //! Exit status: 0 on success, 1 on a schema violation, corrupt/truncated
 //! input, or unreadable file, 2 on a usage error.
 
-use dirca_experiments::wireio::{decode_ckpt_cell, decode_ckpt_header, sniff_binary};
-use dirca_trace::wire::{self, kind};
-use dirca_trace::{Json, RecordKind, TraceRecord};
+use std::fmt;
+
+use dirca_experiments::wireio::{decode_ckpt_cell, decode_ckpt_header};
+use dirca_trace::wire::{self, kind, MetricsSnapshot};
+use dirca_trace::{RecordKind, TraceRecord};
 
 fn main() {
     let mut path: Option<String> = None;
@@ -56,31 +64,70 @@ fn main() {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let result = if sniff_binary(&bytes) {
-        match wire::FrameDecoder::new(&bytes).next() {
-            Some(Ok(first)) if first.kind == kind::CKPT_HEADER => process_ckpt(&bytes, check),
-            _ => process_bin(&bytes, check),
-        }
-    } else {
-        match std::str::from_utf8(&bytes) {
-            Ok(text) => process(text, check),
-            Err(e) => Err(format!(
-                "byte {}: not UTF-8 text (and not a binary wire document)",
-                e.valid_up_to()
-            )),
-        }
-    };
-    match result {
+    match view(&bytes, check) {
         // A plain `print!` panics on EPIPE when the fold is piped into
         // `head`; a failed write to a closed pipe is not an error here.
         Ok(report) => {
             use std::io::Write as _;
             let _ = std::io::stdout().write_all(report.as_bytes());
         }
-        Err(message) => {
-            eprintln!("{path}: {message}");
+        Err(e) => {
+            eprintln!("{path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// Why a document was refused.
+#[derive(Debug, PartialEq)]
+enum ViewError {
+    /// The input does not start with the wire magic.
+    NotWire,
+    /// The `METRICS` frame numbered `frame` carries a JSON string, the
+    /// payload older versions wrote, instead of the typed encoding.
+    JsonMetrics {
+        /// 1-based frame number.
+        frame: u64,
+    },
+    /// A corrupt frame, an undecodable payload, or a malformed document;
+    /// the message names the frame or byte offset.
+    Invalid(String),
+}
+
+impl fmt::Display for ViewError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        const REEXPORT: &str = "re-export the trace with `paper_grid --trace PATH`";
+        match self {
+            ViewError::NotWire => write!(
+                f,
+                "not a wire document: JSONL trace documents are no longer read; {REEXPORT}"
+            ),
+            ViewError::JsonMetrics { frame } => write!(
+                f,
+                "frame {frame}: METRICS payload is a JSON string, the encoding of older \
+                 versions; {REEXPORT}"
+            ),
+            ViewError::Invalid(message) => f.write_str(message),
+        }
+    }
+}
+
+impl From<String> for ViewError {
+    fn from(message: String) -> Self {
+        ViewError::Invalid(message)
+    }
+}
+
+/// Validates `bytes` and, unless `check_only`, renders its readable view:
+/// the checkpoint view if the first frame is `CKPT_HEADER`, else the trace
+/// fold.
+fn view(bytes: &[u8], check_only: bool) -> Result<String, ViewError> {
+    if !bytes.starts_with(&wire::MAGIC) {
+        return Err(ViewError::NotWire);
+    }
+    match wire::FrameDecoder::new(bytes).next() {
+        Some(Ok(first)) if first.kind == kind::CKPT_HEADER => Ok(process_ckpt(bytes, check_only)?),
+        _ => process_trace(bytes, check_only),
     }
 }
 
@@ -141,14 +188,20 @@ impl CellFold {
         }
     }
 
-    fn render(&self, out: &mut String) {
+    fn render(&self, metrics: &MetricsSnapshot, out: &mut String) {
         use std::fmt::Write as _;
         let span_s = (self.last_ns.saturating_sub(self.first_ns)) as f64 / 1e9;
-        let _ = writeln!(
+        let _ = write!(
             out,
             "{} — {} records over {span_s:.3} s",
             self.header, self.records
         );
+        match metrics.counter("records_overwritten") {
+            Some(lost) if lost > 0 => {
+                let _ = writeln!(out, " (ring wrapped: {lost} earlier records overwritten)");
+            }
+            _ => out.push('\n'),
+        }
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -169,120 +222,23 @@ impl CellFold {
                 n.faults,
             );
         }
+        if let Some(acked) = metrics.counter("packets_acked") {
+            let _ = writeln!(out, "  metrics: packets_acked={acked}");
+        }
     }
 }
 
-/// Validates `text` line by line; unless `check_only`, also folds it into
-/// the human-readable per-cell report. Diagnostics carry `line L, byte B`
-/// where B is the absolute file offset of the first corrupt character.
-fn process(text: &str, check_only: bool) -> Result<String, String> {
+/// Validates a trace document frame by frame and as a whole (see the
+/// module docs); unless `check_only`, also folds it into the per-cell
+/// report. A corrupt or truncated tail is reported with its byte offset
+/// and the count of frames/records that validated before it.
+fn process_trace(bytes: &[u8], check_only: bool) -> Result<String, ViewError> {
     use std::fmt::Write as _;
     let mut out = String::new();
+    let mut declared: Option<u64> = None;
     let mut cell: Option<CellFold> = None;
     let mut cells_seen = 0u64;
     let mut records_seen = 0u64;
-    let mut line_start = 0usize;
-    for (lineno, raw) in text.split_inclusive('\n').enumerate() {
-        let lineno = lineno + 1;
-        let line = raw.trim_end_matches('\n').trim_end_matches('\r');
-        let start = line_start;
-        line_start += raw.len();
-        let at =
-            move |offset_in_line: usize| format!("line {lineno}, byte {}", start + offset_in_line);
-        let context = |records_seen: u64| {
-            format!("({records_seen} records validated before the first bad input)")
-        };
-        let v = Json::parse(line).map_err(|e| {
-            format!(
-                "{}: corrupt or truncated record: {e} {}",
-                at(e.offset),
-                context(records_seen)
-            )
-        })?;
-        if lineno == 1 {
-            match v.get("schema").and_then(Json::as_str) {
-                Some("dirca-trace/v1") => continue,
-                Some(other) => return Err(format!("unsupported schema {other:?}")),
-                None => return Err("line 1, byte 0: missing schema header".to_string()),
-            }
-        }
-        match v.get("ev").and_then(Json::as_str) {
-            Some("cell") => {
-                cells_seen += 1;
-                if let Some(done) = cell.take() {
-                    done.render(&mut out);
-                }
-                let n = v
-                    .get("n")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{}: cell marker missing \"n\"", at(0)))?;
-                let theta = v
-                    .get("theta_deg")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("{}: cell marker missing \"theta_deg\"", at(0)))?;
-                let scheme = v
-                    .get("scheme")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{}: cell marker missing \"scheme\"", at(0)))?;
-                cell = Some(CellFold {
-                    header: format!("cell N={n} theta={theta} {scheme}"),
-                    ..CellFold::default()
-                });
-            }
-            Some("metrics") => {
-                let data = v
-                    .get("data")
-                    .ok_or_else(|| format!("{}: metrics marker missing \"data\"", at(0)))?;
-                if data.get("counters").and_then(Json::as_obj).is_none() {
-                    return Err(format!("{}: metrics block missing counters", at(0)));
-                }
-                if let Some(done) = cell.take() {
-                    done.render(&mut out);
-                    if let Some(acked) = data
-                        .get("counters")
-                        .and_then(|c| c.get("packets_acked"))
-                        .and_then(Json::as_u64)
-                    {
-                        let _ = writeln!(out, "  metrics: packets_acked={acked}");
-                    }
-                }
-            }
-            _ => {
-                let record = TraceRecord::from_json(&v).map_err(|e| {
-                    format!("{}: schema violation: {e} {}", at(0), context(records_seen))
-                })?;
-                records_seen += 1;
-                if let Some(fold) = cell.as_mut() {
-                    fold.absorb(&record);
-                } else {
-                    return Err(format!("{}: record before any cell marker", at(0)));
-                }
-            }
-        }
-    }
-    if let Some(done) = cell.take() {
-        done.render(&mut out);
-    }
-    if check_only {
-        return Ok(format!(
-            "ok: {cells_seen} cells, {records_seen} records validated\n"
-        ));
-    }
-    let _ = writeln!(out, "{cells_seen} cells, {records_seen} records");
-    Ok(out)
-}
-
-/// Validates a binary wire document frame by frame; unless `check_only`,
-/// also folds it into the same per-cell report as the JSONL path. A
-/// corrupt or truncated tail is reported with its byte offset and the
-/// count of frames/records that validated before it.
-fn process_bin(bytes: &[u8], check_only: bool) -> Result<String, String> {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut cell: Option<CellFold> = None;
-    let mut cells_seen = 0u64;
-    let mut records_seen = 0u64;
-    let mut saw_header = false;
     for (idx, item) in wire::FrameDecoder::new(bytes).enumerate() {
         let frame = item.map_err(|e| {
             format!(
@@ -291,25 +247,34 @@ fn process_bin(bytes: &[u8], check_only: bool) -> Result<String, String> {
                 e.offset()
             )
         })?;
-        let frames_seen = idx as u64 + 1;
-        let bad = |what: &str| format!("frame {frames_seen} ({:#04x}): {what}", frame.kind);
-        if !saw_header {
+        let frame_no = idx as u64 + 1;
+        let bad = |what: &str| format!("frame {frame_no} ({:#04x}): {what}", frame.kind);
+        let Some(cells_declared) = declared else {
             if frame.kind != kind::TRACE_HEADER {
-                return Err(bad("expected a TRACE_HEADER frame first"));
+                return Err(bad("expected a TRACE_HEADER frame first").into());
             }
             let mut r = wire::WireReader::new(&frame.payload);
             let _seed = r.take_u64().map_err(|e| bad(&e.to_string()))?;
-            let _cells = r.take_u32().map_err(|e| bad(&e.to_string()))?;
+            declared = Some(u64::from(r.take_u32().map_err(|e| bad(&e.to_string()))?));
             r.finish().map_err(|e| bad(&e.to_string()))?;
-            saw_header = true;
             continue;
+        };
+        if cell.is_none() && cells_seen == cells_declared {
+            return Err(bad(&format!(
+                "frame after the last cell's METRICS frame (the header declares \
+                 {cells_declared} cells)"
+            ))
+            .into());
         }
         match frame.kind {
             kind::CELL_MARKER => {
-                cells_seen += 1;
-                if let Some(done) = cell.take() {
-                    done.render(&mut out);
+                if cell.is_some() {
+                    return Err(bad(&format!(
+                        "cell {cells_seen} is not closed by a METRICS frame"
+                    ))
+                    .into());
                 }
+                cells_seen += 1;
                 let mut r = wire::WireReader::new(&frame.payload);
                 let n = r.take_u64().map_err(|e| bad(&e.to_string()))?;
                 let theta = r.take_f64().map_err(|e| bad(&e.to_string()))?;
@@ -322,24 +287,6 @@ fn process_bin(bytes: &[u8], check_only: bool) -> Result<String, String> {
                     ..CellFold::default()
                 });
             }
-            kind::METRICS => {
-                let mut r = wire::WireReader::new(&frame.payload);
-                let json = r.take_str().map_err(|e| bad(&e.to_string()))?;
-                let data = Json::parse(json).map_err(|e| bad(&e.to_string()))?;
-                if data.get("counters").and_then(Json::as_obj).is_none() {
-                    return Err(bad("metrics block missing counters"));
-                }
-                if let Some(done) = cell.take() {
-                    done.render(&mut out);
-                    if let Some(acked) = data
-                        .get("counters")
-                        .and_then(|c| c.get("packets_acked"))
-                        .and_then(Json::as_u64)
-                    {
-                        let _ = writeln!(out, "  metrics: packets_acked={acked}");
-                    }
-                }
-            }
             kind::RECORD => {
                 let record = wire::decode_record_payload(&frame.payload).map_err(|e| {
                     format!(
@@ -348,20 +295,42 @@ fn process_bin(bytes: &[u8], check_only: bool) -> Result<String, String> {
                     )
                 })?;
                 records_seen += 1;
-                if let Some(fold) = cell.as_mut() {
-                    fold.absorb(&record);
-                } else {
-                    return Err(bad("record before any cell marker"));
-                }
+                let Some(fold) = cell.as_mut() else {
+                    return Err(bad("record outside a cell").into());
+                };
+                fold.absorb(&record);
             }
-            _ => return Err(bad("unexpected frame kind in a trace document")),
+            kind::METRICS => {
+                let Some(done) = cell.take() else {
+                    return Err(bad("METRICS frame outside a cell").into());
+                };
+                let metrics = wire::decode_metrics_payload(&frame.payload).map_err(|e| {
+                    if is_json_string(&frame.payload) {
+                        ViewError::JsonMetrics { frame: frame_no }
+                    } else {
+                        bad(&format!("metrics: {e}")).into()
+                    }
+                })?;
+                done.render(&metrics, &mut out);
+            }
+            _ => return Err(bad("unexpected frame kind in a trace document").into()),
         }
     }
-    if !saw_header {
-        return Err("empty document: no TRACE_HEADER frame".to_string());
+    let Some(cells_declared) = declared else {
+        return Err("empty document: no TRACE_HEADER frame".to_string().into());
+    };
+    if let Some(open) = cell {
+        return Err(format!(
+            "truncated document: {} (cell {cells_seen}) is not closed by a METRICS frame",
+            open.header
+        )
+        .into());
     }
-    if let Some(done) = cell.take() {
-        done.render(&mut out);
+    if cells_seen != cells_declared {
+        return Err(format!(
+            "truncated document: the header declares {cells_declared} cells, found {cells_seen}"
+        )
+        .into());
     }
     if check_only {
         return Ok(format!(
@@ -370,6 +339,13 @@ fn process_bin(bytes: &[u8], check_only: bool) -> Result<String, String> {
     }
     let _ = writeln!(out, "{cells_seen} cells, {records_seen} records");
     Ok(out)
+}
+
+/// Whether `payload` is one length-prefixed JSON object string: the
+/// `METRICS` payload of older versions.
+fn is_json_string(payload: &[u8]) -> bool {
+    let mut r = wire::WireReader::new(payload);
+    r.take_str().is_ok_and(|s| s.starts_with('{')) && r.finish().is_ok()
 }
 
 /// Prints a runner checkpoint: its fingerprint, then one line per
@@ -439,120 +415,192 @@ fn process_ckpt(bytes: &[u8], check_only: bool) -> Result<String, String> {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use dirca_trace::wire::{encode_frame_into, WireWriter};
+    use dirca_trace::wire::{encode_frame_into, metrics_payload, WireWriter};
+    use dirca_trace::MetricsRegistry;
 
-    fn jsonl_fixture() -> String {
-        concat!(
-            "{\"schema\":\"dirca-trace/v1\",\"seed\":7,\"cells\":1}\n",
-            "{\"ev\":\"cell\",\"n\":3,\"theta_deg\":90,\"scheme\":\"OrtsOcts\",\"topology\":0}\n",
-            "{\"t\":1000,\"node\":0,\"ev\":\"backoff_draw\",\"cw\":31,\"slots\":14}\n",
-            "{\"t\":2000,\"node\":1,\"ev\":\"packet_acked\"}\n",
-            "{\"ev\":\"metrics\",\"data\":{\"counters\":{\"packets_acked\":1}}}\n",
-        )
-        .to_string()
-    }
-
-    fn bin_fixture() -> Vec<u8> {
+    /// A two-cell trace document with `records` records per cell whose
+    /// `METRICS` frames report `overwritten` lost records.
+    fn trace_fixture(records: u64, overwritten: u64) -> Vec<u8> {
         let mut out = Vec::new();
         let mut w = WireWriter::new();
         w.put_u64(7);
-        w.put_u32(1);
+        w.put_u32(2);
         encode_frame_into(kind::TRACE_HEADER, &w.into_bytes(), &mut out);
-        let mut w = WireWriter::new();
-        w.put_u64(3);
-        w.put_f64(90.0);
-        w.put_u8(0);
-        w.put_u32(0);
-        encode_frame_into(kind::CELL_MARKER, &w.into_bytes(), &mut out);
-        let record = TraceRecord {
-            time: dirca_sim::SimTime::from_nanos(1000),
-            node: dirca_radio::NodeId(0),
-            kind: RecordKind::PacketAcked,
-        };
-        encode_frame_into(kind::RECORD, &wire::record_payload(&record), &mut out);
-        let mut w = WireWriter::new();
-        w.put_str("{\"counters\":{\"packets_acked\":1}}");
-        encode_frame_into(kind::METRICS, &w.into_bytes(), &mut out);
+        for scheme in 0..2 {
+            let mut w = WireWriter::new();
+            w.put_u64(3);
+            w.put_f64(90.0);
+            w.put_u8(scheme);
+            w.put_u32(0);
+            encode_frame_into(kind::CELL_MARKER, &w.into_bytes(), &mut out);
+            for t in 0..records {
+                let record = TraceRecord {
+                    time: dirca_sim::SimTime::from_nanos(1000 * t),
+                    node: dirca_radio::NodeId(t as usize % 3),
+                    kind: RecordKind::PacketAcked,
+                };
+                encode_frame_into(kind::RECORD, &wire::record_payload(&record), &mut out);
+            }
+            let mut m = MetricsRegistry::new();
+            m.add_counter("packets_acked", records);
+            m.add_counter("records_overwritten", overwritten);
+            encode_frame_into(kind::METRICS, &metrics_payload(&m), &mut out);
+        }
         out
     }
 
-    #[test]
-    fn clean_jsonl_checks_and_folds() {
-        let doc = jsonl_fixture();
-        assert_eq!(
-            process(&doc, true).unwrap(),
-            "ok: 1 cells, 2 records validated\n"
-        );
-        let fold = process(&doc, false).unwrap();
-        assert!(fold.contains("cell N=3 theta=90 OrtsOcts"));
-        assert!(fold.contains("metrics: packets_acked=1"));
+    /// `doc` without its last `k` frames: a cut exactly on a frame
+    /// boundary, which the frame decoder alone reads as a clean document.
+    fn drop_last_frames(doc: &[u8], k: usize) -> Vec<u8> {
+        let (frames, err) = wire::decode_all(doc);
+        assert_eq!(err, None);
+        let cut: usize = frames[frames.len() - k..]
+            .iter()
+            .map(|f| wire::HEADER_LEN + f.payload.len() + wire::TRAILER_LEN)
+            .sum();
+        doc[..doc.len() - cut].to_vec()
     }
 
     #[test]
-    fn truncated_jsonl_reports_line_and_byte_of_the_tear() {
-        let doc = jsonl_fixture();
-        // Tear the file mid-way through the 4th line, as a crash mid-write
-        // would: everything before the tear is intact.
-        let cut = doc.match_indices('\n').nth(2).unwrap().0 + 1 + 20;
-        let torn = &doc[..cut];
-        let err = process(torn, true).unwrap_err();
-        assert!(err.starts_with("line 4, byte "), "got: {err}");
-        let byte: usize = err["line 4, byte ".len()..]
-            .split(':')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        let line4_start = doc.match_indices('\n').nth(2).unwrap().0 + 1;
+    fn clean_trace_checks_and_folds() {
+        let doc = trace_fixture(2, 0);
+        assert_eq!(
+            view(&doc, true).unwrap(),
+            "ok: 2 cells, 4 records validated\n"
+        );
+        let fold = view(&doc, false).unwrap();
+        assert!(fold.contains("cell N=3 theta=90 OrtsOcts — 2 records over 0.000 s\n"));
+        assert!(fold.contains("metrics: packets_acked=2"));
+        assert!(!fold.contains("overwritten"), "{fold}");
+    }
+
+    #[test]
+    fn wrapped_ring_is_named_in_the_fold() {
+        let doc = trace_fixture(2, 5);
+        assert_eq!(
+            view(&doc, true).unwrap(),
+            "ok: 2 cells, 4 records validated\n"
+        );
+        let fold = view(&doc, false).unwrap();
         assert!(
-            (line4_start..cut + 1).contains(&byte),
-            "byte {byte} must point into the torn line (starts at {line4_start}, cut at {cut})"
+            fold.contains("2 records over 0.000 s (ring wrapped: 5 earlier records overwritten)"),
+            "{fold}"
         );
-        assert!(err.contains("corrupt or truncated record"), "got: {err}");
-        assert!(err.contains("1 records validated"), "got: {err}");
     }
 
     #[test]
-    fn schema_violations_name_the_line_and_byte() {
-        let mut doc = jsonl_fixture();
-        doc = doc.replace(
-            "\"ev\":\"backoff_draw\",\"cw\":31,",
-            "\"ev\":\"backoff_draw\",",
-        );
-        let err = process(&doc, true).unwrap_err();
-        assert!(err.starts_with("line 3, byte "), "got: {err}");
-        assert!(err.contains("schema violation"), "got: {err}");
-    }
-
-    #[test]
-    fn clean_binary_checks_and_folds() {
-        let doc = bin_fixture();
+    fn check_refuses_a_trace_without_its_last_cell() {
+        let doc = trace_fixture(3, 0);
+        let err = view(&drop_last_frames(&doc, 5), true).unwrap_err();
         assert_eq!(
-            process_bin(&doc, true).unwrap(),
-            "ok: 1 cells, 1 records validated\n"
+            err.to_string(),
+            "truncated document: the header declares 2 cells, found 1"
         );
-        let fold = process_bin(&doc, false).unwrap();
-        assert!(fold.contains("cell N=3 theta=90 OrtsOcts"));
-        assert!(fold.contains("metrics: packets_acked=1"));
     }
 
     #[test]
-    fn torn_binary_tail_reports_its_byte_offset() {
-        let doc = bin_fixture();
-        let torn = &doc[..doc.len() - 5];
-        let err = process_bin(torn, true).unwrap_err();
-        assert!(err.starts_with("byte "), "got: {err}");
-        assert!(err.contains("corrupt or truncated frame"), "got: {err}");
-        assert!(err.contains("3 frames / 1 records validated"), "got: {err}");
+    fn check_refuses_a_trace_without_its_final_metrics_frame() {
+        let doc = trace_fixture(3, 0);
+        let err = view(&drop_last_frames(&doc, 1), true).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "truncated document: cell N=3 theta=90 DrtsDcts (cell 2) is not closed by a \
+             METRICS frame"
+        );
     }
 
     #[test]
-    fn flipped_binary_byte_is_a_crc_diagnostic() {
-        let mut doc = bin_fixture();
-        let last = doc.len() - 8; // inside the METRICS payload
+    fn check_refuses_a_trace_without_its_last_100_records() {
+        let doc = trace_fixture(120, 0);
+        let err = view(&drop_last_frames(&doc, 101), true).unwrap_err();
+        assert!(
+            err.to_string().contains("is not closed by a METRICS frame"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_refuses_frames_after_the_last_metrics_frame() {
+        let mut doc = trace_fixture(2, 0);
+        let (frames, _) = wire::decode_all(&doc);
+        encode_frame_into(kind::RECORD, &frames[2].payload, &mut doc);
+        let err = view(&doc, true).unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with("frame 10 (0x03): frame after the last cell's METRICS frame"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_refuses_a_cell_with_two_metrics_frames() {
+        let doc = trace_fixture(1, 0);
+        let (frames, _) = wire::decode_all(&doc);
+        let mut twice = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            encode_frame_into(frame.kind, &frame.payload, &mut twice);
+            if i == 3 {
+                encode_frame_into(frame.kind, &frame.payload, &mut twice);
+            }
+        }
+        let err = view(&twice, true).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "frame 5 (0x04): METRICS frame outside a cell"
+        );
+    }
+
+    #[test]
+    fn torn_trace_tail_reports_its_byte_offset() {
+        let doc = trace_fixture(1, 0);
+        let err = view(&doc[..doc.len() - 5], true).unwrap_err();
+        let message = err.to_string();
+        assert!(message.starts_with("byte "), "got: {message}");
+        assert!(message.contains("corrupt or truncated frame"), "{message}");
+        assert!(
+            message.contains("6 frames / 2 records validated"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn flipped_trace_byte_is_a_crc_diagnostic() {
+        let mut doc = trace_fixture(1, 0);
+        let last = doc.len() - 8; // inside the last METRICS payload
         doc[last] ^= 0x40;
-        let err = process_bin(&doc, true).unwrap_err();
-        assert!(err.contains("CRC mismatch"), "got: {err}");
+        let err = view(&doc, true).unwrap_err();
+        assert!(err.to_string().contains("CRC mismatch"), "got: {err}");
+    }
+
+    #[test]
+    fn jsonl_input_is_refused_with_a_typed_error() {
+        let jsonl = b"{\"schema\":\"dirca-trace/v1\",\"seed\":7,\"cells\":1}\n";
+        let err = view(jsonl, true).unwrap_err();
+        assert_eq!(err, ViewError::NotWire);
+        assert!(err
+            .to_string()
+            .contains("JSONL trace documents are no longer read"));
+        assert!(err.to_string().contains("paper_grid --trace"));
+        assert_eq!(view(b"", true), Err(ViewError::NotWire));
+    }
+
+    #[test]
+    fn json_string_metrics_are_refused_with_a_typed_error() {
+        let doc = trace_fixture(1, 0);
+        let (frames, _) = wire::decode_all(&doc);
+        let mut old = Vec::new();
+        for frame in &frames {
+            if frame.kind == kind::METRICS {
+                let mut w = WireWriter::new();
+                w.put_str("{\"counters\":{\"packets_acked\":1},\"gauges\":{},\"histograms\":{}}");
+                encode_frame_into(kind::METRICS, &w.into_bytes(), &mut old);
+            } else {
+                encode_frame_into(frame.kind, &frame.payload, &mut old);
+            }
+        }
+        let err = view(&old, true).unwrap_err();
+        assert_eq!(err, ViewError::JsonMetrics { frame: 4 });
+        assert!(err.to_string().contains("re-export the trace"), "{err}");
     }
 
     fn ckpt_fixture() -> Vec<u8> {

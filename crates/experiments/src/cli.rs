@@ -97,6 +97,11 @@ impl Flags {
         self.values.get(name).map(String::as_str)
     }
 
+    /// Every flag name given, valued or bare, without the leading `--`.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().chain(&self.switches).map(String::as_str)
+    }
+
     fn try_parse<T: std::str::FromStr>(
         &self,
         name: &str,

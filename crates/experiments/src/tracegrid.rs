@@ -1,28 +1,31 @@
 //! Structured trace export over the paper grid.
 //!
 //! [`render_grid_trace`] re-runs topology 0 of every `(N, θ, scheme)` cell
-//! of a [`GridScale`] with the ring recorder attached and folds the runs
-//! into one JSONL document:
+//! of a [`GridScale`] with the ring recorder attached and writes the runs
+//! as one CRC-framed `dirca_trace::wire` document:
 //!
 //! ```text
-//! {"schema":"dirca-trace/v1","seed":53706,"cells":27}
-//! {"ev":"cell","n":3,"theta_deg":30,"scheme":"OrtsOcts","topology":0}
-//! {"t":12000,"node":0,"ev":"backoff_draw","cw":31,"slots":14}
-//! ...                                  (one line per trace record)
-//! {"ev":"metrics","data":{"counters":{...},"gauges":{...},"histograms":{...}}}
-//! {"ev":"cell", ...}                   (next cell)
+//! TRACE_HEADER  seed: u64, cells: u32
+//! CELL_MARKER   n: u64, θ: f64, scheme: u8, topology: u32
+//! RECORD        one frame per trace record, oldest first
+//! ...
+//! METRICS       the cell's metrics snapshot (typed payload)
+//! CELL_MARKER   (next cell)
 //! ```
 //!
-//! The header and `"ev":"cell"` / `"ev":"metrics"` marker lines carry no
-//! `t` field, which is how consumers (and `trace_view --check`) tell them
-//! apart from trace records. Everything here is deterministic: same scale
-//! and seed, same bytes.
-
-use std::fmt::Write as _;
+//! Every cell is closed by exactly one `METRICS` frame, whose
+//! `records_overwritten` counter says how many earlier records the ring
+//! buffer dropped — a wrapped cell holds only the tail of its run.
+//! `trace_view` validates and folds the document. Everything here is
+//! deterministic: same scale and seed, same bytes.
 
 use dirca_mac::Scheme;
 use dirca_net::trace::{metrics_snapshot, run_traced};
+use dirca_trace::wire::{
+    encode_frame_into, encode_scheme, kind, metrics_payload, record_payload, WireWriter,
+};
 
+use crate::cli::Flags;
 use crate::report::GridScale;
 use crate::ringsim::topology_config;
 
@@ -31,58 +34,14 @@ use crate::ringsim::topology_config;
 /// one.
 pub const TRACE_CAPACITY: usize = 1 << 16;
 
-/// Renders the grid's JSONL trace document (see the module docs for the
-/// layout). Runs one traced simulation per cell, so expect `--quick`-scale
-/// inputs; the paper scale works but takes the full grid runtime.
-pub fn render_grid_trace(scale: &GridScale) -> String {
-    let cells: Vec<(usize, f64, Scheme)> = scale
-        .densities
-        .iter()
-        .flat_map(|&n| {
-            scale
-                .beamwidths
-                .iter()
-                .flat_map(move |&theta| Scheme::ALL.into_iter().map(move |s| (n, theta, s)))
-        })
-        .collect();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"dirca-trace/v1\",\"seed\":{},\"cells\":{}}}",
-        scale.seed,
-        cells.len()
-    );
-    for (n, theta, scheme) in cells {
-        let _ = writeln!(
-            out,
-            "{{\"ev\":\"cell\",\"n\":{n},\"theta_deg\":{theta},\"scheme\":\"{scheme:?}\",\"topology\":0}}"
-        );
-        let experiment = scale.cell(scheme, n, theta);
-        let (topology, config) = topology_config(&experiment, 0);
-        let (result, trace) = run_traced(&topology, &config, TRACE_CAPACITY);
-        out.push_str(&trace.to_jsonl());
-        let _ = writeln!(
-            out,
-            "{{\"ev\":\"metrics\",\"data\":{}}}",
-            metrics_snapshot(&result, None).to_json()
-        );
-    }
-    out
+/// Renders the grid's trace document (see the module docs for the layout).
+/// Runs one traced simulation per cell, so expect `--quick`-scale inputs;
+/// the paper scale works but takes the full grid runtime.
+pub fn render_grid_trace(scale: &GridScale) -> Vec<u8> {
+    render_with_capacity(scale, TRACE_CAPACITY)
 }
 
-/// Renders the grid trace and writes it to `path`.
-pub fn export_grid_trace(scale: &GridScale, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, render_grid_trace(scale))
-}
-
-/// Renders the grid trace as a CRC-framed binary document — the same
-/// cells, records, and metrics as [`render_grid_trace`], but encoded with
-/// `dirca_trace::wire`: a `TRACE_HEADER` frame (seed, cell count), then
-/// per cell a `CELL_MARKER` frame (n, θ, scheme, topology), one `RECORD`
-/// frame per trace record, and a `METRICS` frame carrying the metrics
-/// snapshot as JSON text. Deterministic: same scale and seed, same bytes.
-pub fn render_grid_trace_bin(scale: &GridScale) -> Vec<u8> {
-    use dirca_trace::wire::{encode_frame_into, encode_scheme, kind, record_payload, WireWriter};
+fn render_with_capacity(scale: &GridScale, capacity: usize) -> Vec<u8> {
     let cells: Vec<(usize, f64, Scheme)> = scale
         .densities
         .iter()
@@ -107,27 +66,38 @@ pub fn render_grid_trace_bin(scale: &GridScale) -> Vec<u8> {
         encode_frame_into(kind::CELL_MARKER, &w.into_bytes(), &mut out);
         let experiment = scale.cell(scheme, n, theta);
         let (topology, config) = topology_config(&experiment, 0);
-        let (result, trace) = run_traced(&topology, &config, TRACE_CAPACITY);
+        let (result, trace) = run_traced(&topology, &config, capacity);
         for record in trace.iter() {
             encode_frame_into(kind::RECORD, &record_payload(record), &mut out);
         }
-        let mut w = WireWriter::new();
-        w.put_str(&metrics_snapshot(&result, None).to_json());
-        encode_frame_into(kind::METRICS, &w.into_bytes(), &mut out);
+        let mut metrics = metrics_snapshot(&result, None);
+        metrics.add_counter("records_overwritten", trace.overwritten());
+        encode_frame_into(kind::METRICS, &metrics_payload(&metrics), &mut out);
     }
     out
 }
 
-/// Renders the binary grid trace and writes it to `path`.
-pub fn export_grid_trace_bin(scale: &GridScale, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, render_grid_trace_bin(scale))
+/// Renders the grid trace and writes it to `path`.
+pub fn export_grid_trace(scale: &GridScale, path: &str) -> std::io::Result<()> {
+    std::fs::write(path, render_grid_trace(scale))
+}
+
+/// The first `--trace-…` flag in `flags`, if any. `--trace PATH` is the
+/// only trace flag and the document has one encoding, so a sub-flag left
+/// over from older versions (an encoding choice, say) must be refused:
+/// [`Flags`] ignores names it does not know, and the run would otherwise
+/// go ahead without a word.
+pub fn stale_trace_flag(flags: &Flags) -> Option<&str> {
+    flags.names().find(|name| name.starts_with("trace-"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dirca_net::trace::{Json, TraceRecord};
     use dirca_sim::SimDuration;
+    use dirca_trace::wire::{
+        decode_all, decode_metrics_payload, decode_record_payload, WireReader,
+    };
 
     fn tiny_scale() -> GridScale {
         GridScale {
@@ -142,57 +112,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn document_layout_is_well_formed() {
-        let doc = render_grid_trace(&tiny_scale());
-        let mut lines = doc.lines();
-        let header = Json::parse(lines.next().expect("header")).expect("header is JSON");
-        assert_eq!(
-            header.get("schema").and_then(Json::as_str),
-            Some("dirca-trace/v1")
-        );
-        assert_eq!(header.get("cells").and_then(Json::as_u64), Some(3));
-        let mut cell_lines = 0;
-        let mut metrics_lines = 0;
-        let mut records = 0;
-        for line in lines {
-            let v = Json::parse(line).expect("every line is JSON");
-            match v.get("ev").and_then(Json::as_str) {
-                Some("cell") => {
-                    cell_lines += 1;
-                    assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
-                }
-                Some("metrics") => {
-                    metrics_lines += 1;
-                    assert!(v.get("data").and_then(Json::as_obj).is_some());
-                }
-                _ => {
-                    TraceRecord::from_json(&v).expect("record lines match the schema");
-                    records += 1;
-                }
-            }
-        }
-        assert_eq!(cell_lines, 3, "one marker per scheme");
-        assert_eq!(metrics_lines, 3, "one metrics block per scheme");
-        assert!(
-            records > 100,
-            "cells must contribute records, got {records}"
-        );
-    }
-
-    #[test]
-    fn export_is_deterministic() {
-        let scale = tiny_scale();
-        assert_eq!(render_grid_trace(&scale), render_grid_trace(&scale));
-    }
-
-    #[test]
-    fn binary_document_mirrors_the_jsonl_layout() {
-        use dirca_trace::wire::{decode_record_payload, kind, WireReader};
-        let scale = tiny_scale();
-        let doc = render_grid_trace_bin(&scale);
-        assert_eq!(doc, render_grid_trace_bin(&scale), "deterministic bytes");
-        let (frames, err) = dirca_trace::wire::decode_all(&doc);
+    /// `(records, records_overwritten)` of every cell of `doc`, checking
+    /// the frame layout along the way.
+    fn cells_of(doc: &[u8], scale: &GridScale) -> Vec<(u64, u64)> {
+        let (frames, err) = decode_all(doc);
         assert_eq!(err, None, "renderer emits only intact frames");
 
         assert_eq!(frames[0].kind, kind::TRACE_HEADER);
@@ -201,13 +124,12 @@ mod tests {
         assert_eq!(r.take_u32().unwrap(), 3, "one cell per scheme");
         r.finish().unwrap();
 
-        let mut cells = 0;
-        let mut metrics = 0;
+        let mut cells = Vec::new();
         let mut records = 0;
         for frame in &frames[1..] {
             match frame.kind {
                 kind::CELL_MARKER => {
-                    cells += 1;
+                    records = 0;
                     let mut r = WireReader::new(&frame.payload);
                     assert_eq!(r.take_u64().unwrap(), 3, "n");
                     assert_eq!(r.take_f64().unwrap(), 90.0, "theta");
@@ -215,32 +137,63 @@ mod tests {
                     assert_eq!(r.take_u32().unwrap(), 0, "topology");
                     r.finish().unwrap();
                 }
-                kind::METRICS => {
-                    metrics += 1;
-                    let mut r = WireReader::new(&frame.payload);
-                    let json = r.take_str().unwrap();
-                    assert!(Json::parse(json)
-                        .expect("metrics payload is JSON")
-                        .get("counters")
-                        .is_some());
-                    r.finish().unwrap();
-                }
                 kind::RECORD => {
                     decode_record_payload(&frame.payload).expect("record decodes");
                     records += 1;
                 }
+                kind::METRICS => {
+                    let m = decode_metrics_payload(&frame.payload).expect("typed metrics");
+                    assert!(m.counter("packets_acked").is_some());
+                    let overwritten = m.counter("records_overwritten").expect("ring loss");
+                    cells.push((records, overwritten));
+                }
                 other => panic!("unexpected frame kind {other:#04x}"),
             }
         }
-        assert_eq!(cells, 3);
-        assert_eq!(metrics, 3);
-        assert!(
-            records > 100,
-            "cells must contribute records, got {records}"
-        );
+        cells
+    }
 
-        // The density claim documented in EXPERIMENTS.md: the binary twin
-        // of the same grid is strictly smaller than the JSONL rendering.
-        assert!(doc.len() < render_grid_trace(&scale).len());
+    #[test]
+    fn document_layout_is_well_formed_and_deterministic() {
+        let scale = tiny_scale();
+        let doc = render_grid_trace(&scale);
+        assert_eq!(doc, render_grid_trace(&scale), "deterministic bytes");
+        let cells = cells_of(&doc, &scale);
+        assert_eq!(cells.len(), 3, "one METRICS frame per scheme");
+        for (records, overwritten) in cells {
+            assert!(
+                records > 100,
+                "cells must contribute records, got {records}"
+            );
+            assert_eq!(overwritten, 0, "a tiny cell fits the ring");
+        }
+    }
+
+    #[test]
+    fn trace_sub_flags_are_named_for_refusal() {
+        let flags = |args: &[&str]| Flags::parse(args.iter().map(|s| s.to_string()));
+        assert_eq!(
+            stale_trace_flag(&flags(&["--quick", "--trace", "g.bin"])),
+            None
+        );
+        assert_eq!(
+            stale_trace_flag(&flags(&["--trace", "g.bin", "--trace-encoding", "jsonl"])),
+            Some("trace-encoding")
+        );
+        assert_eq!(
+            stale_trace_flag(&flags(&["--trace-encoding", "--quick"])),
+            Some("trace-encoding")
+        );
+    }
+
+    #[test]
+    fn wrapped_rings_record_their_loss() {
+        let scale = tiny_scale();
+        let full = cells_of(&render_grid_trace(&scale), &scale);
+        let wrapped = cells_of(&render_with_capacity(&scale, 64), &scale);
+        for (&(all, _), &(held, overwritten)) in full.iter().zip(&wrapped) {
+            assert_eq!(held, 64, "the ring keeps its capacity's worth");
+            assert_eq!(held + overwritten, all, "held + lost = every record");
+        }
     }
 }

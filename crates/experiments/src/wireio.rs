@@ -1,5 +1,4 @@
-//! The runner's checkpoint encoding, plus the `--trace-format` flag
-//! vocabulary.
+//! The runner's checkpoint encoding.
 //!
 //! A checkpoint is a CRC-framed binary document built on
 //! [`dirca_trace::wire`]: one `CKPT_HEADER` frame carrying the grid
@@ -8,12 +7,6 @@
 //! "actually corrupt data" — the property the crash-tolerant resume path
 //! and `dirca-serve` are built on. `trace_view <checkpoint>` is the
 //! readable view: it prints the fingerprint and one line per record.
-//!
-//! Trace documents still come in two encodings ([`WireFormat`]); readers
-//! pick one by sniffing the leading bytes ([`sniff_binary`]): no JSONL
-//! document starts with the wire magic.
-
-use std::fmt;
 
 use dirca_net::RunAborted;
 use dirca_sim::{AbortReason, SimTime};
@@ -21,53 +14,8 @@ use dirca_trace::wire::{
     self, decode_scheme, encode_scheme, kind, PayloadError, WireReader, WireWriter,
 };
 
-use crate::cli::{Flags, UsageError};
 use crate::ringsim::{CellFailure, TopologySample};
 use crate::runner::Cell;
-
-/// On-disk encoding for `--trace` documents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// One JSON object per line (the original, human-auditable format).
-    #[default]
-    Jsonl,
-    /// CRC-framed binary frames (`dirca_trace::wire`).
-    Bin,
-}
-
-impl fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            WireFormat::Jsonl => "jsonl",
-            WireFormat::Bin => "bin",
-        })
-    }
-}
-
-impl WireFormat {
-    /// Parses a `--<flag> {jsonl,bin}` value; absent means JSONL.
-    pub fn try_from_flags(flags: &Flags, flag: &str) -> Result<Self, UsageError> {
-        match flags.get(flag) {
-            None => Ok(WireFormat::Jsonl),
-            Some("jsonl") => Ok(WireFormat::Jsonl),
-            Some("bin") => Ok(WireFormat::Bin),
-            Some(other) => Err(UsageError {
-                flag: flag.to_string(),
-                expected: "jsonl or bin",
-                got: other.to_string(),
-            }),
-        }
-    }
-}
-
-/// Whether `bytes` start a binary wire document (vs JSONL text).
-pub fn sniff_binary(bytes: &[u8]) -> bool {
-    bytes.starts_with(&wire::MAGIC)
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint frames.
-// ---------------------------------------------------------------------
 
 /// Cell statuses in a `CKPT_CELL` payload.
 const STATUS_OK: u8 = 0;
@@ -299,29 +247,5 @@ mod tests {
         assert!(decode_ckpt_cell(&[]).is_err());
         assert!(decode_ckpt_cell(&[0xFF; 18]).is_err());
         assert!(decode_ckpt_header(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn format_flag_parses_and_rejects() {
-        let flags = Flags::parse(["--trace-format", "bin"].iter().map(|s| s.to_string()));
-        assert_eq!(
-            WireFormat::try_from_flags(&flags, "trace-format").unwrap(),
-            WireFormat::Bin
-        );
-        let flags = Flags::parse(std::iter::empty());
-        assert_eq!(
-            WireFormat::try_from_flags(&flags, "trace-format").unwrap(),
-            WireFormat::Jsonl
-        );
-        let flags = Flags::parse(["--trace-format", "xml"].iter().map(|s| s.to_string()));
-        let err = WireFormat::try_from_flags(&flags, "trace-format").unwrap_err();
-        assert_eq!(err.flag, "trace-format");
-    }
-
-    #[test]
-    fn sniffing_separates_the_formats() {
-        assert!(sniff_binary(&ckpt_header_frame("x")));
-        assert!(!sniff_binary(b"{\"schema\":\"dirca-trace/v1\"}"));
-        assert!(!sniff_binary(b""));
     }
 }

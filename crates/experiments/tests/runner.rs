@@ -360,7 +360,7 @@ fn binary_checkpoint_resumes_to_an_identical_report() {
     assert!(first.stopped_early);
     let bytes = std::fs::read(&path).unwrap();
     assert!(
-        dirca_experiments::wireio::sniff_binary(&bytes),
+        bytes.starts_with(&wire::MAGIC),
         "binary checkpoints must start with the wire magic"
     );
 

@@ -38,24 +38,6 @@ impl TimerKind {
         TimerKind::NavExpire,
     ];
 
-    /// A stable snake_case name, used as the `timer` field of trace
-    /// records and as a metrics label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TimerKind::Backoff => "backoff",
-            TimerKind::Sifs => "sifs",
-            TimerKind::CtsTimeout => "cts_timeout",
-            TimerKind::DataTimeout => "data_timeout",
-            TimerKind::AckTimeout => "ack_timeout",
-            TimerKind::NavExpire => "nav_expire",
-        }
-    }
-
-    /// The inverse of [`TimerKind::label`].
-    pub fn from_label(label: &str) -> Option<TimerKind> {
-        TimerKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
     fn index(self) -> usize {
         match self {
             TimerKind::Backoff => 0,
@@ -787,15 +769,6 @@ mod tests {
         let ack = Frame::ack(&data, &p);
         m.on_frame_received(ack, &mut ctx);
         (m, ctx)
-    }
-
-    #[test]
-    fn timer_labels_round_trip() {
-        for kind in TimerKind::ALL {
-            assert_eq!(TimerKind::from_label(kind.label()), Some(kind));
-        }
-        assert_eq!(TimerKind::from_label("difs"), None);
-        assert_eq!(TimerKind::ALL.len(), TimerKind::COUNT);
     }
 
     #[test]

@@ -29,8 +29,8 @@ impl FrameKind {
         FrameKind::Ack,
     ];
 
-    /// The canonical on-wire name (`"RTS"`, `"CTS"`, `"DATA"`, `"ACK"`),
-    /// used by [`fmt::Display`] and as the `frame` field of trace records.
+    /// The canonical name (`"RTS"`, `"CTS"`, `"DATA"`, `"ACK"`), used by
+    /// [`fmt::Display`].
     pub fn label(self) -> &'static str {
         match self {
             FrameKind::Rts => "RTS",
@@ -38,11 +38,6 @@ impl FrameKind {
             FrameKind::Data => "DATA",
             FrameKind::Ack => "ACK",
         }
-    }
-
-    /// The inverse of [`FrameKind::label`].
-    pub fn from_label(label: &str) -> Option<FrameKind> {
-        FrameKind::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -236,14 +231,6 @@ mod tests {
         let p = params();
         let rts = Frame::rts(NodeId(0), NodeId(1), 10, &p);
         let _ = Frame::ack(&rts, &p);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for kind in FrameKind::ALL {
-            assert_eq!(FrameKind::from_label(kind.label()), Some(kind));
-        }
-        assert_eq!(FrameKind::from_label("NACK"), None);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! golden_ring_hash -- --nocapture print_current_hashes --ignored`.
 
 use dirca_mac::Scheme;
+use dirca_net::trace::RingTrace;
 use dirca_net::{NetWorld, SimConfig};
 use dirca_sim::rng::stream_rng;
 use dirca_sim::{SimTime, Simulation};
@@ -21,11 +22,10 @@ fn ring_trace_hash(scheme: Scheme, seed: u64) -> u64 {
 }
 
 /// Runs the golden ring configuration and hashes its frame trace. With
-/// `recorder` set, a [`dirca_net::trace::RingTrace`]
-/// recorder rides along and its JSONL export is returned for inspection —
-/// the frame-trace hash must not change either way, which is the
-/// observability layer's non-perturbation proof.
-fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Option<String>) {
+/// `recorder` set, a [`RingTrace`] recorder rides along and is returned for
+/// inspection — the frame-trace hash must not change either way, which is
+/// the observability layer's non-perturbation proof.
+fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Option<RingTrace>) {
     let spec = RingSpec::paper(5, 1.0);
     let mut topo_rng = stream_rng(seed, 0xA11CE);
     let topology = spec.generate(&mut topo_rng).expect("ring topology");
@@ -35,7 +35,7 @@ fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Opti
     let mut world = NetWorld::build(&topology, &config);
     world.enable_trace();
     if recorder {
-        world.attach_recorder(dirca_net::trace::RingTrace::with_capacity(1 << 16));
+        world.attach_recorder(RingTrace::with_capacity(1 << 16));
     }
     let mut sim = Simulation::new(world);
     {
@@ -44,14 +44,14 @@ fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Opti
     }
     sim.run_until(SimTime::from_millis(400));
     let mut world = sim.into_world();
-    let jsonl = world.take_recorder().map(|r| r.to_jsonl());
+    let records = world.take_recorder();
     let trace = world.trace().expect("trace enabled");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in format!("{trace:?}").bytes() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (hash, jsonl)
+    (hash, records)
 }
 
 /// (scheme, seed, FNV-1a of the trace) recorded on the pre-fast-path tree.
@@ -78,7 +78,7 @@ fn ring_traces_match_recorded_golden_hashes() {
 /// The observability layer's non-perturbation battery: attaching the
 /// trace recorder must reproduce the recorded golden hashes byte-for-byte
 /// (the recorder observes frames and RNG draws without touching either),
-/// and the exported JSONL itself must be deterministic across same-seed
+/// and the records themselves must be deterministic across same-seed
 /// runs.
 mod recorder_does_not_perturb {
     use super::*;
@@ -86,26 +86,27 @@ mod recorder_does_not_perturb {
     #[test]
     fn golden_hashes_survive_an_attached_recorder() {
         for &(scheme, seed, want) in RECORDED {
-            let (got, jsonl) = ring_trace_hash_with(scheme, seed, true);
+            let (got, records) = ring_trace_hash_with(scheme, seed, true);
             assert_eq!(
                 got, want,
                 "{scheme} seed {seed}: attaching the trace recorder perturbed the run"
             );
             assert!(
-                jsonl.expect("recorder attached").lines().count() > 100,
+                records.expect("recorder attached").len() > 100,
                 "{scheme} seed {seed}: recorder captured implausibly few records"
             );
         }
     }
 
     #[test]
-    fn same_seed_runs_emit_identical_jsonl() {
+    fn same_seed_runs_record_identical_traces() {
         for scheme in Scheme::ALL {
             let (_, a) = ring_trace_hash_with(scheme, 7, true);
             let (_, b) = ring_trace_hash_with(scheme, 7, true);
-            assert_eq!(
-                a, b,
-                "{scheme}: two same-seed runs exported different JSONL traces"
+            let (a, b) = (a.expect("recorder attached"), b.expect("recorder attached"));
+            assert!(
+                a.iter().eq(b.iter()),
+                "{scheme}: two same-seed runs recorded different traces"
             );
         }
     }

@@ -60,6 +60,11 @@ impl Histogram {
         }
     }
 
+    /// The `[lo, hi)` bounds the histogram was created with.
+    pub fn bounds(&self) -> (f64, f64) {
+        (self.lo, self.hi)
+    }
+
     /// Number of bins.
     pub fn len(&self) -> usize {
         self.bins.len()

@@ -4,16 +4,18 @@
 //! Every build compiles it in: `dirca-net` pushes records into an attached
 //! recorder, `dirca-experiments` exports them (`paper_grid --trace`) and
 //! reads them back (`trace_view`), and a run with nothing attached records
-//! nothing. It provides three pieces:
+//! nothing. It provides four pieces:
 //!
 //! * [`TraceRecord`] / [`RecordKind`] — typed, `Copy`, fixed-size records
 //!   of MAC/PHY events (frame tx/rx, backoff draws, NAV activity, timeouts,
-//!   fault hits), with a stable JSONL encoding.
+//!   fault hits).
 //! * [`RingTrace`] — a preallocated ring buffer holding the last N records
-//!   of a run, exportable as JSONL and hashable with the same FNV-1a
-//!   convention as the golden ring-trace tests.
+//!   of a run, counting the records it overwrote.
 //! * [`MetricsRegistry`] — statically-named counters, gauges, and
-//!   [`dirca_stats::Histogram`]s snapshotted into experiment reports.
+//!   [`dirca_stats::Histogram`]s snapshotted per traced cell.
+//! * [`wire`] — the CRC-framed binary encoding: the one on-disk trace
+//!   document (typed `RECORD` and `METRICS` payloads), the runner
+//!   checkpoint, and the `dirca-serve` protocol.
 //!
 //! Everything here is *observation only*: recording consumes no randomness,
 //! reads no wall clock, and never reorders events — the golden-hash test
@@ -26,10 +28,10 @@
 //! use dirca_mac::FrameKind;
 //! use dirca_radio::NodeId;
 //! use dirca_sim::SimTime;
+//! use dirca_trace::wire::{decode_record_payload, record_payload};
 //! use dirca_trace::{RecordKind, RingTrace, TraceRecord};
 //!
-//! let mut trace = RingTrace::with_capacity(1024);
-//! trace.push(TraceRecord {
+//! let record = TraceRecord {
 //!     time: SimTime::from_micros(20),
 //!     node: NodeId(1),
 //!     kind: RecordKind::FrameTx {
@@ -38,9 +40,11 @@
 //!         bytes: 1460,
 //!         directional: true,
 //!     },
-//! });
+//! };
+//! let mut trace = RingTrace::with_capacity(1024);
+//! trace.push(record);
 //! assert_eq!(trace.len(), 1);
-//! assert!(trace.to_jsonl().contains("\"ev\":\"frame_tx\""));
+//! assert_eq!(decode_record_payload(&record_payload(&record)), Ok(record));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,14 +52,12 @@
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
-pub mod json;
 mod metrics;
 mod record;
 mod ring;
 pub mod wire;
 
-pub use json::{Json, JsonError};
 pub use metrics::MetricsRegistry;
 pub use record::{RecordKind, TraceRecord};
-pub use ring::{fnv1a, RingTrace};
+pub use ring::RingTrace;
 pub use wire::{Frame, FrameDecoder, PayloadError, WireError, WireReader, WireWriter};

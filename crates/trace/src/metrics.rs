@@ -1,5 +1,6 @@
 //! A statically-named metrics registry: counters, gauges, and
-//! `dirca-stats` histograms, rendered as one JSON object.
+//! `dirca-stats` histograms, encoded as one typed `METRICS` wire payload
+//! ([`crate::wire::metrics_payload`]).
 //!
 //! Names are `&'static str` by construction, so the set of metrics a build
 //! can emit is fixed at compile time. Storage is ordered vectors with
@@ -7,16 +8,14 @@
 //! the simulation hot path, and registration order (not hash order)
 //! determines output order, keeping reports byte-stable across runs.
 
-use std::fmt::Write as _;
-
 use dirca_stats::Histogram;
 
 /// A snapshot-oriented registry of named metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
-    histograms: Vec<(&'static str, Histogram)>,
+    pub(crate) counters: Vec<(&'static str, u64)>,
+    pub(crate) gauges: Vec<(&'static str, f64)>,
+    pub(crate) histograms: Vec<(&'static str, Histogram)>,
 }
 
 impl MetricsRegistry {
@@ -43,8 +42,8 @@ impl MetricsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `value` is not finite — NaN/inf in a report JSON would
-    /// corrupt the document.
+    /// Panics if `value` is not finite — a NaN/inf gauge is a bug in the
+    /// code that computed it, not a measurement.
     pub fn set_gauge(&mut self, name: &'static str, value: f64) {
         assert!(value.is_finite(), "gauge {name} must be finite");
         match self.gauges.iter_mut().find(|(n, _)| *n == name) {
@@ -95,63 +94,12 @@ impl MetricsRegistry {
             .find(|(n, _)| *n == name)
             .map(|(_, h)| h)
     }
-
-    /// Renders the registry as one single-line JSON object:
-    ///
-    /// ```json
-    /// {"counters":{...},"gauges":{...},"histograms":{"name":
-    ///  {"lo":..,"hi":..,"bins":[..],"underflow":..,"overflow":..}}}
-    /// ```
-    ///
-    /// Keys appear in registration order. Gauges are rendered with `{:?}`
-    /// (shortest f64 round trip), so parsing the JSON back recovers the
-    /// exact values.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value:?}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let lo = h.bin_range(0).0;
-            let hi = h.bin_range(h.len() - 1).1;
-            let _ = write!(out, "\"{name}\":{{\"lo\":{lo:?},\"hi\":{hi:?},\"bins\":[");
-            for b in 0..h.len() {
-                if b > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", h.bin_count(b));
-            }
-            let _ = write!(
-                out,
-                "],\"underflow\":{},\"overflow\":{}}}",
-                h.underflow(),
-                h.overflow()
-            );
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use crate::wire::{decode_metrics_payload, metrics_payload};
 
     #[test]
     fn counters_accumulate() {
@@ -191,34 +139,30 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_parses_and_preserves_order() {
+    fn wire_snapshot_preserves_registration_order() {
         let mut m = MetricsRegistry::new();
         m.add_counter("b_second", 1);
         m.add_counter("a_first", 2);
         m.set_gauge("g", 1.5);
         m.record_histogram("h", 0.0, 4.0, 4, 2.5);
         m.record_histogram("h", 0.0, 4.0, 4, 9.0);
-        let text = m.to_json();
-        let v = Json::parse(&text).unwrap();
-        let counters = v.get("counters").unwrap().as_obj().unwrap();
-        assert_eq!(counters[0].0, "b_second");
-        assert_eq!(counters[1].0, "a_first");
-        assert_eq!(
-            v.get("gauges").unwrap().get("g").unwrap().as_num(),
-            Some(1.5)
-        );
-        let h = v.get("histograms").unwrap().get("h").unwrap();
-        assert_eq!(h.get("overflow").unwrap().as_u64(), Some(1));
-        assert_eq!(h.get("bins").unwrap().as_arr().unwrap().len(), 4);
+        let back = decode_metrics_payload(&metrics_payload(&m)).unwrap();
+        let names: Vec<&str> = back.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["b_second", "a_first"]);
+        assert_eq!(back.counter("a_first"), Some(2));
+        assert_eq!(back.gauges, [("g".to_string(), 1.5)]);
+        let h = &back.histograms[0];
+        assert_eq!((h.name.as_str(), h.lo, h.hi), ("h", 0.0, 4.0));
+        assert_eq!(h.bins, [0, 0, 1, 0]);
+        assert_eq!((h.underflow, h.overflow), (0, 1));
     }
 
     #[test]
-    fn empty_registry_renders_empty_objects() {
+    fn empty_registry_encodes_three_empty_sections() {
         let m = MetricsRegistry::new();
         assert!(m.is_empty());
-        assert_eq!(
-            m.to_json(),
-            r#"{"counters":{},"gauges":{},"histograms":{}}"#
-        );
+        assert_eq!(metrics_payload(&m), [0; 12]);
+        let back = decode_metrics_payload(&metrics_payload(&m)).unwrap();
+        assert!(back.counters.is_empty() && back.gauges.is_empty() && back.histograms.is_empty());
     }
 }

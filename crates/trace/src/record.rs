@@ -1,19 +1,15 @@
-//! Typed trace records and their JSONL encoding.
+//! Typed trace records.
 //!
 //! Every record is a fixed-size `Copy` value: recording is a stamp-and-push
 //! into a preallocated ring buffer, with no allocation, hashing, or clock
-//! reads on the hot path. The JSONL rendering below is the *documented
-//! schema* — `trace_view --check` and the CI smoke job validate exported
-//! traces against [`TraceRecord::from_json`], which is the exact inverse of
-//! [`TraceRecord::to_json_into`].
-
-use std::fmt::Write as _;
+//! reads on the hot path. A record's one serialised form is its `RECORD`
+//! frame payload ([`crate::wire::encode_record`]); `trace_view --check`
+//! validates exported traces against its exact inverse,
+//! [`crate::wire::decode_record`].
 
 use dirca_mac::{FrameKind, TimerKind};
 use dirca_radio::NodeId;
 use dirca_sim::SimTime;
-
-use crate::json::{escape_into, Json};
 
 /// One observable MAC/PHY event, stamped with sim-time and node id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,259 +72,4 @@ pub enum RecordKind {
     FaultCorrupt,
     /// A link outage suppressed an otherwise-clean reception.
     FaultOutage,
-}
-
-impl RecordKind {
-    /// The record's `ev` field: a stable snake_case event name.
-    pub fn event_name(&self) -> &'static str {
-        match self {
-            RecordKind::FrameTx { .. } => "frame_tx",
-            RecordKind::FrameRx { .. } => "frame_rx",
-            RecordKind::RxCorrupted => "rx_corrupted",
-            RecordKind::BackoffDraw { .. } => "backoff_draw",
-            RecordKind::NavSet { .. } => "nav_set",
-            RecordKind::NavExpire => "nav_expire",
-            RecordKind::Timeout { .. } => "timeout",
-            RecordKind::PacketAcked => "packet_acked",
-            RecordKind::PacketDropped => "packet_dropped",
-            RecordKind::FaultCorrupt => "fault_corrupt",
-            RecordKind::FaultOutage => "fault_outage",
-        }
-    }
-}
-
-impl TraceRecord {
-    /// Appends this record as one JSON object (no trailing newline).
-    ///
-    /// Field order is fixed: `t`, `node`, `ev`, then the event-specific
-    /// fields — so equal records render to byte-identical lines.
-    pub fn to_json_into(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"t\":{},\"node\":{},\"ev\":\"{}\"",
-            self.time.as_nanos(),
-            self.node.0,
-            self.kind.event_name()
-        );
-        match self.kind {
-            RecordKind::FrameTx {
-                kind,
-                peer,
-                bytes,
-                directional,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"frame\":\"{}\",\"peer\":{},\"bytes\":{bytes},\"dir\":{directional}",
-                    kind.label(),
-                    peer.0
-                );
-            }
-            RecordKind::FrameRx { kind, peer } => {
-                let _ = write!(out, ",\"frame\":\"{}\",\"peer\":{}", kind.label(), peer.0);
-            }
-            RecordKind::BackoffDraw { cw, slots } => {
-                let _ = write!(out, ",\"cw\":{cw},\"slots\":{slots}");
-            }
-            RecordKind::NavSet { until } => {
-                let _ = write!(out, ",\"until\":{}", until.as_nanos());
-            }
-            RecordKind::Timeout { timer } => {
-                out.push_str(",\"timer\":\"");
-                escape_into(out, timer.label());
-                out.push('"');
-            }
-            RecordKind::RxCorrupted
-            | RecordKind::NavExpire
-            | RecordKind::PacketAcked
-            | RecordKind::PacketDropped
-            | RecordKind::FaultCorrupt
-            | RecordKind::FaultOutage => {}
-        }
-        out.push('}');
-    }
-
-    /// This record as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        self.to_json_into(&mut out);
-        out
-    }
-
-    /// Parses a record from a decoded JSON object; the exact inverse of
-    /// [`TraceRecord::to_json_into`]. Used by `trace_view --check` and the
-    /// round-trip tests to validate exported traces against the schema.
-    pub fn from_json(value: &Json) -> Result<TraceRecord, &'static str> {
-        let time = value
-            .get("t")
-            .and_then(Json::as_u64)
-            .ok_or("missing or invalid 't'")?;
-        let node = value
-            .get("node")
-            .and_then(Json::as_u64)
-            .ok_or("missing or invalid 'node'")?;
-        let ev = value
-            .get("ev")
-            .and_then(Json::as_str)
-            .ok_or("missing or invalid 'ev'")?;
-        let frame = || {
-            value
-                .get("frame")
-                .and_then(Json::as_str)
-                .and_then(FrameKind::from_label)
-                .ok_or("missing or invalid 'frame'")
-        };
-        let peer = || {
-            value
-                .get("peer")
-                .and_then(Json::as_u64)
-                .ok_or("missing or invalid 'peer'")
-        };
-        let kind = match ev {
-            "frame_tx" => RecordKind::FrameTx {
-                kind: frame()?,
-                peer: NodeId(peer()? as usize),
-                bytes: value
-                    .get("bytes")
-                    .and_then(Json::as_u64)
-                    .and_then(|b| u32::try_from(b).ok())
-                    .ok_or("missing or invalid 'bytes'")?,
-                directional: value
-                    .get("dir")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing or invalid 'dir'")?,
-            },
-            "frame_rx" => RecordKind::FrameRx {
-                kind: frame()?,
-                peer: NodeId(peer()? as usize),
-            },
-            "rx_corrupted" => RecordKind::RxCorrupted,
-            "backoff_draw" => RecordKind::BackoffDraw {
-                cw: value
-                    .get("cw")
-                    .and_then(Json::as_u64)
-                    .and_then(|c| u32::try_from(c).ok())
-                    .ok_or("missing or invalid 'cw'")?,
-                slots: value
-                    .get("slots")
-                    .and_then(Json::as_u64)
-                    .and_then(|s| u32::try_from(s).ok())
-                    .ok_or("missing or invalid 'slots'")?,
-            },
-            "nav_set" => RecordKind::NavSet {
-                until: SimTime::from_nanos(
-                    value
-                        .get("until")
-                        .and_then(Json::as_u64)
-                        .ok_or("missing or invalid 'until'")?,
-                ),
-            },
-            "nav_expire" => RecordKind::NavExpire,
-            "timeout" => RecordKind::Timeout {
-                timer: value
-                    .get("timer")
-                    .and_then(Json::as_str)
-                    .and_then(TimerKind::from_label)
-                    .ok_or("missing or invalid 'timer'")?,
-            },
-            "packet_acked" => RecordKind::PacketAcked,
-            "packet_dropped" => RecordKind::PacketDropped,
-            "fault_corrupt" => RecordKind::FaultCorrupt,
-            "fault_outage" => RecordKind::FaultOutage,
-            _ => return Err("unknown 'ev' value"),
-        };
-        Ok(TraceRecord {
-            time: SimTime::from_nanos(time),
-            node: NodeId(node as usize),
-            kind,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dirca_sim::SimDuration;
-
-    fn all_kinds() -> Vec<RecordKind> {
-        let mut kinds = vec![
-            RecordKind::FrameTx {
-                kind: FrameKind::Rts,
-                peer: NodeId(3),
-                bytes: 1460,
-                directional: true,
-            },
-            RecordKind::FrameRx {
-                kind: FrameKind::Ack,
-                peer: NodeId(0),
-            },
-            RecordKind::RxCorrupted,
-            RecordKind::BackoffDraw { cw: 31, slots: 7 },
-            RecordKind::NavSet {
-                until: SimTime::from_micros(812),
-            },
-            RecordKind::NavExpire,
-            RecordKind::PacketAcked,
-            RecordKind::PacketDropped,
-            RecordKind::FaultCorrupt,
-            RecordKind::FaultOutage,
-        ];
-        for timer in TimerKind::ALL {
-            kinds.push(RecordKind::Timeout { timer });
-        }
-        kinds
-    }
-
-    #[test]
-    fn every_kind_round_trips_through_json() {
-        for (i, kind) in all_kinds().into_iter().enumerate() {
-            let record = TraceRecord {
-                time: SimTime::ZERO + SimDuration::from_micros(i as u64),
-                node: NodeId(i),
-                kind,
-            };
-            let line = record.to_json();
-            let parsed = Json::parse(&line).unwrap();
-            let back = TraceRecord::from_json(&parsed).unwrap();
-            assert_eq!(back, record, "mismatch for line {line}");
-        }
-    }
-
-    #[test]
-    fn rendering_is_stable() {
-        let record = TraceRecord {
-            time: SimTime::from_micros(20),
-            node: NodeId(1),
-            kind: RecordKind::FrameTx {
-                kind: FrameKind::Rts,
-                peer: NodeId(2),
-                bytes: 1460,
-                directional: false,
-            },
-        };
-        assert_eq!(
-            record.to_json(),
-            r#"{"t":20000,"node":1,"ev":"frame_tx","frame":"RTS","peer":2,"bytes":1460,"dir":false}"#
-        );
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_records() {
-        for bad in [
-            r#"{"node":1,"ev":"nav_expire"}"#,
-            r#"{"t":1,"ev":"nav_expire"}"#,
-            r#"{"t":1,"node":1}"#,
-            r#"{"t":1,"node":1,"ev":"warp_drive"}"#,
-            r#"{"t":1,"node":1,"ev":"frame_tx","frame":"XTS","peer":2,"bytes":0,"dir":true}"#,
-            r#"{"t":1,"node":1,"ev":"frame_tx","frame":"RTS","peer":2,"dir":true}"#,
-            r#"{"t":1,"node":1,"ev":"timeout","timer":"difs"}"#,
-            r#"{"t":1.5,"node":1,"ev":"nav_expire"}"#,
-        ] {
-            let parsed = Json::parse(bad).unwrap();
-            assert!(
-                TraceRecord::from_json(&parsed).is_err(),
-                "accepted malformed record {bad}"
-            );
-        }
-    }
 }

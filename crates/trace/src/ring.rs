@@ -2,18 +2,13 @@
 
 use crate::record::TraceRecord;
 
-/// FNV-1a offset basis, matching the golden-hash convention used by
-/// `crates/net/tests/golden_ring_hash.rs`.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// A bounded trace: the last `capacity` records of a run, oldest first.
 ///
 /// Storage is allocated once up front; recording never allocates. When the
 /// buffer is full the oldest record is overwritten and
 /// [`RingTrace::overwritten`] counts the loss, so a truncated trace is
-/// detectable rather than silent.
+/// detectable rather than silent: the grid trace export writes the count
+/// into each cell's `METRICS` payload as `records_overwritten`.
 #[derive(Debug, Clone)]
 pub struct RingTrace {
     buf: Vec<TraceRecord>,
@@ -77,34 +72,6 @@ impl RingTrace {
         let (tail, head) = self.buf.split_at(self.start.min(self.buf.len()));
         head.iter().chain(tail.iter())
     }
-
-    /// Renders the whole trace as JSONL, one record per line, oldest first,
-    /// each line terminated by `\n`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.len() * 96);
-        for record in self.iter() {
-            record.to_json_into(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// FNV-1a hash of the JSONL rendering — a compact fingerprint two
-    /// same-seed runs must agree on byte-for-byte.
-    pub fn hash(&self) -> u64 {
-        fnv1a(self.to_jsonl().as_bytes())
-    }
-}
-
-/// FNV-1a over `bytes`, using the same constants as the golden ring-trace
-/// hashes in `dirca-net`'s test suite.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -146,37 +113,6 @@ mod tests {
         assert_eq!(ring.overwritten(), 0);
         let times: Vec<u64> = ring.iter().map(|r| r.time.as_nanos()).collect();
         assert_eq!(times, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn jsonl_has_one_line_per_record() {
-        let mut ring = RingTrace::with_capacity(8);
-        for i in 0..3 {
-            ring.push(rec(i));
-        }
-        let jsonl = ring.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 3);
-        assert!(jsonl.ends_with('\n'));
-    }
-
-    #[test]
-    fn equal_contents_hash_equal() {
-        let mut a = RingTrace::with_capacity(4);
-        let mut b = RingTrace::with_capacity(4);
-        for i in 0..6 {
-            a.push(rec(i));
-            b.push(rec(i));
-        }
-        assert_eq!(a.hash(), b.hash());
-        b.push(rec(6));
-        assert_ne!(a.hash(), b.hash());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a("a") from the reference implementation.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! `dirca-wire`: the CRC-framed binary trace/wire format.
 //!
-//! JSONL traces are self-describing but heavy (~100 bytes per record) and
-//! fragile under truncation: a crash mid-write leaves a torn final line
-//! that a strict parser rejects wholesale. This module is the compact,
-//! crash-tolerant alternative — the on-disk format behind
-//! `paper_grid --trace-format bin`, the binary checkpoint format of the
+//! This is the workspace's one serialised form: the trace document
+//! `paper_grid --trace` writes, the binary checkpoint format of the
 //! fault-tolerant runner, and the socket protocol `dirca-serve` speaks.
+//! Frames are compact and crash-tolerant: a crash mid-write tears only
+//! the final frame, and the intact prefix still decodes.
+//!
+//! # Trace document
+//!
+//! One `TRACE_HEADER` frame (seed `u64`, cell count `u32`), then per cell
+//! a `CELL_MARKER` frame (n `u64`, θ `f64`, scheme `u8`, topology `u32`),
+//! one `RECORD` frame per trace record ([`encode_record`]), and exactly
+//! one `METRICS` frame closing the cell ([`metrics_payload`]).
 //!
 //! # Frame layout
 //!
@@ -39,11 +45,11 @@ use dirca_mac::{FrameKind, Scheme, TimerKind};
 use dirca_radio::NodeId;
 use dirca_sim::SimTime;
 
+use crate::metrics::MetricsRegistry;
 use crate::record::{RecordKind, TraceRecord};
 
-/// Frame magic: `"DCWF"` (DirCA Wire Format). Doubles as the format
-/// sniff for readers that accept both JSONL and binary inputs — no JSONL
-/// document starts with these bytes.
+/// Frame magic: `"DCWF"` (DirCA Wire Format). Every document starts with
+/// it, so readers refuse any other input before decoding a frame.
 pub const MAGIC: [u8; 4] = *b"DCWF";
 
 /// Schema version stamped into every frame. Bump on any layout change.
@@ -69,7 +75,7 @@ pub mod kind {
     pub const CELL_MARKER: u8 = 0x02;
     /// Trace document: one [`crate::TraceRecord`].
     pub const RECORD: u8 = 0x03;
-    /// Trace document: end-of-cell metrics snapshot (JSON text payload).
+    /// Trace document: end-of-cell metrics snapshot ([`super::metrics_payload`]).
     pub const METRICS: u8 = 0x04;
 
     /// Checkpoint: header (grid fingerprint).
@@ -637,9 +643,8 @@ const TAG_PACKET_DROPPED: u8 = 8;
 const TAG_FAULT_CORRUPT: u8 = 9;
 const TAG_FAULT_OUTAGE: u8 = 10;
 
-/// Encodes one [`TraceRecord`] into `w`; the binary twin of
-/// [`TraceRecord::to_json_into`]. Layout: `t:u64, node:u64, tag:u8`,
-/// then the tag's fields.
+/// Encodes one [`TraceRecord`] into `w`. Layout: `t:u64, node:u64,
+/// tag:u8`, then the tag's fields.
 pub fn encode_record(record: &TraceRecord, w: &mut WireWriter) {
     w.put_u64(record.time.as_nanos());
     w.put_u64(record.node.0 as u64);
@@ -751,6 +756,110 @@ pub fn decode_record_payload(payload: &[u8]) -> Result<TraceRecord, PayloadError
     let record = decode_record(&mut r)?;
     r.finish()?;
     Ok(record)
+}
+
+/// Encodes a [`MetricsRegistry`] as a `METRICS` payload: three
+/// count-prefixed sections (`u32` count each) in registration order —
+/// counters as `(name, u64)`, gauges as `(name, f64)`, histograms as
+/// `(name, lo: f64, hi: f64, bins: u32 count + u64 each, underflow: u64,
+/// overflow: u64)`. Names are length-prefixed strings.
+pub fn metrics_payload(metrics: &MetricsRegistry) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u32(metrics.counters.len() as u32);
+    for &(name, value) in &metrics.counters {
+        w.put_str(name);
+        w.put_u64(value);
+    }
+    w.put_u32(metrics.gauges.len() as u32);
+    for &(name, value) in &metrics.gauges {
+        w.put_str(name);
+        w.put_f64(value);
+    }
+    w.put_u32(metrics.histograms.len() as u32);
+    for (name, h) in &metrics.histograms {
+        let (lo, hi) = h.bounds();
+        w.put_str(name);
+        w.put_f64(lo);
+        w.put_f64(hi);
+        w.put_u32(h.len() as u32);
+        for bin in 0..h.len() {
+            w.put_u64(h.bin_count(bin));
+        }
+        w.put_u64(h.underflow());
+        w.put_u64(h.overflow());
+    }
+    w.into_bytes()
+}
+
+/// A decoded `METRICS` payload: a [`MetricsRegistry`]'s contents with
+/// owned names, in registration order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetricsSnapshot {
+    /// Counters as `(name, value)`.
+    pub counters: Vec<(String, u64)>,
+    /// Gauges as `(name, value)`.
+    pub gauges: Vec<(String, f64)>,
+    /// Histograms with their shape and counts.
+    pub histograms: Vec<HistogramSnapshot>,
+}
+
+/// One decoded histogram of a [`MetricsSnapshot`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistogramSnapshot {
+    /// The histogram's name.
+    pub name: String,
+    /// Lower bound of the first bin.
+    pub lo: f64,
+    /// Upper bound of the last bin.
+    pub hi: f64,
+    /// Per-bin counts, low to high.
+    pub bins: Vec<u64>,
+    /// Samples below `lo`.
+    pub underflow: u64,
+    /// Samples at or above `hi`.
+    pub overflow: u64,
+}
+
+impl MetricsSnapshot {
+    /// The value of counter `name`, if present.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+}
+
+/// Decodes a `METRICS` payload; the exact inverse of
+/// [`metrics_payload`], total over arbitrary bytes (counts are never
+/// trusted for preallocation) and requiring exact consumption.
+pub fn decode_metrics_payload(payload: &[u8]) -> Result<MetricsSnapshot, PayloadError> {
+    let mut r = WireReader::new(payload);
+    let mut m = MetricsSnapshot::default();
+    for _ in 0..r.take_u32()? {
+        m.counters.push((r.take_str()?.to_string(), r.take_u64()?));
+    }
+    for _ in 0..r.take_u32()? {
+        m.gauges.push((r.take_str()?.to_string(), r.take_f64()?));
+    }
+    for _ in 0..r.take_u32()? {
+        let name = r.take_str()?.to_string();
+        let (lo, hi) = (r.take_f64()?, r.take_f64()?);
+        let mut bins = Vec::new();
+        for _ in 0..r.take_u32()? {
+            bins.push(r.take_u64()?);
+        }
+        m.histograms.push(HistogramSnapshot {
+            name,
+            lo,
+            hi,
+            bins,
+            underflow: r.take_u64()?,
+            overflow: r.take_u64()?,
+        });
+    }
+    r.finish()?;
+    Ok(m)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //!   is caught, and frames before the flipped one still decode),
 //! * a truncate-at-every-byte sweep (every prefix decodes its intact
 //!   frames; mid-frame cuts yield `Truncated`),
-//! * random-garbage payload decoding (typed error, never a panic).
+//! * random-garbage payload decoding (typed error, never a panic),
+//! * a byte-exact fixture pinning the one on-disk trace format.
 
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
@@ -20,14 +21,13 @@ use dirca_mac::{FrameKind, TimerKind};
 use dirca_radio::NodeId;
 use dirca_sim::SimTime;
 use dirca_trace::wire::{
-    self, decode_all, decode_record_payload, encode_frame, encode_frame_into, kind, record_payload,
-    WireError, HEADER_LEN, TRAILER_LEN,
+    self, decode_all, decode_metrics_payload, decode_record_payload, encode_frame,
+    encode_frame_into, kind, metrics_payload, record_payload, WireError, HEADER_LEN,
 };
-use dirca_trace::{RecordKind, TraceRecord};
+use dirca_trace::{MetricsRegistry, RecordKind, TraceRecord};
 use proptest::prelude::*;
 
-/// One representative of every `RecordKind` variant (all timers included),
-/// mirroring the JSON round-trip fixture in `record.rs`.
+/// One representative of every `RecordKind` variant (all timers included).
 fn all_kinds() -> Vec<RecordKind> {
     let mut kinds = vec![
         RecordKind::FrameTx {
@@ -146,6 +146,7 @@ proptest! {
     fn garbage_payloads_never_panic(payload in prop::collection::vec(0u8..=255, 0..64)) {
         // Any outcome is fine as long as it is a value, not a panic.
         let _ = decode_record_payload(&payload);
+        let _ = decode_metrics_payload(&payload);
     }
 
     #[test]
@@ -158,7 +159,7 @@ proptest! {
 }
 
 /// Every record kind survives the binary round trip (deterministic twin of
-/// the proptest sweep, pinning the fixed corpus the JSON tests also use).
+/// the proptest sweep over a fixed corpus).
 #[test]
 fn every_kind_round_trips() {
     for (i, record_kind) in all_kinds().into_iter().enumerate() {
@@ -323,23 +324,101 @@ fn error_taxonomy_offsets() {
     }
 }
 
-/// Binary records are strictly smaller than their JSONL twins — the size
-/// claim EXPERIMENTS.md makes, pinned here so it cannot silently rot.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The one on-disk trace format, pinned byte for byte: the `RECORD`
+/// payload of every record kind, and one framed `METRICS` payload with a
+/// counter, a gauge and a histogram. Any diff here is a format change that
+/// makes every trace written before it unreadable.
 #[test]
-fn binary_records_are_smaller_than_jsonl() {
-    for (i, record_kind) in all_kinds().into_iter().enumerate() {
-        let record = TraceRecord {
-            time: SimTime::from_micros(i as u64),
-            node: NodeId(i),
-            kind: record_kind,
-        };
-        let framed = HEADER_LEN + record_payload(&record).len() + TRAILER_LEN;
-        let jsonl = record.to_json().len() + 1;
-        assert!(
-            framed < jsonl,
-            "framed binary record ({framed} B) not smaller than JSONL ({jsonl} B) for kind {i}"
+fn on_disk_format_is_pinned_byte_for_byte() {
+    let rec = |us: u64, node: usize, kind: RecordKind| TraceRecord {
+        time: SimTime::from_micros(us),
+        node: NodeId(node),
+        kind,
+    };
+    // Layout: t ns (u64) | node (u64) | tag (u8) | the tag's fields.
+    let rows = [
+        (
+            rec(0, 0, all_kinds()[0]),
+            "0000000000000000 0000000000000000 00 00 0300000000000000 b4050000 01",
+        ),
+        (
+            rec(1, 1, all_kinds()[1]),
+            "e803000000000000 0100000000000000 01 03 0000000000000000",
+        ),
+        (
+            rec(2, 2, RecordKind::RxCorrupted),
+            "d007000000000000 0200000000000000 02",
+        ),
+        (
+            rec(3, 3, RecordKind::BackoffDraw { cw: 31, slots: 7 }),
+            "b80b000000000000 0300000000000000 03 1f000000 07000000",
+        ),
+        (
+            rec(4, 4, all_kinds()[4]),
+            "a00f000000000000 0400000000000000 04 e0630c0000000000",
+        ),
+        (
+            rec(5, 5, RecordKind::NavExpire),
+            "8813000000000000 0500000000000000 05",
+        ),
+        (
+            rec(
+                6,
+                6,
+                RecordKind::Timeout {
+                    timer: TimerKind::AckTimeout,
+                },
+            ),
+            "7017000000000000 0600000000000000 06 04",
+        ),
+        (
+            rec(7, 7, RecordKind::PacketAcked),
+            "581b000000000000 0700000000000000 07",
+        ),
+        (
+            rec(8, 8, RecordKind::PacketDropped),
+            "401f000000000000 0800000000000000 08",
+        ),
+        (
+            rec(9, 9, RecordKind::FaultCorrupt),
+            "2823000000000000 0900000000000000 09",
+        ),
+        (
+            rec(10, 10, RecordKind::FaultOutage),
+            "1027000000000000 0a00000000000000 0a",
+        ),
+    ];
+    for (record, want) in rows {
+        assert_eq!(
+            hex(&record_payload(&record)),
+            want.replace(' ', ""),
+            "{record:?}"
         );
     }
+
+    let mut metrics = MetricsRegistry::new();
+    metrics.add_counter("acked", 3);
+    metrics.set_gauge("airtime_s", 0.5);
+    metrics.record_histogram("delay_s", 0.0, 1.0, 2, 0.25);
+    metrics.record_histogram("delay_s", 0.0, 1.0, 2, 1.5);
+    let framed = encode_frame(kind::METRICS, &metrics_payload(&metrics));
+    let want = [
+        "44435746 01 04 71000000", // magic, version, kind, len
+        "01000000 05000000 61636b6564 0300000000000000", // counters: acked = 3
+        "01000000 09000000 61697274696d655f73 000000000000e03f", // gauges: airtime_s = 0.5
+        "01000000 07000000 64656c61795f73", // histograms: delay_s
+        "0000000000000000 000000000000f03f", //   lo 0.0, hi 1.0
+        "02000000 0100000000000000 0000000000000000", //   bins [1, 0]
+        "0000000000000000 0100000000000000", //   underflow 0, overflow 1
+        "ce92c34f",                // CRC-32
+    ]
+    .concat()
+    .replace(' ', "");
+    assert_eq!(hex(&framed), want);
 }
 
 /// `wire::crc32` agrees with the IEEE reference on a longer vector, so
