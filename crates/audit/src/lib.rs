@@ -14,7 +14,7 @@
 //!
 //! * [`lexer`] tokenizes Rust source (comments, strings, raw strings,
 //!   lifetimes, numeric forms) so rules never see text inside literals;
-//! * [`cfg`] evaluates `#[cfg(...)]` predicates structurally;
+//! * [`cfg`](mod@cfg) evaluates `#[cfg(...)]` predicates structurally;
 //! * [`model`] recovers the item tree — notably, `#[cfg(test)]` scope is
 //!   tracked **wherever** it appears in a file, fixing the old
 //!   line-scanner's trailing-module assumption;

@@ -17,9 +17,11 @@
 //! kind `CKPT_HEADER` selects the checkpoint view, anything else the trace
 //! view. Input that does not start with the wire magic — a JSONL trace
 //! written by an older version, for one — is refused with
-//! [`ViewError::NotWire`], and a trace whose `METRICS` frames still carry
-//! the older JSON-string payload with [`ViewError::JsonMetrics`]; re-export
-//! either with `paper_grid --trace`.
+//! [`ViewError::NotWire`], a trace whose `METRICS` frames still carry the
+//! older JSON-string payload with [`ViewError::JsonMetrics`], and a record
+//! in an older layout (a `FrameTx` without the frame's NAV duration, `seq`
+//! and `created`) as a schema violation; re-export any of them with
+//! `paper_grid --trace`.
 //!
 //! A trace document is checked as a whole, not only frame by frame: the
 //! header's cell count must match the cell markers, every cell must be
@@ -94,9 +96,11 @@ enum ViewError {
     Invalid(String),
 }
 
+/// The advice for a trace in an older layout.
+const REEXPORT: &str = "re-export the trace with `paper_grid --trace PATH`";
+
 impl fmt::Display for ViewError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        const REEXPORT: &str = "re-export the trace with `paper_grid --trace PATH`";
         match self {
             ViewError::NotWire => write!(
                 f,
@@ -202,6 +206,10 @@ impl CellFold {
             }
             _ => out.push('\n'),
         }
+        // The rows count every record the ring held, for every node and
+        // over warm-up plus measurement; the metrics count only the
+        // measured nodes over the measurement window.
+        out.push_str("  records per node (every node, warm-up + measurement):\n");
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -223,7 +231,10 @@ impl CellFold {
             );
         }
         if let Some(acked) = metrics.counter("packets_acked") {
-            let _ = writeln!(out, "  metrics: packets_acked={acked}");
+            let _ = writeln!(
+                out,
+                "  metrics (measured nodes, measurement window): packets_acked={acked}"
+            );
         }
     }
 }
@@ -240,11 +251,10 @@ fn process_trace(bytes: &[u8], check_only: bool) -> Result<String, ViewError> {
     let mut cells_seen = 0u64;
     let mut records_seen = 0u64;
     for (idx, item) in wire::FrameDecoder::new(bytes).enumerate() {
+        // `WireError`'s Display leads with the byte offset.
         let frame = item.map_err(|e| {
             format!(
-                "byte {}: corrupt or truncated frame: {e} \
-                 ({idx} frames / {records_seen} records validated before the first bad input)",
-                e.offset()
+                "{e} ({idx} frames / {records_seen} records validated before the first bad input)"
             )
         })?;
         let frame_no = idx as u64 + 1;
@@ -288,9 +298,13 @@ fn process_trace(bytes: &[u8], check_only: bool) -> Result<String, ViewError> {
                 });
             }
             kind::RECORD => {
+                // An intact frame whose record does not decode is, short of
+                // a bug, a record in an older layout: older `FrameTx`
+                // records lack the NAV duration, `seq` and `created`.
                 let record = wire::decode_record_payload(&frame.payload).map_err(|e| {
                     format!(
-                        "{} ({records_seen} records validated before the first bad input)",
+                        "{} ({records_seen} records validated before the first bad input; \
+                         a trace from an older version? {REEXPORT})",
                         bad(&format!("schema violation: {e}"))
                     )
                 })?;
@@ -360,13 +374,8 @@ fn process_ckpt(bytes: &[u8], check_only: bool) -> Result<String, String> {
     let mut fingerprint = String::new();
     let (mut ok, mut failed) = (0u64, 0u64);
     for (idx, item) in wire::FrameDecoder::new(bytes).enumerate() {
-        let frame = item.map_err(|e| {
-            format!(
-                "byte {}: corrupt or truncated frame: {e} \
-                 ({idx} frames validated before the first bad input)",
-                e.offset()
-            )
-        })?;
+        let frame =
+            item.map_err(|e| format!("{e} ({idx} frames validated before the first bad input)"))?;
         let frame_no = idx + 1;
         let bad = |what: String| format!("frame {frame_no} ({:#04x}): {what}", frame.kind);
         if idx == 0 {
@@ -470,7 +479,14 @@ mod tests {
         );
         let fold = view(&doc, false).unwrap();
         assert!(fold.contains("cell N=3 theta=90 OrtsOcts — 2 records over 0.000 s\n"));
-        assert!(fold.contains("metrics: packets_acked=2"));
+        assert!(
+            fold.contains("  records per node (every node, warm-up + measurement):\n  node   0:"),
+            "{fold}"
+        );
+        assert!(
+            fold.contains("  metrics (measured nodes, measurement window): packets_acked=2\n"),
+            "{fold}"
+        );
         assert!(!fold.contains("overwritten"), "{fold}");
     }
 
@@ -556,7 +572,10 @@ mod tests {
         let err = view(&doc[..doc.len() - 5], true).unwrap_err();
         let message = err.to_string();
         assert!(message.starts_with("byte "), "got: {message}");
-        assert!(message.contains("corrupt or truncated frame"), "{message}");
+        let (before, _) = message
+            .split_once("truncated frame")
+            .unwrap_or_else(|| panic!("{message}"));
+        assert_eq!(before.matches("byte ").count(), 1, "{message}");
         assert!(
             message.contains("6 frames / 2 records validated"),
             "{message}"
@@ -601,6 +620,41 @@ mod tests {
         let err = view(&old, true).unwrap_err();
         assert_eq!(err, ViewError::JsonMetrics { frame: 4 });
         assert!(err.to_string().contains("re-export the trace"), "{err}");
+    }
+
+    #[test]
+    fn an_older_frame_tx_layout_is_refused_with_advice() {
+        let params = dirca_mac::Dot11Params::dsss_2mbps();
+        let rts = dirca_mac::Frame::rts(
+            dirca_radio::NodeId(0),
+            dirca_radio::NodeId(1),
+            1460,
+            &params,
+        );
+        let payload = wire::record_payload(&TraceRecord::transmission(
+            dirca_sim::SimTime::ZERO,
+            &rts,
+            false,
+        ));
+        // The layout of older versions: no duration, seq or created.
+        let older = &payload[..payload.len() - 24];
+        let doc = trace_fixture(1, 0);
+        let (frames, _) = wire::decode_all(&doc);
+        let mut old = Vec::new();
+        for frame in &frames {
+            let body = if frame.kind == kind::RECORD {
+                older
+            } else {
+                &frame.payload
+            };
+            encode_frame_into(frame.kind, body, &mut old);
+        }
+        let err = view(&old, true).unwrap_err().to_string();
+        assert!(
+            err.starts_with("frame 3 (0x03): schema violation: payload byte 31: missing u64 field"),
+            "{err}"
+        );
+        assert!(err.contains(REEXPORT), "{err}");
     }
 
     fn ckpt_fixture() -> Vec<u8> {
@@ -663,9 +717,11 @@ mod tests {
         let last_frame = doc.len() - last_len;
         let err = process_ckpt(&doc[..doc.len() - 5], true).unwrap_err();
         assert!(
-            err.starts_with(&format!("byte {last_frame}: corrupt or truncated frame")),
+            err.starts_with(&format!("byte {last_frame}: truncated frame")),
             "got: {err}"
         );
+        let (before, _) = err.split_once("truncated frame").unwrap();
+        assert_eq!(before.matches("byte ").count(), 1, "{err}");
         assert!(err.contains("2 frames validated"), "got: {err}");
     }
 }

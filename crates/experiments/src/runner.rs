@@ -456,7 +456,7 @@ fn load_checkpoint(
 /// compacting an already clean document returns it unchanged. Bytes that
 /// do not even start with a valid header are returned untouched —
 /// compaction never destroys what it cannot parse. The runner compacts
-/// only after [`load_checkpoint`] has classified the damage as a torn
+/// only after `load_checkpoint` has classified the damage as a torn
 /// tail, so no intact record is ever dropped.
 pub fn compacted_checkpoint(bytes: &[u8]) -> Vec<u8> {
     let (frames, _tail_error) = wire::decode_all(bytes);

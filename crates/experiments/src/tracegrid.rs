@@ -29,9 +29,9 @@ use crate::cli::Flags;
 use crate::report::GridScale;
 use crate::ringsim::topology_config;
 
-/// Ring-buffer capacity per traced cell run: 64 Ki records (~3 MB) keeps
-/// the full record stream of a `--quick` cell and the tail of a paper-scale
-/// one.
+/// Ring-buffer capacity per traced cell run: 64 Ki records of 56 B
+/// (`size_of::<TraceRecord>()`, 3.5 MiB) keeps the full record stream of a
+/// `--quick` cell and the tail of a paper-scale one.
 pub const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Renders the grid's trace document (see the module docs for the layout).

@@ -8,20 +8,24 @@
 //! transmit time from the very start of the run and will (correctly) flag a
 //! run it only observed partway.
 //!
-//! [`NavAuditor`] and [`AirtimeAuditor`] read the world's frame trace, so
-//! the world must have [`NetWorld::enable_trace`] switched on.
+//! [`NavAuditor`], [`TransceiverAuditor`] and [`AirtimeAuditor`] read the
+//! `FrameTx` records of the world's recorder, so the world must have one
+//! attached ([`NetWorld::attach_recorder`]). Each auditor counts every
+//! record the recorder has taken, so a ring that wraps still shows it every
+//! new frame, as long as no single event pushes more records than the ring
+//! holds.
 
-use dirca_mac::{DcfMac, FrameKind};
+use dirca_mac::{DcfMac, Frame, FrameKind};
 use dirca_sim::audit::Auditor;
 use dirca_sim::{Scheduler, SimDuration, SimTime};
+use dirca_trace::TraceRecord;
 
-use crate::world::TraceEntry;
 use crate::{NetEvent, NetWorld};
 
 /// The full standard set: causality, NAV consistency, transceiver
 /// legality, and airtime conservation.
 ///
-/// The world must have tracing enabled (see the module docs).
+/// The world must have a recorder attached (see the module docs).
 pub fn standard_auditors() -> Vec<Box<dyn Auditor<NetWorld>>> {
     vec![
         Box::new(dirca_sim::audit::CausalityAuditor::new()),
@@ -31,11 +35,49 @@ pub fn standard_auditors() -> Vec<Box<dyn Auditor<NetWorld>>> {
     ]
 }
 
-fn trace_of(world: &NetWorld, who: &str) -> usize {
-    match world.trace() {
-        Some(trace) => trace.len(),
-        None => panic!("audit[{who}]: NetWorld::enable_trace must be on before auditing"),
+/// The `FrameTx` records, with their frames, that `world`'s recorder took
+/// since it had taken `pushed` records in total; advances `pushed`.
+///
+/// # Panics
+///
+/// Panics `audit[<who>]` if no recorder is attached, if the recorder took
+/// fewer records than were already audited (it was replaced), or if the
+/// ring has already overwritten some of the new records.
+fn new_frames<'w>(
+    world: &'w NetWorld,
+    pushed: &mut u64,
+    who: &str,
+) -> impl Iterator<Item = (TraceRecord, Frame)> + 'w {
+    let Some(ring) = world.recorder() else {
+        panic!("audit[{who}]: NetWorld::attach_recorder must be called before auditing");
+    };
+    let total = ring.len() as u64 + ring.overwritten();
+    let Some(fresh) = total.checked_sub(*pushed) else {
+        panic!(
+            "audit[{who}]: the recorder has taken {total} records, fewer than the {} already \
+             audited: it was replaced mid-run",
+            *pushed
+        );
+    };
+    if fresh > ring.len() as u64 {
+        if *pushed == 0 {
+            panic!(
+                "audit[{who}]: the {}-record ring had already overwritten {} records when this \
+                 auditor first read it: install the auditor before the ring wraps",
+                ring.capacity(),
+                ring.overwritten()
+            );
+        }
+        panic!(
+            "audit[{who}]: {fresh} records arrived in one event, more than the {}-record ring \
+             holds",
+            ring.capacity()
+        );
     }
+    *pushed = total;
+    ring.iter()
+        .skip(ring.len() - fresh as usize)
+        .filter_map(|record| record.frame_tx().map(|(frame, _)| (*record, frame)))
 }
 
 /// NAV consistency: no node ever initiates an RTS while its own virtual
@@ -49,7 +91,7 @@ fn trace_of(world: &NetWorld, who: &str) -> usize {
 /// explicitly excludes them from virtual carrier sense.
 #[derive(Debug, Default)]
 pub struct NavAuditor {
-    seen: usize,
+    pushed: u64,
 }
 
 impl NavAuditor {
@@ -58,15 +100,18 @@ impl NavAuditor {
         Self::default()
     }
 
-    /// Checks one trace entry against the transmitting MAC's NAV, panicking
-    /// on a violation. Exposed so tests can exercise the rule on corrupted
-    /// state directly.
-    pub fn check_entry(entry: &TraceEntry, mac: &DcfMac) {
-        if entry.frame.kind == FrameKind::Rts && mac.nav().is_busy(entry.time) {
+    /// Checks one `FrameTx` record against the transmitting MAC's NAV,
+    /// panicking on a violation; other records pass. Exposed so tests can
+    /// exercise the rule on corrupted state directly.
+    pub fn check_entry(record: &TraceRecord, mac: &DcfMac) {
+        let rts = record
+            .frame_tx()
+            .is_some_and(|(frame, _)| frame.kind == FrameKind::Rts);
+        if rts && mac.nav().is_busy(record.time) {
             panic!(
                 "audit[nav]: {} transmitted an RTS at {} while its NAV was reserved until {}",
                 mac.id(),
-                entry.time,
+                record.time,
                 mac.nav().until()
             );
         }
@@ -75,13 +120,9 @@ impl NavAuditor {
 
 impl Auditor<NetWorld> for NavAuditor {
     fn after_event(&mut self, _now: SimTime, world: &NetWorld, _sched: &Scheduler<NetEvent>) {
-        let len = trace_of(world, "nav");
-        if let Some(trace) = world.trace() {
-            for entry in &trace[self.seen..] {
-                Self::check_entry(entry, &world.macs()[entry.frame.src.0]);
-            }
+        for (record, frame) in new_frames(world, &mut self.pushed, "nav") {
+            Self::check_entry(&record, &world.macs()[frame.src.0]);
         }
-        self.seen = len;
     }
 }
 
@@ -104,7 +145,7 @@ pub struct TransceiverAuditor {
     /// Node whose `TxEnd` is being dispatched (set in `before_event`,
     /// resolved in `after_event`).
     ending: Option<usize>,
-    seen: usize,
+    pushed: u64,
 }
 
 impl TransceiverAuditor {
@@ -181,21 +222,18 @@ impl Auditor<NetWorld> for TransceiverAuditor {
             );
             self.tx_until[node] = None;
         }
-        // New transmissions appear in the trace at the instant they start.
-        if let Some(trace) = world.trace() {
-            for entry in &trace[self.seen..] {
-                let src = entry.frame.src.0;
-                assert!(
-                    self.tx_until[src].is_none(),
-                    "audit[transceiver]: {} began a transmission at {} while one was already \
-                     on the air until {:?} (half-duplex violation)",
-                    entry.frame.src,
-                    entry.time,
-                    self.tx_until[src]
-                );
-                self.tx_until[src] = Some(entry.time + world.params().frame_airtime(&entry.frame));
-            }
-            self.seen = trace.len();
+        // New transmissions appear in the recorder at the instant they start.
+        for (record, frame) in new_frames(world, &mut self.pushed, "transceiver") {
+            let src = frame.src.0;
+            assert!(
+                self.tx_until[src].is_none(),
+                "audit[transceiver]: {} began a transmission at {} while one was already on \
+                 the air until {:?} (half-duplex violation)",
+                frame.src,
+                record.time,
+                self.tx_until[src]
+            );
+            self.tx_until[src] = Some(record.time + world.params().frame_airtime(&frame));
         }
         // The shadow state and the PHY must agree between events.
         for (n, phy) in world.transceivers().iter().enumerate() {
@@ -213,8 +251,8 @@ impl Auditor<NetWorld> for TransceiverAuditor {
 /// each PHY reports spending in transmission plus the time it reports idle
 /// must equal the elapsed simulated time, and the transmit share must
 /// exactly equal the summed airtime of the frames the node put on the air
-/// (as derived independently from the frame trace and the PHY timing
-/// parameters).
+/// (as derived independently from the recorder's `FrameTx` records and the
+/// PHY timing parameters).
 ///
 /// This cross-checks three things that are computed through separate code
 /// paths — `TxEnd` scheduling, `frame_airtime`, and the PHY transmit flag —
@@ -225,12 +263,12 @@ pub struct AirtimeAuditor {
     last: SimTime,
     busy: Vec<SimDuration>,
     idle: Vec<SimDuration>,
-    /// Airtime the trace says each node transmitted.
+    /// Airtime the recorded frames say each node transmitted.
     declared: Vec<SimDuration>,
     /// Scheduled end of each node's transmission in progress, to discount
     /// the unelapsed tail of an in-flight frame at `finish` time.
     tx_until: Vec<Option<SimTime>>,
-    seen: usize,
+    pushed: u64,
 }
 
 impl AirtimeAuditor {
@@ -274,16 +312,12 @@ impl Auditor<NetWorld> for AirtimeAuditor {
     }
 
     fn after_event(&mut self, _now: SimTime, world: &NetWorld, _sched: &Scheduler<NetEvent>) {
-        let len = trace_of(world, "airtime");
-        if let Some(trace) = world.trace() {
-            for entry in &trace[self.seen..] {
-                let src = entry.frame.src.0;
-                let airtime = world.params().frame_airtime(&entry.frame);
-                self.declared[src] += airtime;
-                self.tx_until[src] = Some(entry.time + airtime);
-            }
+        for (record, frame) in new_frames(world, &mut self.pushed, "airtime") {
+            let src = frame.src.0;
+            let airtime = world.params().frame_airtime(&frame);
+            self.declared[src] += airtime;
+            self.tx_until[src] = Some(record.time + airtime);
         }
-        self.seen = len;
     }
 
     fn finish(&mut self, now: SimTime, world: &NetWorld) {
@@ -304,7 +338,7 @@ impl Auditor<NetWorld> for AirtimeAuditor {
             }
             assert!(
                 self.busy[n] == declared,
-                "audit[airtime]: node {n} PHY-integrated transmit time {:?} != trace-declared \
+                "audit[airtime]: node {n} PHY-integrated transmit time {:?} != recorded \
                  airtime {declared:?}",
                 self.busy[n]
             );

@@ -45,7 +45,7 @@ mod world;
 pub use config::{MobilityConfig, SimConfig, TrafficModel};
 pub use result::{NodeReport, RunResult};
 pub use shard::{run_sharded, run_sharded_guarded, ShardNetWorld, ShardedNetSim, DEFAULT_SHARDS};
-pub use world::{AirtimeBreakdown, AppStats, NetEvent, NetWorld, TraceEntry};
+pub use world::{AirtimeBreakdown, AppStats, NetEvent, NetWorld};
 
 // Fault-injection plumbing, re-exported so experiment code can configure a
 // faulted run without depending on the radio crate directly.
@@ -57,6 +57,7 @@ pub use dirca_topology::MobilityModel;
 
 use dirca_sim::{SimTime, Simulation};
 use dirca_topology::Topology;
+use dirca_trace::RingTrace;
 
 /// Builds a [`NetWorld`] from `topology` and `config`, runs the warm-up and
 /// measurement windows, and collects the results.
@@ -69,7 +70,9 @@ use dirca_topology::Topology;
 /// Panics if the topology is empty or node positions are invalid for the
 /// channel (see [`NetWorld::build`]).
 pub fn run(topology: &Topology, config: &SimConfig) -> RunResult {
-    run_with(topology, config, None).unwrap_or_else(|abort| panic!("{abort}"))
+    run_with(topology, config, None, None)
+        .unwrap_or_else(|abort| panic!("{abort}"))
+        .0
 }
 
 /// Like [`run`], but the whole run (warm-up and measurement) executes
@@ -85,17 +88,21 @@ pub fn run_guarded(
     config: &SimConfig,
     watchdog: Watchdog,
 ) -> Result<RunResult, RunAborted> {
-    run_with(topology, config, Some(watchdog))
+    run_with(topology, config, Some(watchdog), None).map(|(result, _)| result)
 }
 
-/// The one classic run lifecycle: build, prime, warm up, reset, measure,
-/// collect. `None` installs no watchdog, so the event loop checks nothing.
-fn run_with(
+/// The one classic run lifecycle: build, attach `recorder`, prime, warm
+/// up, reset, measure, collect. `None` installs no watchdog, so the event
+/// loop checks nothing. Returns the recorder with the result.
+pub(crate) fn run_with(
     topology: &Topology,
     config: &SimConfig,
     watchdog: Option<Watchdog>,
-) -> Result<RunResult, RunAborted> {
-    let mut sim = Simulation::new(NetWorld::build(topology, config));
+    recorder: Option<RingTrace>,
+) -> Result<(RunResult, Option<RingTrace>), RunAborted> {
+    let mut world = NetWorld::build(topology, config);
+    world.recorder = recorder;
+    let mut sim = Simulation::new(world);
     sim.set_watchdog(watchdog);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
@@ -107,7 +114,9 @@ fn run_with(
     let end = warmup_end + config.measure;
     sim.try_run_until(end)?;
     let events = sim.events_processed();
-    Ok(RunResult::collect(sim.into_world(), config.measure, events))
+    let recorder = sim.world_mut().take_recorder();
+    let result = RunResult::collect(sim.into_world(), config.measure, events);
+    Ok((result, recorder))
 }
 
 #[cfg(test)]

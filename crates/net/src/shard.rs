@@ -62,7 +62,7 @@ use dirca_sim::{
 use dirca_topology::Topology;
 
 use crate::result::{NodeReport, RunResult};
-use crate::world::{NetEvent, NetSched, NetWorld, TraceEntry};
+use crate::world::{NetEvent, NetSched, NetWorld};
 use crate::SimConfig;
 
 /// Default shard count for partitioned runs: enough stripes to feed a
@@ -287,8 +287,8 @@ impl ShardedNetSim {
         &self.sim.world(shard).world
     }
 
-    /// Mutable access to shard `shard`'s world replica (for trace and
-    /// recorder attachment).
+    /// Mutable access to shard `shard`'s world replica (for recorder
+    /// attachment).
     ///
     /// # Panics
     ///
@@ -305,26 +305,6 @@ impl ShardedNetSim {
             let (world, mut sched) = shard.split(&mut ctx);
             world.prime_in(&mut sched);
         }
-    }
-
-    /// Starts transmission tracing on every shard.
-    pub fn enable_trace(&mut self) {
-        for shard in self.sim.worlds_mut() {
-            shard.world.enable_trace();
-        }
-    }
-
-    /// The per-shard transmission traces merged into one timeline: shard
-    /// traces are concatenated in shard order and stably sorted by time,
-    /// so the merged order is a pure function of the shard count. Returns
-    /// `None` unless tracing was enabled on every shard.
-    pub fn merged_trace(&self) -> Option<Vec<TraceEntry>> {
-        let mut merged: Vec<TraceEntry> = Vec::new();
-        for shard in self.sim.worlds() {
-            merged.extend_from_slice(shard.world.trace()?);
-        }
-        merged.sort_by_key(|entry| entry.time);
-        Some(merged)
     }
 
     /// Installs (or clears) the runaway watchdog, checked between windows.
@@ -453,7 +433,6 @@ mod tests {
     use super::*;
     use crate::run;
     use dirca_mac::Scheme;
-    use dirca_sim::Simulation;
     use dirca_topology::fixtures;
 
     fn quick(scheme: Scheme) -> SimConfig {
@@ -461,57 +440,6 @@ mod tests {
             .with_seed(11)
             .with_warmup(SimDuration::from_millis(20))
             .with_measure(SimDuration::from_millis(200))
-    }
-
-    /// Classic engine trace of `topo` under `config`, to `end`.
-    fn classic_trace(topo: &Topology, config: &SimConfig, end: SimTime) -> Vec<TraceEntry> {
-        let mut world = NetWorld::build(topo, config);
-        world.enable_trace();
-        let mut sim = Simulation::new(world);
-        {
-            let (world, sched) = sim.world_and_scheduler_mut();
-            world.prime(sched);
-        }
-        sim.run_until(end);
-        sim.into_world().trace().unwrap().to_vec()
-    }
-
-    fn sharded_trace(
-        topo: &Topology,
-        config: &SimConfig,
-        end: SimTime,
-        shards: u32,
-        workers: usize,
-    ) -> Vec<TraceEntry> {
-        let mut sim = ShardedNetSim::build(topo, config, shards);
-        sim.enable_trace();
-        sim.prime();
-        sim.run_until(end, workers);
-        sim.merged_trace().unwrap()
-    }
-
-    #[test]
-    fn one_shard_reproduces_the_classic_trace() {
-        let topo = fixtures::parallel_pairs();
-        let config = quick(Scheme::OrtsOcts);
-        let end = SimTime::from_millis(100);
-        let classic = classic_trace(&topo, &config, end);
-        let sharded = sharded_trace(&topo, &config, end, 1, 1);
-        assert!(!classic.is_empty(), "fixture must produce traffic");
-        assert_eq!(classic, sharded, "one shard must be byte-identical");
-    }
-
-    #[test]
-    fn sharded_trace_is_worker_count_invariant() {
-        let topo = fixtures::parallel_pairs();
-        let config = quick(Scheme::DrtsDcts).with_beamwidth_degrees(30.0);
-        let end = SimTime::from_millis(100);
-        let w1 = sharded_trace(&topo, &config, end, 4, 1);
-        let w2 = sharded_trace(&topo, &config, end, 4, 2);
-        let w4 = sharded_trace(&topo, &config, end, 4, 4);
-        assert!(!w1.is_empty());
-        assert_eq!(w1, w2);
-        assert_eq!(w1, w4);
     }
 
     #[test]

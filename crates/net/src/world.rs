@@ -102,17 +102,6 @@ impl NetEvent {
     }
 }
 
-/// One transmission recorded by the optional frame trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEntry {
-    /// When the frame started on the air.
-    pub time: SimTime,
-    /// The frame (kind, src, dst, duration field).
-    pub frame: Frame,
-    /// Whether it was beamformed.
-    pub directional: bool,
-}
-
 /// Airtime a node spent transmitting, split by frame kind — the direct
 /// measurement of the paper's "time spent coordinating vs sending data"
 /// argument.
@@ -242,11 +231,11 @@ pub struct NetWorld {
     pub(crate) measured: usize,
     pub(crate) next_signal: u64,
     pub(crate) faults: Option<FaultState>,
-    pub(crate) trace: Option<Vec<TraceEntry>>,
-    /// Structured trace recorder, attached by [`NetWorld::attach_recorder`].
-    /// Observation only: recording consumes no randomness and schedules
-    /// nothing, so an attached recorder leaves runs byte-identical (the
-    /// golden ring-hash battery enforces this).
+    /// Structured trace recorder, attached by [`NetWorld::attach_recorder`];
+    /// its `FrameTx` records are the one frame log. Observation only:
+    /// recording consumes no randomness and schedules nothing, so an
+    /// attached recorder leaves runs byte-identical (the golden battery
+    /// checks a run without one against the recorded run).
     pub(crate) recorder: Option<RingTrace>,
     /// Event-queue capacity hint applied at [`NetWorld::prime`] time (the
     /// expected steady-state event population, sized at build).
@@ -384,7 +373,6 @@ impl NetWorld {
             measured: topology.measured,
             next_signal: 0,
             faults,
-            trace: None,
             recorder: None,
             expected_events,
             scratch,
@@ -394,19 +382,9 @@ impl NetWorld {
         }
     }
 
-    /// Starts recording every transmission into an in-memory trace
-    /// (intended for tests and debugging, not for long measurement runs).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded transmissions, if tracing was enabled.
-    pub fn trace(&self) -> Option<&[TraceEntry]> {
-        self.trace.as_deref()
-    }
-
     /// Attaches a structured trace recorder; subsequent MAC/PHY activity is
-    /// pushed into it as typed [`TraceRecord`]s.
+    /// pushed into it as typed [`TraceRecord`]s, every transmitted frame
+    /// as a `FrameTx` record ([`TraceRecord::frame_tx`] rebuilds it).
     pub fn attach_recorder(&mut self, recorder: RingTrace) {
         self.recorder = Some(recorder);
     }
@@ -577,7 +555,6 @@ impl NetWorld {
             app,
             params,
             next_signal,
-            trace,
             recorder,
             record_delays,
             ..
@@ -592,7 +569,6 @@ impl NetWorld {
             rng: &mut rngs[node.0],
             next_signal,
             app: &mut app[node.0],
-            trace,
             recorder,
             record_delays: *record_delays,
             muted,
@@ -1195,7 +1171,6 @@ struct Ctx<'a, S> {
     rng: &'a mut SmallRng,
     next_signal: &'a mut u64,
     app: &'a mut AppStats,
-    trace: &'a mut Option<Vec<TraceEntry>>,
     recorder: &'a mut Option<RingTrace>,
     record_delays: bool,
     /// The node's radio is in an outage window at this instant: its
@@ -1226,19 +1201,13 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
     }
 
     fn transmit(&mut self, frame: Frame, directional: bool) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEntry {
-                time: self.sched.now(),
-                frame,
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.push(TraceRecord::transmission(
+                self.sched.now(),
+                &frame,
                 directional,
-            });
+            ));
         }
-        self.record(RecordKind::FrameTx {
-            kind: frame.kind,
-            peer: frame.dst,
-            bytes: frame.payload_bytes,
-            directional,
-        });
         let duration = self.params.frame_airtime(&frame);
         match frame.kind {
             FrameKind::Rts => self.app.airtime.rts += duration,

@@ -1,43 +1,30 @@
 //! Determinism: two same-seed runs on a random ring topology must produce
-//! byte-identical frame traces and identical counters.
+//! byte-identical records (the frame log among them) and identical
+//! counters.
 //!
 //! This is the repository's guard against ordering-sensitive state sneaking
 //! back into the simulation path (e.g. hash-map iteration, thread timing,
 //! or entropy-seeded RNGs): any such regression shows up as a trace
 //! divergence long before it would be visible in aggregate statistics.
 
-use dirca_mac::Scheme;
-use dirca_net::{NetWorld, SimConfig};
-use dirca_sim::rng::stream_rng;
-use dirca_sim::{SimTime, Simulation};
-use dirca_topology::RingSpec;
+mod common;
 
-/// Runs one simulation on a seeded random ring and returns the full frame
-/// trace serialized to bytes, plus headline counters.
+use dirca_mac::Scheme;
+use dirca_net::trace::run_traced;
+
+/// Runs one simulation on a seeded random ring and returns every record
+/// its recorder took (the frame log among them) serialized to bytes, plus
+/// headline counters.
 fn ring_run(scheme: Scheme, seed: u64) -> (Vec<u8>, u64, u64) {
-    let spec = RingSpec::paper(5, 1.0);
-    let mut topo_rng = stream_rng(seed, 0xA11CE);
-    let topology = spec.generate(&mut topo_rng).expect("ring topology");
-    let config = SimConfig::new(scheme)
-        .with_seed(seed)
-        .with_beamwidth_degrees(30.0);
-    let mut world = NetWorld::build(&topology, &config);
-    world.enable_trace();
-    let mut sim = Simulation::new(world);
-    {
-        let (world, sched) = sim.world_and_scheduler_mut();
-        world.prime(sched);
-    }
-    sim.run_until(SimTime::from_millis(400));
-    let events = sim.events_processed();
-    let world = sim.into_world();
-    let trace = world.trace().expect("trace enabled");
-    let acked: u64 = world
-        .macs()
-        .iter()
-        .map(|m| m.counters().packets_acked)
-        .sum();
-    (format!("{trace:?}").into_bytes(), events, acked)
+    let config = common::ring_config(scheme, seed);
+    let (result, ring) = run_traced(&common::ring_topology(seed), &config, common::CAPACITY);
+    let trace = common::ring_records(&ring);
+    assert!(trace.len() > 100, "{scheme}: implausibly few records");
+    (
+        format!("{trace:?}").into_bytes(),
+        result.events_processed(),
+        result.aggregate_counters().packets_acked,
+    )
 }
 
 #[test]
@@ -45,7 +32,6 @@ fn same_seed_ring_runs_are_byte_identical() {
     for scheme in Scheme::ALL {
         let (trace_a, events_a, acked_a) = ring_run(scheme, 7);
         let (trace_b, events_b, acked_b) = ring_run(scheme, 7);
-        assert!(!trace_a.is_empty(), "{scheme}: empty trace");
         assert_eq!(events_a, events_b, "{scheme}: event counts diverged");
         assert_eq!(acked_a, acked_b, "{scheme}: throughput diverged");
         assert_eq!(trace_a, trace_b, "{scheme}: traces are not byte-identical");

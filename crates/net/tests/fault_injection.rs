@@ -2,6 +2,8 @@
 //! transparency, seed reproducibility, FER-driven retry pressure, per-link
 //! asymmetry, and outage recovery.
 
+mod common;
+
 use dirca_mac::Scheme;
 use dirca_net::{run, FaultPlan, NetWorld, RunResult, SimConfig};
 use dirca_radio::NodeId;
@@ -149,7 +151,7 @@ fn muted_node_radiates_nothing_during_outage() {
         .with_fault(plan.clone())
         .with_traffic(dirca_net::TrafficModel::Manual);
     let mut world = NetWorld::build(&topo, &cfg);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
@@ -186,14 +188,14 @@ fn fault_draws_do_not_disturb_backoff_streams() {
         let cfg =
             quick(Scheme::OrtsOcts).with_fault(FaultPlan::default().with_frame_error_rate(fer));
         let mut world = NetWorld::build(&topo, &cfg);
-        world.enable_trace();
+        world.attach_recorder(common::recorder());
         let mut sim = Simulation::new(world);
         {
             let (world, sched) = sim.world_and_scheduler_mut();
             world.prime(sched);
         }
         sim.run_until(SimTime::from_millis(20));
-        sim.world().trace().expect("trace enabled")[0].time
+        common::world_log(sim.world())[0].time
     };
     assert_eq!(trace_start(0.4), trace_start(0.0));
 }

@@ -1,5 +1,7 @@
 //! Recorded golden ring traces: the full frame trace of one seeded random
-//! ring run per scheme, pinned by FNV-1a hash.
+//! ring run per scheme, pinned by FNV-1a hash. The hashed bytes are the
+//! Debug form of the frame log rebuilt from the recorder's `FrameTx`
+//! records (`common/mod.rs`).
 //!
 //! The determinism test (`determinism.rs`) proves two same-seed runs agree
 //! with *each other*; this test pins them against values recorded before
@@ -9,50 +11,11 @@
 //! hashes, re-record them with `cargo test -p dirca-net --test
 //! golden_ring_hash -- --nocapture print_current_hashes --ignored`.
 
+mod common;
+
 use dirca_mac::Scheme;
-use dirca_net::trace::RingTrace;
-use dirca_net::{NetWorld, SimConfig};
-use dirca_sim::rng::stream_rng;
-use dirca_sim::{SimTime, Simulation};
-use dirca_topology::RingSpec;
-
-/// FNV-1a over the debug-serialized frame trace.
-fn ring_trace_hash(scheme: Scheme, seed: u64) -> u64 {
-    ring_trace_hash_with(scheme, seed, false).0
-}
-
-/// Runs the golden ring configuration and hashes its frame trace. With
-/// `recorder` set, a [`RingTrace`] recorder rides along and is returned for
-/// inspection — the frame-trace hash must not change either way, which is
-/// the observability layer's non-perturbation proof.
-fn ring_trace_hash_with(scheme: Scheme, seed: u64, recorder: bool) -> (u64, Option<RingTrace>) {
-    let spec = RingSpec::paper(5, 1.0);
-    let mut topo_rng = stream_rng(seed, 0xA11CE);
-    let topology = spec.generate(&mut topo_rng).expect("ring topology");
-    let config = SimConfig::new(scheme)
-        .with_seed(seed)
-        .with_beamwidth_degrees(30.0);
-    let mut world = NetWorld::build(&topology, &config);
-    world.enable_trace();
-    if recorder {
-        world.attach_recorder(RingTrace::with_capacity(1 << 16));
-    }
-    let mut sim = Simulation::new(world);
-    {
-        let (world, sched) = sim.world_and_scheduler_mut();
-        world.prime(sched);
-    }
-    sim.run_until(SimTime::from_millis(400));
-    let mut world = sim.into_world();
-    let records = world.take_recorder();
-    let trace = world.trace().expect("trace enabled");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{trace:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash, records)
-}
+use dirca_net::run;
+use dirca_net::trace::run_traced;
 
 /// (scheme, seed, FNV-1a of the trace) recorded on the pre-fast-path tree.
 const RECORDED: &[(Scheme, u64, u64)] = &[
@@ -67,7 +30,7 @@ const RECORDED: &[(Scheme, u64, u64)] = &[
 #[test]
 fn ring_traces_match_recorded_golden_hashes() {
     for &(scheme, seed, want) in RECORDED {
-        let got = ring_trace_hash(scheme, seed);
+        let got = common::ring_hash(scheme, seed, |c| c);
         assert_eq!(
             got, want,
             "{scheme} seed {seed}: trace diverged from the recorded golden run"
@@ -75,40 +38,23 @@ fn ring_traces_match_recorded_golden_hashes() {
     }
 }
 
-/// The observability layer's non-perturbation battery: attaching the
-/// trace recorder must reproduce the recorded golden hashes byte-for-byte
-/// (the recorder observes frames and RNG draws without touching either),
-/// and the records themselves must be deterministic across same-seed
-/// runs.
-mod recorder_does_not_perturb {
-    use super::*;
-
-    #[test]
-    fn golden_hashes_survive_an_attached_recorder() {
-        for &(scheme, seed, want) in RECORDED {
-            let (got, records) = ring_trace_hash_with(scheme, seed, true);
-            assert_eq!(
-                got, want,
-                "{scheme} seed {seed}: attaching the trace recorder perturbed the run"
-            );
-            assert!(
-                records.expect("recorder attached").len() > 100,
-                "{scheme} seed {seed}: recorder captured implausibly few records"
-            );
-        }
-    }
-
-    #[test]
-    fn same_seed_runs_record_identical_traces() {
-        for scheme in Scheme::ALL {
-            let (_, a) = ring_trace_hash_with(scheme, 7, true);
-            let (_, b) = ring_trace_hash_with(scheme, 7, true);
-            let (a, b) = (a.expect("recorder attached"), b.expect("recorder attached"));
-            assert!(
-                a.iter().eq(b.iter()),
-                "{scheme}: two same-seed runs recorded different traces"
-            );
-        }
+/// The observability layer's non-perturbation battery: a run with no
+/// recorder attached must process the same events and report the same
+/// per-node results as the recorded golden run (the recorder observes
+/// frames and RNG draws without touching either). `determinism.rs`
+/// requires the records themselves to be identical across same-seed runs.
+#[test]
+fn unrecorded_runs_match_the_recorded_golden_runs() {
+    for &(scheme, seed, _) in RECORDED {
+        let topology = common::ring_topology(seed);
+        let config = common::ring_config(scheme, seed);
+        let (recorded, _) = run_traced(&topology, &config, common::CAPACITY);
+        let plain = run(&topology, &config);
+        assert_eq!(
+            (plain.events_processed(), format!("{:?}", plain.nodes)),
+            (recorded.events_processed(), format!("{:?}", recorded.nodes)),
+            "{scheme} seed {seed}: attaching the trace recorder perturbed the run"
+        );
     }
 }
 
@@ -119,7 +65,7 @@ fn print_current_hashes() {
         for seed in [7u64, 21] {
             println!(
                 "    (Scheme::{scheme:?}, {seed}, 0x{:016x}),",
-                ring_trace_hash(scheme, seed)
+                common::ring_hash(scheme, seed, |c| c)
             );
         }
     }

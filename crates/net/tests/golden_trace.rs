@@ -8,6 +8,8 @@
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
+mod common;
+
 use dirca_mac::{FrameKind, Scheme};
 use dirca_net::{NetWorld, SimConfig, TrafficModel};
 use dirca_radio::NodeId;
@@ -26,7 +28,7 @@ fn scripted_handshake_matches_hand_computed_timeline() {
     config.traffic = TrafficModel::Manual; // we inject one packet by hand
     let topo = fixtures::pair(0.5, 1.0);
     let mut world = NetWorld::build(&topo, &config);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
@@ -38,7 +40,7 @@ fn scripted_handshake_matches_hand_computed_timeline() {
     // backoff draw is the first use of its stream.
     let backoff_slots = u64::from(stream_rng(seed, 0).random_range(0..=31u32));
 
-    let trace = sim.world().trace().expect("trace enabled").to_vec();
+    let trace = common::world_log(sim.world());
     assert_eq!(trace.len(), 4, "exactly one four-way handshake: {trace:?}");
 
     // Hand-computed instants (Table 1, DSSS 2 Mbps):
@@ -83,14 +85,14 @@ fn drts_dcts_trace_marks_all_frames_directional() {
     config.traffic = TrafficModel::Manual;
     let topo = fixtures::pair(0.5, 1.0);
     let mut world = NetWorld::build(&topo, &config);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.enqueue_packet(NodeId(0), NodeId(1), 1460, sched);
     }
     sim.run_until(SimTime::from_millis(100));
-    let trace = sim.world().trace().unwrap();
+    let trace = common::world_log(sim.world());
     assert_eq!(trace.len(), 4);
     assert!(trace.iter().all(|e| e.directional));
 }
@@ -103,14 +105,14 @@ fn drts_octs_trace_has_omni_cts_only() {
     config.traffic = TrafficModel::Manual;
     let topo = fixtures::pair(0.5, 1.0);
     let mut world = NetWorld::build(&topo, &config);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.enqueue_packet(NodeId(0), NodeId(1), 1460, sched);
     }
     sim.run_until(SimTime::from_millis(100));
-    for entry in sim.world().trace().unwrap() {
+    for entry in common::world_log(sim.world()) {
         assert_eq!(
             entry.directional,
             entry.frame.kind != FrameKind::Cts,
@@ -129,7 +131,7 @@ fn nav_defers_third_party_through_whole_handshake() {
     let mut config = SimConfig::new(Scheme::OrtsOcts).with_seed(5);
     config.traffic = TrafficModel::Manual;
     let mut world = NetWorld::build(&topo, &config);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
@@ -143,7 +145,7 @@ fn nav_defers_third_party_through_whole_handshake() {
     }
     sim.run_until(SimTime::from_millis(100));
 
-    let trace = sim.world().trace().unwrap();
+    let trace = common::world_log(sim.world());
     // C heard B's CTS (it is B's neighbour), so its RTS must come after
     // A's ACK arrives — i.e. after the whole first handshake.
     let first_ack = trace

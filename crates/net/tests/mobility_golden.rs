@@ -13,6 +13,8 @@
 // Byte-identical runs are the point: exact float equality is intended.
 #![allow(clippy::float_cmp)]
 
+mod common;
+
 use dirca_mac::Scheme;
 use dirca_net::{run, NetWorld, SimConfig, TrafficModel};
 use dirca_radio::SinrPhy;
@@ -31,36 +33,6 @@ const RECORDED: &[(Scheme, u64, u64)] = &[
     (Scheme::DrtsOcts, 21, 0x3e5c_4317_2f31_0d37),
 ];
 
-/// Runs the golden ring recipe with `mutate` applied to the config and
-/// returns the FNV-1a hash of the frame trace — identical to the
-/// `golden_ring_hash.rs` recipe when `mutate` is the identity.
-fn ring_trace_hash(scheme: Scheme, seed: u64, mutate: impl Fn(SimConfig) -> SimConfig) -> u64 {
-    let spec = RingSpec::paper(5, 1.0);
-    let mut topo_rng = stream_rng(seed, 0xA11CE);
-    let topology = spec.generate(&mut topo_rng).expect("ring topology");
-    let config = mutate(
-        SimConfig::new(scheme)
-            .with_seed(seed)
-            .with_beamwidth_degrees(30.0),
-    );
-    let mut world = NetWorld::build(&topology, &config);
-    world.enable_trace();
-    let mut sim = Simulation::new(world);
-    {
-        let (world, sched) = sim.world_and_scheduler_mut();
-        world.prime(sched);
-    }
-    sim.run_until(SimTime::from_millis(400));
-    let world = sim.into_world();
-    let trace = world.trace().expect("trace enabled");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{trace:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A ten-millisecond zero-speed mobility attachment: epochs fire, nothing
 /// moves, nothing may change.
 fn static_mobility(config: SimConfig) -> SimConfig {
@@ -70,7 +42,7 @@ fn static_mobility(config: SimConfig) -> SimConfig {
 #[test]
 fn zero_speed_mobility_reproduces_golden_hashes() {
     for &(scheme, seed, want) in RECORDED {
-        let got = ring_trace_hash(scheme, seed, static_mobility);
+        let got = common::ring_hash(scheme, seed, static_mobility);
         assert_eq!(
             got, want,
             "{scheme} seed {seed}: a speed-0 mobility model perturbed the trace"
@@ -81,7 +53,7 @@ fn zero_speed_mobility_reproduces_golden_hashes() {
 #[test]
 fn ideal_sinr_reproduces_golden_hashes() {
     for &(scheme, seed, want) in RECORDED {
-        let got = ring_trace_hash(scheme, seed, |c| c.with_sinr(SinrPhy::ideal()));
+        let got = common::ring_hash(scheme, seed, |c| c.with_sinr(SinrPhy::ideal()));
         assert_eq!(
             got, want,
             "{scheme} seed {seed}: the ideal SINR PHY diverged from the binary collide rule"
@@ -92,7 +64,7 @@ fn ideal_sinr_reproduces_golden_hashes() {
 #[test]
 fn zero_speed_mobility_with_ideal_sinr_reproduces_golden_hashes() {
     for &(scheme, seed, want) in RECORDED {
-        let got = ring_trace_hash(scheme, seed, |c| {
+        let got = common::ring_hash(scheme, seed, |c| {
             static_mobility(c).with_sinr(SinrPhy::ideal())
         });
         assert_eq!(
@@ -111,7 +83,7 @@ fn leaky_pattern_actually_changes_the_run() {
     // ideal-equivalence tests would pass vacuously.
     let diverged = RECORDED.iter().any(|&(scheme, seed, want)| {
         let leaky = SinrPhy::ideal().with_side_floor(0.2).with_margin(0.2);
-        ring_trace_hash(scheme, seed, |c| c.with_sinr(leaky)) != want
+        common::ring_hash(scheme, seed, |c| c.with_sinr(leaky)) != want
     });
     assert!(
         diverged,
@@ -328,7 +300,7 @@ fn moving_config(name: &str) -> impl Fn(SimConfig) -> SimConfig + '_ {
 #[test]
 fn moving_runs_reproduce_recorded_hashes() {
     for &(name, want) in MOVING {
-        let got = ring_trace_hash(Scheme::DrtsDcts, 11, moving_config(name));
+        let got = common::ring_hash(Scheme::DrtsDcts, 11, moving_config(name));
         assert_eq!(got, want, "{name}: the moving run's trace changed");
     }
 }

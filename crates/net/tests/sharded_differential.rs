@@ -5,21 +5,25 @@
 //! This battery draws scheme × beamwidth × fault plan × traffic ×
 //! reception mode on small random rings and requires, for every draw:
 //!
-//! 1. **One shard ≡ classic** — the one-stripe merged frame trace equals
-//!    the classic engine's, and so do the event count and every
-//!    [`dirca_net::NodeReport`] of the full warm-up + measurement
-//!    lifecycle.
+//! 1. **One shard ≡ classic** — the one-stripe merged recorder stream (the
+//!    frame log and every other record kind) equals the classic engine's,
+//!    and so do the event count and every [`dirca_net::NodeReport`] of the
+//!    full warm-up + measurement lifecycle.
 //! 2. **Four shards, worker-invariant** — the four-stripe run gives the
-//!    same trace, event count and reports on 1 and 2 workers.
+//!    same records, event count and reports on 1 and 2 workers, and the
+//!    same event count and reports with no recorders attached.
 //!
 //! With the `audit` feature the classic side runs under the standard
 //! runtime auditors, so each drawn configuration is also checked for NAV,
 //! transceiver, airtime and causality violations.
 
+mod common;
+
 use dirca_geometry::Beamwidth;
 use dirca_mac::Scheme;
+use dirca_net::trace::TraceRecord;
 use dirca_net::{
-    run, FaultPlan, NetWorld, RunResult, ShardedNetSim, SimConfig, TraceEntry, TrafficModel,
+    run, run_sharded, FaultPlan, NetWorld, RunResult, ShardedNetSim, SimConfig, TrafficModel,
 };
 use dirca_radio::{NodeId, ReceptionMode};
 use dirca_sim::rng::stream_rng;
@@ -138,11 +142,11 @@ fn setup(case: &Case) -> (Topology, SimConfig) {
     (topology, config)
 }
 
-/// The classic engine's frame trace over the whole run, under the
+/// The classic engine's records over the whole run, under the
 /// standard auditors when the `audit` feature is on.
-fn classic_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceEntry> {
+fn classic_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceRecord> {
     let mut world = NetWorld::build(topology, config);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     #[cfg(feature = "audit")]
     for auditor in dirca_net::audit::standard_auditors() {
@@ -154,24 +158,24 @@ fn classic_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceEntry> {
     }
     sim.run_until(SimTime::ZERO + WARMUP + MEASURE);
     sim.finish_audit();
-    sim.world().trace().expect("trace enabled").to_vec()
+    common::world_records(sim.world())
 }
 
-/// One sharded lifecycle: the merged frame trace plus the collected result.
+/// One sharded lifecycle: the merged records plus the collected result.
 fn sharded(
     topology: &Topology,
     config: &SimConfig,
     shards: u32,
     workers: usize,
-) -> (Vec<TraceEntry>, RunResult) {
+) -> (Vec<TraceRecord>, RunResult) {
     let mut sim = ShardedNetSim::build(topology, config, shards);
-    sim.enable_trace();
+    common::attach_recorders(&mut sim);
     sim.prime();
     let warmup_end = SimTime::ZERO + WARMUP;
     sim.run_until(warmup_end, workers);
     sim.reset_counters();
     sim.run_until(warmup_end + MEASURE, workers);
-    let trace = sim.merged_trace().expect("trace enabled on every shard");
+    let trace = common::merged_records(&sim);
     (trace, sim.into_result(MEASURE))
 }
 
@@ -189,7 +193,10 @@ proptest! {
         let (topology, config) = setup(&case);
 
         let classic = classic_trace(&topology, &config);
-        prop_assert!(!classic.is_empty(), "the case put no frame on the air");
+        prop_assert!(
+            !common::frame_log(&classic).is_empty(),
+            "the case put no frame on the air"
+        );
         let (one_trace, one) = sharded(&topology, &config, 1, 1);
         prop_assert!(one_trace == classic, "one-shard trace diverged from classic");
         prop_assert_eq!(reports(&one), reports(&run(&topology, &config)));
@@ -198,6 +205,8 @@ proptest! {
         let (w2_trace, w2) = sharded(&topology, &config, 4, 2);
         prop_assert!(w1_trace == w2_trace, "four-shard trace depends on the worker count");
         prop_assert_eq!(reports(&w1), reports(&w2));
+        // The recorders observe without perturbing: no recorder, same run.
+        prop_assert_eq!(reports(&w2), reports(&run_sharded(&topology, &config, 4, 2)));
     }
 }
 

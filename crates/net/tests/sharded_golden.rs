@@ -1,6 +1,6 @@
 //! Golden hash battery for the sharded engine.
 //!
-//! Three layers of pinning, all over the same seeded random-ring workload
+//! Two layers of pinning, both over the same seeded random-ring workload
 //! as `golden_ring_hash.rs`:
 //!
 //! 1. **One shard ≡ classic** — the single-stripe sharded run must hash to
@@ -12,56 +12,30 @@
 //!    recorded constants (the stripe interleaving legitimately differs
 //!    from the single-queue engine), and those bytes must be identical at
 //!    1, 2, and 4 workers.
-//! 3. **Recorder non-perturbation** — attaching ring-trace
-//!    recorders to every shard must leave the sharded hashes untouched.
+//!
+//! The hashed frame log is the merge of the per-shard recorders'
+//! `FrameTx` records.
 //!
 //! Re-record after a deliberate behaviour change with `cargo test -p
 //! dirca-net --test sharded_golden -- --nocapture print_current_hashes
 //! --ignored`.
 
+mod common;
+
 use dirca_mac::Scheme;
-use dirca_net::{ShardedNetSim, SimConfig};
-use dirca_sim::rng::stream_rng;
-use dirca_sim::SimTime;
-use dirca_topology::RingSpec;
+use dirca_net::ShardedNetSim;
 
 /// Runs the golden ring configuration on the sharded engine and hashes the
-/// merged frame trace (FNV-1a over the debug serialization, the same
-/// digest as `golden_ring_hash.rs`).
+/// frame log of the merged per-shard recorders (FNV-1a over the Debug
+/// form, the same digest as `golden_ring_hash.rs`).
 fn sharded_ring_hash(scheme: Scheme, seed: u64, shards: u32, workers: usize) -> u64 {
-    sharded_ring_hash_with(scheme, seed, shards, workers, false)
-}
-
-fn sharded_ring_hash_with(
-    scheme: Scheme,
-    seed: u64,
-    shards: u32,
-    workers: usize,
-    recorder: bool,
-) -> u64 {
-    let spec = RingSpec::paper(5, 1.0);
-    let mut topo_rng = stream_rng(seed, 0xA11CE);
-    let topology = spec.generate(&mut topo_rng).expect("ring topology");
-    let config = SimConfig::new(scheme)
-        .with_seed(seed)
-        .with_beamwidth_degrees(30.0);
+    let topology = common::ring_topology(seed);
+    let config = common::ring_config(scheme, seed);
     let mut sim = ShardedNetSim::build(&topology, &config, shards);
-    sim.enable_trace();
-    if recorder {
-        for s in 0..sim.shard_count() {
-            sim.net_world_mut(s)
-                .attach_recorder(dirca_net::trace::RingTrace::with_capacity(1 << 16));
-        }
-    }
+    common::attach_recorders(&mut sim);
     sim.prime();
-    sim.run_until(SimTime::from_millis(400), workers);
-    let trace = sim.merged_trace().expect("trace enabled on every shard");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{trace:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    sim.run_until(common::END, workers);
+    common::hash(&common::frame_log(&common::merged_records(&sim)))
 }
 
 /// The classic engine's recorded constants (from `golden_ring_hash.rs`):
@@ -108,19 +82,6 @@ fn four_shards_are_byte_identical_at_any_worker_count() {
                 "{scheme} seed {seed} workers {workers}: partitioned trace diverged"
             );
         }
-    }
-}
-
-/// The observability non-perturbation battery extended to the sharded
-/// engine: a recorder on every shard must not move a byte.
-#[test]
-fn sharded_hashes_survive_attached_recorders() {
-    for &(scheme, seed, want) in RECORDED_SHARDED {
-        let got = sharded_ring_hash_with(scheme, seed, 4, 2, true);
-        assert_eq!(
-            got, want,
-            "{scheme} seed {seed}: attaching recorders perturbed the sharded run"
-        );
     }
 }
 

@@ -3,8 +3,11 @@
 //! time*, while under ORTS-OCTS the shared medium never lets their
 //! *successful* data frames overlap (concurrent attempts collide).
 
+mod common;
+
+use common::TraceEntry;
 use dirca_mac::{Dot11Params, FrameKind, Scheme};
-use dirca_net::{NetWorld, SimConfig, TraceEntry};
+use dirca_net::{NetWorld, SimConfig};
 use dirca_sim::{SimTime, Simulation};
 use dirca_topology::fixtures;
 
@@ -15,14 +18,14 @@ fn trace_for(scheme: Scheme) -> Vec<TraceEntry> {
         .with_seed(77);
     let topo = fixtures::parallel_pairs(); // S0(0)—R0(1)   R1(2)—S1(3)
     let mut world = NetWorld::build(&topo, &config);
-    world.enable_trace();
+    world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.prime(sched);
     }
     sim.run_until(SimTime::from_secs(1));
-    sim.world().trace().expect("trace enabled").to_vec()
+    common::world_log(sim.world())
 }
 
 /// Collects the on-air intervals of DATA frames originated by `src`.

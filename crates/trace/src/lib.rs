@@ -8,7 +8,8 @@
 //!
 //! * [`TraceRecord`] / [`RecordKind`] — typed, `Copy`, fixed-size records
 //!   of MAC/PHY events (frame tx/rx, backoff draws, NAV activity, timeouts,
-//!   fault hits).
+//!   fault hits). `FrameTx` records carry the whole frame and are the one
+//!   frame log: the golden hashes and the runtime auditors read them.
 //! * [`RingTrace`] — a preallocated ring buffer holding the last N records
 //!   of a run, counting the records it overwrote.
 //! * [`MetricsRegistry`] — statically-named counters, gauges, and
@@ -18,32 +19,25 @@
 //!   checkpoint, and the `dirca-serve` protocol.
 //!
 //! Everything here is *observation only*: recording consumes no randomness,
-//! reads no wall clock, and never reorders events — the golden-hash test
-//! battery in `dirca-net` enforces that attaching a recorder leaves the
-//! simulation byte-identical.
+//! reads no wall clock, and never reorders events — the golden battery in
+//! `dirca-net` checks that a run without a recorder processes the same
+//! events and reports the same per-node results as the recorded run.
 //!
 //! # Example
 //!
 //! ```
-//! use dirca_mac::FrameKind;
+//! use dirca_mac::{Dot11Params, Frame};
 //! use dirca_radio::NodeId;
 //! use dirca_sim::SimTime;
 //! use dirca_trace::wire::{decode_record_payload, record_payload};
-//! use dirca_trace::{RecordKind, RingTrace, TraceRecord};
+//! use dirca_trace::{RingTrace, TraceRecord};
 //!
-//! let record = TraceRecord {
-//!     time: SimTime::from_micros(20),
-//!     node: NodeId(1),
-//!     kind: RecordKind::FrameTx {
-//!         kind: FrameKind::Rts,
-//!         peer: NodeId(2),
-//!         bytes: 1460,
-//!         directional: true,
-//!     },
-//! };
+//! let rts = Frame::rts(NodeId(1), NodeId(2), 1460, &Dot11Params::dsss_2mbps());
+//! let record = TraceRecord::transmission(SimTime::from_micros(20), &rts, true);
 //! let mut trace = RingTrace::with_capacity(1024);
 //! trace.push(record);
 //! assert_eq!(trace.len(), 1);
+//! assert_eq!(record.frame_tx(), Some((rts, true)));
 //! assert_eq!(decode_record_payload(&record_payload(&record)), Ok(record));
 //! ```
 
@@ -60,4 +54,4 @@ pub mod wire;
 pub use metrics::MetricsRegistry;
 pub use record::{RecordKind, TraceRecord};
 pub use ring::RingTrace;
-pub use wire::{Frame, FrameDecoder, PayloadError, WireError, WireReader, WireWriter};
+pub use wire::{FrameDecoder, PayloadError, WireError, WireReader, WireWriter};

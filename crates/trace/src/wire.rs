@@ -43,7 +43,7 @@ use std::fmt;
 
 use dirca_mac::{FrameKind, Scheme, TimerKind};
 use dirca_radio::NodeId;
-use dirca_sim::SimTime;
+use dirca_sim::{SimDuration, SimTime};
 
 use crate::metrics::MetricsRegistry;
 use crate::record::{RecordKind, TraceRecord};
@@ -580,12 +580,27 @@ impl<'a> WireReader<'a> {
 // Typed codecs for workspace enums and trace records.
 // ---------------------------------------------------------------------
 
+/// The one-byte encoding of a closed enum: `value`'s index in `all`.
+fn index_of<T: PartialEq>(all: &[T], value: T) -> u8 {
+    all.iter().position(|v| *v == value).map_or(0, |i| i as u8)
+}
+
+/// Reads a closed enum written by [`index_of`] over the same `all`.
+fn take_indexed<T: Copy>(
+    r: &mut WireReader<'_>,
+    all: &[T],
+    what: &'static str,
+) -> Result<T, PayloadError> {
+    let offset = r.bytes.len() - r.remaining();
+    let byte = r.take_u8()?;
+    all.get(byte as usize)
+        .copied()
+        .ok_or(PayloadError { offset, what })
+}
+
 /// Encodes a [`Scheme`] as its index in [`Scheme::ALL`].
 pub fn encode_scheme(scheme: Scheme) -> u8 {
-    Scheme::ALL
-        .iter()
-        .position(|&s| s == scheme)
-        .map_or(0, |i| i as u8)
+    index_of(&Scheme::ALL, scheme)
 }
 
 /// Decodes a [`Scheme`] from its [`Scheme::ALL`] index.
@@ -596,39 +611,7 @@ pub fn decode_scheme(byte: u8, at: usize) -> Result<Scheme, PayloadError> {
     })
 }
 
-fn encode_frame_kind(kind: FrameKind) -> u8 {
-    FrameKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .map_or(0, |i| i as u8)
-}
-
-fn decode_frame_kind(byte: u8, at: usize) -> Result<FrameKind, PayloadError> {
-    FrameKind::ALL
-        .get(byte as usize)
-        .copied()
-        .ok_or(PayloadError {
-            offset: at,
-            what: "frame-kind index out of range",
-        })
-}
-
-fn encode_timer_kind(kind: TimerKind) -> u8 {
-    TimerKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .map_or(0, |i| i as u8)
-}
-
-fn decode_timer_kind(byte: u8, at: usize) -> Result<TimerKind, PayloadError> {
-    TimerKind::ALL
-        .get(byte as usize)
-        .copied()
-        .ok_or(PayloadError {
-            offset: at,
-            what: "timer-kind index out of range",
-        })
-}
+const FRAME_KIND_RANGE: &str = "frame-kind index out of range";
 
 // Record payload tags, one per `RecordKind` variant.
 const TAG_FRAME_TX: u8 = 0;
@@ -644,7 +627,9 @@ const TAG_FAULT_CORRUPT: u8 = 9;
 const TAG_FAULT_OUTAGE: u8 = 10;
 
 /// Encodes one [`TraceRecord`] into `w`. Layout: `t:u64, node:u64,
-/// tag:u8`, then the tag's fields.
+/// tag:u8`, then the tag's fields in declaration order (`FrameTx`: `kind:u8,
+/// peer:u64, bytes:u32, directional:bool, duration:u64 ns, seq:u64,
+/// created:u64 ns`).
 pub fn encode_record(record: &TraceRecord, w: &mut WireWriter) {
     w.put_u64(record.time.as_nanos());
     w.put_u64(record.node.0 as u64);
@@ -654,16 +639,22 @@ pub fn encode_record(record: &TraceRecord, w: &mut WireWriter) {
             peer,
             bytes,
             directional,
+            duration,
+            seq,
+            created,
         } => {
             w.put_u8(TAG_FRAME_TX);
-            w.put_u8(encode_frame_kind(kind));
+            w.put_u8(index_of(&FrameKind::ALL, kind));
             w.put_u64(peer.0 as u64);
             w.put_u32(bytes);
             w.put_bool(directional);
+            w.put_u64(duration.as_nanos());
+            w.put_u64(seq);
+            w.put_u64(created.as_nanos());
         }
         RecordKind::FrameRx { kind, peer } => {
             w.put_u8(TAG_FRAME_RX);
-            w.put_u8(encode_frame_kind(kind));
+            w.put_u8(index_of(&FrameKind::ALL, kind));
             w.put_u64(peer.0 as u64);
         }
         RecordKind::RxCorrupted => w.put_u8(TAG_RX_CORRUPTED),
@@ -679,7 +670,7 @@ pub fn encode_record(record: &TraceRecord, w: &mut WireWriter) {
         RecordKind::NavExpire => w.put_u8(TAG_NAV_EXPIRE),
         RecordKind::Timeout { timer } => {
             w.put_u8(TAG_TIMEOUT);
-            w.put_u8(encode_timer_kind(timer));
+            w.put_u8(index_of(&TimerKind::ALL, timer));
         }
         RecordKind::PacketAcked => w.put_u8(TAG_PACKET_ACKED),
         RecordKind::PacketDropped => w.put_u8(TAG_PACKET_DROPPED),
@@ -703,24 +694,19 @@ pub fn decode_record(r: &mut WireReader<'_>) -> Result<TraceRecord, PayloadError
     let tag_at = r.bytes.len() - r.remaining();
     let tag = r.take_u8()?;
     let kind = match tag {
-        TAG_FRAME_TX => {
-            let fk_at = r.bytes.len() - r.remaining();
-            let fk = decode_frame_kind(r.take_u8()?, fk_at)?;
-            RecordKind::FrameTx {
-                kind: fk,
-                peer: NodeId(r.take_u64()? as usize),
-                bytes: r.take_u32()?,
-                directional: r.take_bool()?,
-            }
-        }
-        TAG_FRAME_RX => {
-            let fk_at = r.bytes.len() - r.remaining();
-            let fk = decode_frame_kind(r.take_u8()?, fk_at)?;
-            RecordKind::FrameRx {
-                kind: fk,
-                peer: NodeId(r.take_u64()? as usize),
-            }
-        }
+        TAG_FRAME_TX => RecordKind::FrameTx {
+            kind: take_indexed(r, &FrameKind::ALL, FRAME_KIND_RANGE)?,
+            peer: NodeId(r.take_u64()? as usize),
+            bytes: r.take_u32()?,
+            directional: r.take_bool()?,
+            duration: SimDuration::from_nanos(r.take_u64()?),
+            seq: r.take_u64()?,
+            created: SimTime::from_nanos(r.take_u64()?),
+        },
+        TAG_FRAME_RX => RecordKind::FrameRx {
+            kind: take_indexed(r, &FrameKind::ALL, FRAME_KIND_RANGE)?,
+            peer: NodeId(r.take_u64()? as usize),
+        },
         TAG_RX_CORRUPTED => RecordKind::RxCorrupted,
         TAG_BACKOFF_DRAW => RecordKind::BackoffDraw {
             cw: r.take_u32()?,
@@ -730,12 +716,9 @@ pub fn decode_record(r: &mut WireReader<'_>) -> Result<TraceRecord, PayloadError
             until: SimTime::from_nanos(r.take_u64()?),
         },
         TAG_NAV_EXPIRE => RecordKind::NavExpire,
-        TAG_TIMEOUT => {
-            let tk_at = r.bytes.len() - r.remaining();
-            RecordKind::Timeout {
-                timer: decode_timer_kind(r.take_u8()?, tk_at)?,
-            }
-        }
+        TAG_TIMEOUT => RecordKind::Timeout {
+            timer: take_indexed(r, &TimerKind::ALL, "timer-kind index out of range")?,
+        },
         TAG_PACKET_ACKED => RecordKind::PacketAcked,
         TAG_PACKET_DROPPED => RecordKind::PacketDropped,
         TAG_FAULT_CORRUPT => RecordKind::FaultCorrupt,

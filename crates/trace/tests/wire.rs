@@ -19,7 +19,7 @@
 
 use dirca_mac::{FrameKind, TimerKind};
 use dirca_radio::NodeId;
-use dirca_sim::SimTime;
+use dirca_sim::{SimDuration, SimTime};
 use dirca_trace::wire::{
     self, decode_all, decode_metrics_payload, decode_record_payload, encode_frame,
     encode_frame_into, kind, metrics_payload, record_payload, WireError, HEADER_LEN,
@@ -31,10 +31,13 @@ use proptest::prelude::*;
 fn all_kinds() -> Vec<RecordKind> {
     let mut kinds = vec![
         RecordKind::FrameTx {
-            kind: FrameKind::Rts,
+            kind: FrameKind::Data,
             peer: NodeId(3),
             bytes: 1460,
             directional: true,
+            duration: SimDuration::from_micros(314),
+            seq: 42,
+            created: SimTime::from_micros(1000),
         },
         RecordKind::FrameRx {
             kind: FrameKind::Ack,
@@ -72,17 +75,27 @@ fn timer_kind_strategy() -> BoxedStrategy<TimerKind> {
 fn record_kind_strategy() -> BoxedStrategy<RecordKind> {
     prop_oneof![
         (
-            frame_kind_strategy(),
-            0u64..1 << 32,
-            0u32..1 << 16,
-            prop::bool::ANY,
+            (
+                frame_kind_strategy(),
+                0u64..1 << 32,
+                0u32..1 << 16,
+                prop::bool::ANY,
+            ),
+            (0u64..u64::MAX / 2, 0u64..u64::MAX, 0u64..u64::MAX / 2),
         )
-            .prop_map(|(kind, peer, bytes, directional)| RecordKind::FrameTx {
-                kind,
-                peer: NodeId(peer as usize),
-                bytes,
-                directional,
-            }),
+            .prop_map(
+                |((kind, peer, bytes, directional), (duration, seq, created))| {
+                    RecordKind::FrameTx {
+                        kind,
+                        peer: NodeId(peer as usize),
+                        bytes,
+                        directional,
+                        duration: SimDuration::from_nanos(duration),
+                        seq,
+                        created: SimTime::from_nanos(created),
+                    }
+                }
+            ),
         (frame_kind_strategy(), 0u64..1 << 32).prop_map(|(kind, peer)| {
             RecordKind::FrameRx {
                 kind,
@@ -343,7 +356,8 @@ fn on_disk_format_is_pinned_byte_for_byte() {
     let rows = [
         (
             rec(0, 0, all_kinds()[0]),
-            "0000000000000000 0000000000000000 00 00 0300000000000000 b4050000 01",
+            "0000000000000000 0000000000000000 00 02 0300000000000000 b4050000 01 \
+             90ca040000000000 2a00000000000000 40420f0000000000",
         ),
         (
             rec(1, 1, all_kinds()[1]),

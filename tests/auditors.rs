@@ -8,7 +8,8 @@
 use dirca_analysis::{markov_audit, steady_state, ChainInput};
 use dirca_mac::{DataPacket, Dot11Params, Frame, MacConfig, MacContext, Scheme, TimerKind};
 use dirca_net::audit::{standard_auditors, AirtimeAuditor, NavAuditor, TransceiverAuditor};
-use dirca_net::{NetEvent, NetWorld, SimConfig, TraceEntry};
+use dirca_net::trace::{RingTrace, TraceRecord};
+use dirca_net::{NetEvent, NetWorld, SimConfig};
 use dirca_radio::{NodeId, SignalId};
 use dirca_sim::audit::{Auditor, CausalityAuditor};
 use dirca_sim::{SimDuration, SimTime, Simulation, TimerGeneration};
@@ -21,18 +22,28 @@ fn quick(scheme: Scheme, seed: u64) -> SimConfig {
         .with_measure(SimDuration::from_millis(400))
 }
 
-/// Builds a primed, trace-enabled simulation of `scheme` on the
-/// hidden-terminal fixture.
-fn audited_sim(scheme: Scheme, seed: u64) -> Simulation<NetWorld> {
+/// The recorder the auditors read.
+fn recorder() -> RingTrace {
+    RingTrace::with_capacity(1 << 16)
+}
+
+/// Builds a primed simulation of `scheme` on the hidden-terminal fixture
+/// with `recorder` attached.
+fn audited_sim_with(scheme: Scheme, seed: u64, recorder: RingTrace) -> Simulation<NetWorld> {
     let topo = fixtures::hidden_terminal();
     let mut world = NetWorld::build(&topo, &quick(scheme, seed));
-    world.enable_trace();
+    world.attach_recorder(recorder);
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
         world.prime(sched);
     }
     sim
+}
+
+/// [`audited_sim_with`] on a recorder that holds the whole run.
+fn audited_sim(scheme: Scheme, seed: u64) -> Simulation<NetWorld> {
+    audited_sim_with(scheme, seed, recorder())
 }
 
 // ---------------------------------------------------------------------
@@ -60,7 +71,7 @@ fn auditors_silent_on_directional_parallel_pairs() {
         &topo,
         &quick(Scheme::DrtsDcts, 3).with_beamwidth_degrees(30.0),
     );
-    world.enable_trace();
+    world.attach_recorder(recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
@@ -88,7 +99,7 @@ fn auditors_silent_under_fault_injection() {
             SimTime::from_millis(220),
         );
     let mut world = NetWorld::build(&topo, &quick(Scheme::OrtsOcts, 9).with_fault(plan));
-    world.enable_trace();
+    world.attach_recorder(recorder());
     let mut sim = Simulation::new(world);
     {
         let (world, sched) = sim.world_and_scheduler_mut();
@@ -106,6 +117,58 @@ fn auditors_silent_under_fault_injection() {
         .map(|a| a.fer_losses + a.outage_losses)
         .sum();
     assert!(faults_hit > 0, "the plan must actually inject losses");
+}
+
+#[test]
+fn auditors_read_every_frame_of_a_wrapped_ring() {
+    // A 256-record ring wraps several times over the run; the auditors
+    // count every record pushed, so they still see each new frame (the
+    // airtime balance at `finish_audit` fails on any frame they miss).
+    let mut sim = audited_sim_with(Scheme::DrtsOcts, 11, RingTrace::with_capacity(256));
+    for auditor in standard_auditors() {
+        sim.add_auditor(auditor);
+    }
+    sim.run_until(SimTime::from_millis(500));
+    sim.finish_audit();
+    let ring = sim.world().recorder().expect("recorder attached");
+    assert!(
+        ring.overwritten() > 2 * 256,
+        "the ring barely wrapped: {}",
+        ring.overwritten()
+    );
+}
+
+#[test]
+#[should_panic(expected = "audit[nav]: the 64-record ring had already overwritten")]
+fn auditor_installed_after_the_ring_wrapped_says_so() {
+    // Installed late, the auditor has read nothing yet, so every record
+    // since t = 0 is new to it; a ring that already wrapped lost some.
+    let mut sim = audited_sim_with(Scheme::DrtsOcts, 11, RingTrace::with_capacity(64));
+    sim.run_until(SimTime::from_millis(100));
+    assert!(
+        sim.world()
+            .recorder()
+            .expect("recorder attached")
+            .overwritten()
+            > 0
+    );
+    sim.add_auditor(Box::new(NavAuditor::new()));
+    sim.run_until(SimTime::from_millis(120));
+}
+
+#[test]
+#[should_panic(expected = "audit[nav]: NetWorld::attach_recorder must be called")]
+fn auditors_refuse_a_world_without_a_recorder() {
+    let topo = fixtures::hidden_terminal();
+    let mut sim = Simulation::new(NetWorld::build(&topo, &quick(Scheme::OrtsOcts, 11)));
+    {
+        let (world, sched) = sim.world_and_scheduler_mut();
+        world.prime(sched);
+    }
+    for auditor in standard_auditors() {
+        sim.add_auditor(auditor);
+    }
+    sim.run_until(SimTime::from_millis(10));
 }
 
 // ---------------------------------------------------------------------
@@ -167,14 +230,14 @@ fn nav_auditor_fires_on_rts_inside_reservation() {
     };
     mac.on_frame_received(overheard, &mut ctx);
     assert!(mac.nav().is_busy(SimTime::from_micros(150)));
-    // A trace entry claiming this node sent an RTS mid-reservation is a
+    // A record claiming this node sent an RTS mid-reservation is a
     // deferral bug; the auditor must call it out.
-    let entry = TraceEntry {
-        time: SimTime::from_micros(150),
-        frame: Frame::rts(NodeId(0), NodeId(1), 1460, &params),
-        directional: false,
-    };
-    NavAuditor::check_entry(&entry, &mac);
+    let record = TraceRecord::transmission(
+        SimTime::from_micros(150),
+        &Frame::rts(NodeId(0), NodeId(1), 1460, &params),
+        false,
+    );
+    NavAuditor::check_entry(&record, &mac);
 }
 
 #[test]
@@ -191,12 +254,12 @@ fn nav_auditor_silent_on_rts_after_expiry() {
         now: SimTime::from_micros(100),
     };
     mac.on_frame_received(overheard, &mut ctx);
-    let entry = TraceEntry {
-        time: mac.nav().until(), // the reservation is half-open: free again
-        frame: Frame::rts(NodeId(0), NodeId(1), 1460, &params),
-        directional: false,
-    };
-    NavAuditor::check_entry(&entry, &mac);
+    let record = TraceRecord::transmission(
+        mac.nav().until(), // the reservation is half-open: free again
+        &Frame::rts(NodeId(0), NodeId(1), 1460, &params),
+        false,
+    );
+    NavAuditor::check_entry(&record, &mac);
 }
 
 // ---------------------------------------------------------------------
@@ -237,7 +300,7 @@ fn transceiver_auditor_fires_on_txend_without_transmission() {
 #[should_panic(expected = "audit[airtime]")]
 fn airtime_auditor_fires_when_installed_mid_run() {
     // The auditor integrates PHY transmit time from simulated time zero; a
-    // run it only observed partway has trace-declared airtime it never saw
+    // run it only observed partway has recorded airtime it never saw
     // on the PHY, and the conservation check must fail rather than report
     // a bogus balance.
     let mut sim = audited_sim(Scheme::OrtsOcts, 5);
