@@ -50,16 +50,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// no interior mutability, I/O, or wall-clock anywhere in them (DA007).
 pub const DISPATCH_CRATES: &[&str] = &["sim", "net", "mac"];
 
-/// Files in dispatch crates that ARE the thread-synchronization layer and
-/// are therefore exempt from DA007's interior-mutability/thread bans: the
-/// sharded scheduler's whole job is barriers, mailboxes, and worker
-/// threads. Purity is enforced there *dynamically* instead — the golden
-/// battery (`crates/net/tests/sharded_golden.rs`) requires byte-identical
-/// event streams at every worker count, which no impure handler could
-/// produce. Event handlers themselves (`ShardWorld` impls) live outside
-/// these files and stay under the static rule.
-pub const SYNC_LAYER_FILES: &[&str] = &["crates/sim/src/shard.rs"];
-
 /// Files on the transmit hot path: indexing and `expect`/`unwrap` there
 /// must carry a justification comment (DA008).
 pub const HOT_PATH_FILES: &[&str] = &[

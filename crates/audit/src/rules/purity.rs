@@ -3,10 +3,9 @@
 //! DA007: crates reachable from the event-dispatch loop (`sim`, `net`,
 //! `mac`) must not use interior mutability, I/O, threads, or wall-clock —
 //! any of these makes dispatch order observable or non-reproducible. The
-//! one exception is the synchronization layer itself
-//! ([`SYNC_LAYER_FILES`]): the sharded scheduler exists to own threads
-//! and barriers, and its determinism is pinned dynamically by the golden
-//! worker-invariance battery rather than statically here.
+//! rule covers every non-test line of every file in those crates, with no
+//! per-file exemption: the one engine is sequential, so nothing there has
+//! a reason to own a thread, an atomic, or a lock.
 //!
 //! DA008: in the named transmit hot-path files, every indexing expression
 //! and every `.expect()`/`.unwrap()` is a potential panic. Each must be
@@ -20,7 +19,7 @@ use crate::diag::{Finding, Rule};
 use crate::lexer::TokenKind;
 use crate::model::{CrateSrc, SourceFile, KEYWORDS};
 
-use super::{finding, DISPATCH_CRATES, HOT_PATH_FILES, SYNC_LAYER_FILES};
+use super::{finding, DISPATCH_CRATES, HOT_PATH_FILES};
 
 /// Idents whose mere presence in dispatch crates indicates interior
 /// mutability or shared-state machinery.
@@ -45,9 +44,7 @@ const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"]
 
 /// Runs DA007 and DA008 over one file.
 pub fn run(krate: &CrateSrc, file: &SourceFile, out: &mut Vec<Finding>) {
-    if DISPATCH_CRATES.contains(&krate.name.as_str())
-        && !SYNC_LAYER_FILES.contains(&file.rel_path.as_str())
-    {
+    if DISPATCH_CRATES.contains(&krate.name.as_str()) {
         run_purity(krate, file, out);
     }
     if HOT_PATH_FILES.contains(&file.rel_path.as_str()) {
@@ -199,14 +196,13 @@ mod tests {
     }
 
     #[test]
-    fn sync_layer_files_are_exempt_from_purity() {
-        let src = "use std::sync::Mutex;\npub fn f() { std::thread::yield_now(); }\n";
-        assert!(
-            run_on("sim", "crates/sim/src/shard.rs", src).is_empty(),
-            "the sharded scheduler owns threads by design"
-        );
-        // The same code anywhere else in the crate still fires.
-        assert!(!run_on("sim", "crates/sim/src/engine.rs", src).is_empty());
+    fn threads_atomics_and_locks_flagged_in_every_dispatch_file() {
+        let src = "use std::sync::Mutex;\nuse std::sync::atomic::AtomicU64;\n\
+                   pub fn f() { std::thread::yield_now(); }\n";
+        for path in ["crates/sim/src/shard.rs", "crates/sim/src/engine.rs"] {
+            let out = run_on("sim", path, src);
+            assert_eq!(out.len(), 3, "{path}: {out:?}");
+        }
     }
 
     #[test]

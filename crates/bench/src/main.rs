@@ -1,11 +1,10 @@
-//! `dirca-bench`: the pinned-seed scaling and sharding harness.
+//! `dirca-bench`: the pinned-seed scaling harness.
 //!
-//! Runs the two measurements perfbench's single-threaded workloads do not
-//! cover: a large-field scaling benchmark (pinned Poisson fields of
-//! 1k/10k/100k nodes exercising the uniform-grid coverage index) and a
-//! sharded-engine speedup benchmark (one pinned field simulated classically
-//! and then on the deterministic sharded engine at 1/2/4 workers). It writes
-//! the measurements to `BENCH_paper_grid.json` at the repository root:
+//! Runs the measurement perfbench's fixed-size workloads do not cover: a
+//! large-field scaling benchmark (pinned Poisson fields of 1k/10k/100k
+//! nodes exercising the uniform-grid coverage index). It writes the
+//! measurements, with the host's parallelism, to `BENCH_paper_grid.json`
+//! at the repository root:
 //!
 //! ```text
 //! cargo run --release -p dirca-bench            # default output path
@@ -29,7 +28,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dirca_mac::Scheme;
-use dirca_net::{run, run_sharded, SimConfig, DEFAULT_SHARDS};
+use dirca_net::{run, SimConfig};
 use dirca_radio::{Channel, CoveragePlan};
 use dirca_sim::rng::derive_seed;
 use dirca_sim::SimDuration;
@@ -40,10 +39,13 @@ const SEED: u64 = 0xD1CA;
 
 fn main() {
     let (out_path, scaling_max) = parse_args();
-    eprintln!("dirca-bench: scaling and sharding, seed {SEED:#x}");
+    eprintln!("dirca-bench: scaling, seed {SEED:#x}");
     let scaling = scaling_bench(scaling_max);
-    let sharding = sharding_bench();
-    std::fs::write(&out_path, render_json(&scaling, &sharding))
+    // What `std::thread::available_parallelism` reported on this host:
+    // the sweep is single-threaded, but the wall-clock rows are only
+    // comparable between hosts that say how many cores they shared.
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::fs::write(&out_path, render_json(&scaling, host_parallelism))
         .expect("failed to write benchmark report");
     eprintln!("dirca-bench: wrote {out_path}");
 }
@@ -161,96 +163,14 @@ fn scaling_bench(scaling_max: usize) -> Vec<ScalingRow> {
     rows
 }
 
-/// One sharded run of the speedup benchmark's pinned workload.
-struct ShardingRow {
-    workers: usize,
-    wall_ms: f64,
-    events: u64,
-    /// Wall-clock ratio against the one-worker sharded run.
-    speedup: f64,
-}
-
-/// The sharded-engine speedup benchmark: one pinned field, classic
-/// baseline plus the sharded engine at 1/2/4 workers.
-struct ShardingBench {
-    nodes: usize,
-    shards: u32,
-    /// What `std::thread::available_parallelism` reported on this host.
-    /// Speedup numbers are only meaningful relative to this: on a
-    /// single-core runner the 2- and 4-worker rows measure coordination
-    /// overhead, not parallelism.
-    host_parallelism: usize,
-    classic_wall_ms: f64,
-    classic_events: u64,
-    rows: Vec<ShardingRow>,
-}
-
-/// Simulates one pinned 1k-node Poisson field under DRTS/DCTS, first on
-/// the classic single-queue engine and then on the sharded deterministic
-/// engine at 1, 2, and 4 workers.
-///
-/// The sharded runs all use [`DEFAULT_SHARDS`] stripes, so their event
-/// streams are byte-identical to each other regardless of worker count
-/// (that invariance is what `dirca-net`'s golden battery pins); only
-/// wall-clock varies between the rows. Speedups are reported against the
-/// one-worker sharded run, which carries the same partitioning overhead.
-fn sharding_bench() -> ShardingBench {
-    let nodes = 1_000usize;
-    let master = derive_seed(SEED, dirca_net::salts::SHARDING_STREAM_SALT);
-    let topology = poisson_field_pinned(derive_seed(master, nodes as u64), nodes, 8.0, 1.0);
-    let config = SimConfig::new(Scheme::DrtsDcts)
-        .with_beamwidth_degrees(30.0)
-        .with_seed(derive_seed(master, nodes as u64 + 1))
-        .with_warmup(SimDuration::from_millis(10))
-        .with_measure(SimDuration::from_millis(50));
-
-    let start = Instant::now();
-    let classic = run(&topology, &config);
-    let classic_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let classic_events = classic.events_processed();
-
-    let mut rows = Vec::new();
-    let mut base_wall_ms = 0.0;
-    for workers in [1usize, 2, 4] {
-        let start = Instant::now();
-        let result = run_sharded(&topology, &config, DEFAULT_SHARDS, workers);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if workers == 1 {
-            base_wall_ms = wall_ms;
-        }
-        rows.push(ShardingRow {
-            workers,
-            wall_ms,
-            events: result.events_processed(),
-            speedup: base_wall_ms / wall_ms,
-        });
-    }
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "  sharding n={nodes} ({DEFAULT_SHARDS} stripes, host parallelism {host_parallelism}): \
-         classic {classic_wall_ms:.0} ms, workers {}",
-        rows.iter()
-            .map(|r| format!("{}={:.0} ms ({:.2}x)", r.workers, r.wall_ms, r.speedup))
-            .collect::<Vec<_>>()
-            .join(" / ")
-    );
-    ShardingBench {
-        nodes,
-        shards: DEFAULT_SHARDS,
-        host_parallelism,
-        classic_wall_ms,
-        classic_events,
-        rows,
-    }
-}
-
 /// Renders the report by hand; the workspace deliberately has no JSON
 /// dependency.
-fn render_json(scaling: &[ScalingRow], sharding: &ShardingBench) -> String {
+fn render_json(scaling: &[ScalingRow], host_parallelism: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"dirca-bench/paper-grid/v4\",\n");
+    s.push_str("  \"schema\": \"dirca-bench/paper-grid/v5\",\n");
     let _ = writeln!(s, "  \"seed\": {SEED},");
+    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
     s.push_str("  \"scaling\": [\n");
     for (i, r) in scaling.iter().enumerate() {
         let comma = if i + 1 < scaling.len() { "," } else { "" };
@@ -269,37 +189,7 @@ fn render_json(scaling: &[ScalingRow], sharding: &ShardingBench) -> String {
             r.events_per_sec
         );
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"sharding\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"DrtsDcts theta=30 pinned Poisson field, 50ms measure\","
-    );
-    let _ = writeln!(s, "    \"nodes\": {},", sharding.nodes);
-    let _ = writeln!(s, "    \"shards\": {},", sharding.shards);
-    let _ = writeln!(
-        s,
-        "    \"host_parallelism\": {},",
-        sharding.host_parallelism
-    );
-    let _ = writeln!(
-        s,
-        "    \"classic_wall_ms\": {:.1},",
-        sharding.classic_wall_ms
-    );
-    let _ = writeln!(s, "    \"classic_events\": {},", sharding.classic_events);
-    s.push_str("    \"workers\": [\n");
-    for (i, r) in sharding.rows.iter().enumerate() {
-        let comma = if i + 1 < sharding.rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"workers\": {}, \"wall_ms\": {:.1}, \"events\": {}, \
-             \"speedup\": {:.3}}}{comma}",
-            r.workers, r.wall_ms, r.events, r.speedup
-        );
-    }
-    s.push_str("    ]\n");
-    s.push_str("  }\n");
+    s.push_str("  ]\n");
     s.push_str("}\n");
     s
 }

@@ -11,40 +11,31 @@
 //! Usage: same scale flags as `fig6` (`--quick`, `--topologies`,
 //! `--measure-ms`, `--n`, `--theta`, `--threads`, `--seed`), plus the
 //! runner flags `--checkpoint PATH`, `--resume`, `--max-cells K`,
-//! `--retries R`, `--events-budget E`, `--engine-threads W`, and the CI
-//! drill switches `--inject-panic n,theta,scheme` /
-//! `--inject-timeout n,theta,scheme`.
-//!
-//! `--engine-threads W` (default 0) switches each topology simulation to
-//! the sharded deterministic engine on `W` worker threads (0 = the classic
-//! single-queue engine). Sharded samples are worker-count invariant but
-//! not byte-equal to classic ones, so checkpoints record which engine
-//! produced them and refuse to resume across engines.
+//! `--retries R`, `--events-budget E`, and the CI drill switches
+//! `--inject-panic n,theta,scheme` / `--inject-timeout n,theta,scheme`.
 //!
 //! With `--trace PATH` the run additionally exports a structured trace of
 //! topology 0 of every cell as one CRC-framed binary document. See
 //! `dirca_experiments::tracegrid` for the layout and the `trace_view`
-//! binary for validating it and folding it into per-node timelines. Trace
-//! documents are binary-only: any other `--trace-…` flag (a leftover
-//! encoding choice) is refused with a usage error rather than silently
-//! ignored.
+//! binary for validating it and folding it into per-node timelines.
+//!
+//! Flags earlier versions accepted are refused with a usage error rather
+//! than silently ignored: any `--trace-…` flag (a leftover encoding
+//! choice) and `--engine-threads` (the removed sharded engine).
 //!
 //! Exit status: 0 on a clean complete grid, 1 if any cell failed, 2 on a
 //! usage error, 3 if `--max-cells` stopped the run early.
 
-use dirca_experiments::cli::Flags;
+use dirca_experiments::cli::{removed_flag, Flags};
 use dirca_experiments::report::{render_combined, GridScale};
 use dirca_experiments::ringsim::RingOutcome;
 use dirca_experiments::runner::{run_grid, RunnerConfig};
-use dirca_experiments::tracegrid::{export_grid_trace, stale_trace_flag};
+use dirca_experiments::tracegrid::export_grid_trace;
 
 fn main() {
     let flags = Flags::from_env();
-    if let Some(stale) = stale_trace_flag(&flags) {
-        eprintln!(
-            "usage error: --{stale} is not accepted: trace documents are binary-only and \
-             `--trace PATH` is the only trace flag"
-        );
+    if let Some(message) = removed_flag(&flags) {
+        eprintln!("{message}");
         std::process::exit(2);
     }
     let scale = GridScale::from_flags(&flags);
@@ -57,13 +48,6 @@ fn main() {
         scale.measure.as_nanos() / 1_000_000,
         runner.threads
     );
-    if runner.engine_threads > 0 {
-        eprintln!(
-            "engine: sharded ({} stripes, {} workers per simulation)",
-            dirca_net::DEFAULT_SHARDS,
-            runner.engine_threads
-        );
-    }
     if let Some(path) = flags.get("trace") {
         eprintln!("exporting structured trace to {path}");
         export_grid_trace(&scale, path).unwrap_or_else(|e| {

@@ -156,6 +156,29 @@ impl Flags {
     }
 }
 
+/// A usage-error message for the first flag in `flags` that an earlier
+/// version accepted and this one does not, naming the flag and why it
+/// went. [`Flags`] ignores names it does not know, so a leftover flag
+/// would otherwise be dropped without a word and the run go ahead on
+/// terms other than those asked for:
+///
+/// * `--trace-…`: trace documents have one binary encoding, and
+///   `--trace PATH` is the only trace flag;
+/// * `--engine-threads`: the sharded engine is gone, and every run uses
+///   the one sequential engine.
+pub fn removed_flag(flags: &Flags) -> Option<String> {
+    flags.names().find_map(|name| {
+        let why = if name.starts_with("trace-") {
+            "trace documents are binary-only and `--trace PATH` is the only trace flag"
+        } else if name == "engine-threads" {
+            "the sharded engine was removed and every run uses the one sequential engine"
+        } else {
+            return None;
+        };
+        Some(format!("usage error: --{name} is not accepted: {why}"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,5 +246,27 @@ mod tests {
         assert_eq!(f.try_get_usize("n", 7), Ok(7));
         assert_eq!(f.try_get_u64("seed", 9), Ok(9));
         assert_eq!(f.try_get_f64("x", 1.5), Ok(1.5));
+    }
+
+    #[test]
+    fn removed_flags_are_named_for_refusal() {
+        assert_eq!(removed_flag(&flags(&["--quick", "--trace", "g.bin"])), None);
+        for args in [
+            &["--trace", "g.bin", "--trace-encoding", "jsonl"][..],
+            &["--trace-encoding", "--quick"][..],
+        ] {
+            let message = removed_flag(&flags(args)).expect("stale trace flag");
+            assert!(message.contains("--trace-encoding "), "{message}");
+        }
+        for args in [
+            &["--engine-threads", "4"][..],
+            &["--quick", "--engine-threads"][..],
+        ] {
+            let message = removed_flag(&flags(args)).expect("removed engine flag");
+            assert!(
+                message.starts_with("usage error: --engine-threads "),
+                "{message}"
+            );
+        }
     }
 }

@@ -91,12 +91,39 @@ impl GridScale {
             None => vec![30.0, 90.0, 150.0],
         };
         let fer = flags.try_get_f64("fer", 0.0)?;
+        // The ranges of serve's `ScenarioSpec::validate`: a value outside
+        // them would otherwise panic inside every cell or report nothing.
+        let out_of_range = |flag: &str, expected, got: String| UsageError {
+            flag: flag.to_string(),
+            expected,
+            got,
+        };
+        if topologies == 0 {
+            return Err(out_of_range("topologies", "at least 1", "0".into()));
+        }
+        if measure_ms == 0 {
+            return Err(out_of_range("measure-ms", "at least 1", "0".into()));
+        }
+        if densities.contains(&0) {
+            return Err(out_of_range(
+                "n",
+                "a neighbourhood size of at least 1",
+                "0".into(),
+            ));
+        }
+        if let Some(&t) = beamwidths.iter().find(|&&t| !(t > 0.0 && t <= 360.0)) {
+            return Err(out_of_range(
+                "theta",
+                "a beamwidth finite in (0, 360]",
+                format!("{t}"),
+            ));
+        }
         if !(0.0..1.0).contains(&fer) {
-            return Err(UsageError {
-                flag: "fer".to_string(),
-                expected: "a frame error rate in [0, 1)",
-                got: format!("{fer}"),
-            });
+            return Err(out_of_range(
+                "fer",
+                "a frame error rate in [0, 1)",
+                format!("{fer}"),
+            ));
         }
         Ok(GridScale {
             topologies,
@@ -323,6 +350,40 @@ mod tests {
         }
         let flags = Flags::parse(["--fer", "0.25"].iter().map(|s| s.to_string()));
         assert_eq!(GridScale::try_from_flags(&flags).unwrap().fer, 0.25);
+    }
+
+    fn refused_flag(args: &[&str]) -> String {
+        let flags = Flags::parse(args.iter().map(|s| s.to_string()));
+        GridScale::try_from_flags(&flags)
+            .expect_err("degenerate value accepted")
+            .flag
+    }
+
+    #[test]
+    fn scale_from_flags_refuses_degenerate_theta() {
+        for bad in ["0", "-30", "400", "nan", "inf"] {
+            assert_eq!(refused_flag(&["--theta", bad]), "theta", "--theta {bad}");
+        }
+        let flags = Flags::parse(["--theta", "360"].iter().map(|s| s.to_string()));
+        assert_eq!(
+            GridScale::try_from_flags(&flags).unwrap().beamwidths,
+            [360.0]
+        );
+    }
+
+    #[test]
+    fn scale_from_flags_refuses_zero_density() {
+        assert_eq!(refused_flag(&["--n", "0"]), "n");
+    }
+
+    #[test]
+    fn scale_from_flags_refuses_zero_topologies() {
+        assert_eq!(refused_flag(&["--topologies", "0"]), "topologies");
+    }
+
+    #[test]
+    fn scale_from_flags_refuses_zero_measure() {
+        assert_eq!(refused_flag(&["--measure-ms", "0"]), "measure-ms");
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::pool::parallel_indexed_catch;
 use dirca_mac::{MacConfig, Scheme};
 use dirca_net::salts::{RUN_STREAM_SALT, TOPOLOGY_STREAM_SALT};
 use dirca_net::{
-    run, run_guarded, run_sharded, run_sharded_guarded, FaultPlan, MobilityConfig, RunAborted,
-    RunResult, SimConfig, Watchdog, DEFAULT_SHARDS,
+    run, run_guarded, FaultPlan, MobilityConfig, RunAborted, RunResult, SimConfig, Watchdog,
 };
 use dirca_radio::{ReceptionMode, SinrPhy};
 use dirca_sim::{rng::derive_seed, rng::stream_rng, SimDuration};
@@ -46,11 +45,8 @@ pub struct RingExperiment {
     /// Deterministic channel faults to inject (trivial = perfect channel).
     pub fault: FaultPlan,
     /// Optional mobility attachment (`None` = the paper's static layouts).
-    /// Mobile cells run on the classic engine only — keep `engine_threads`
-    /// at 0 in [`CellGuards`] when this is set.
     pub mobility: Option<MobilityConfig>,
     /// Optional SINR-capture PHY (`None` = the binary collide rule).
-    /// SINR cells run on the classic engine only, like `mobility`.
     pub sinr: Option<SinrPhy>,
 }
 
@@ -145,14 +141,6 @@ pub struct CellGuards {
     pub watchdog: Option<Watchdog>,
     /// Deliberately panic in topology 0 instead of simulating.
     pub drill_panic: bool,
-    /// Worker threads for the sharded engine *inside* each topology
-    /// simulation: `0` runs the classic single-queue engine; any other
-    /// value runs the [`DEFAULT_SHARDS`]-stripe partitioned engine on that
-    /// many workers. Sharded samples are deterministic and worker-count
-    /// invariant, but not byte-equal to classic samples (the stripe
-    /// interleaving differs), so the runner fingerprints the engine choice
-    /// into its checkpoints.
-    pub engine_threads: usize,
 }
 
 impl RingOutcome {
@@ -208,7 +196,7 @@ pub fn try_run_cell(
         if guards.drill_panic && t == 0 {
             panic!("drill: injected cell panic");
         }
-        run_one_topology(experiment, t, guards.watchdog, guards.engine_threads)
+        run_one_topology(experiment, t, guards.watchdog)
     });
     let mut samples = Vec::with_capacity(outcomes.len());
     for (t, outcome) in outcomes.into_iter().enumerate() {
@@ -286,14 +274,11 @@ fn run_one_topology(
     experiment: &RingExperiment,
     index: usize,
     watchdog: Option<Watchdog>,
-    engine_threads: usize,
 ) -> Result<TopologySample, RunAborted> {
     let (topology, config) = topology_config(experiment, index);
-    let result: RunResult = match (watchdog, engine_threads) {
-        (None, 0) => run(&topology, &config),
-        (Some(w), 0) => run_guarded(&topology, &config, w)?,
-        (None, workers) => run_sharded(&topology, &config, DEFAULT_SHARDS, workers),
-        (Some(w), workers) => run_sharded_guarded(&topology, &config, DEFAULT_SHARDS, workers, w)?,
+    let result: RunResult = match watchdog {
+        None => run(&topology, &config),
+        Some(w) => run_guarded(&topology, &config, w)?,
     };
     let bit_rate = config.params.bit_rate_bps as f64;
     Ok(TopologySample {
@@ -378,25 +363,6 @@ mod tests {
         let a = try_run_cell(&exp, 1, &CellGuards::default()).unwrap();
         let b = try_run_cell(&exp, 4, &CellGuards::default()).unwrap();
         assert_eq!(a, b, "samples must not depend on the thread count");
-    }
-
-    #[test]
-    fn sharded_engine_samples_are_worker_count_invariant() {
-        // The sharded engine's samples must be a pure function of the shard
-        // count (fixed at DEFAULT_SHARDS), never of the worker count.
-        let exp = tiny(Scheme::DrtsDcts, 3, 30.0);
-        let one = CellGuards {
-            engine_threads: 1,
-            ..CellGuards::default()
-        };
-        let four = CellGuards {
-            engine_threads: 4,
-            ..CellGuards::default()
-        };
-        let a = try_run_cell(&exp, 1, &one).unwrap();
-        let b = try_run_cell(&exp, 1, &four).unwrap();
-        assert_eq!(a, b, "engine worker count leaked into the samples");
-        assert!(a.iter().all(|s| s.throughput > 0.0));
     }
 
     #[test]

@@ -147,11 +147,6 @@ pub struct RunnerConfig {
     pub inject_panic: Option<Cell>,
     /// Drill switch: this cell runs under a starvation watchdog.
     pub inject_timeout: Option<Cell>,
-    /// Worker threads for the sharded engine inside each topology
-    /// simulation (`0` = classic single-queue engine). Sharded samples are
-    /// worker-count invariant but not byte-equal to classic ones, so the
-    /// engine choice is part of the checkpoint fingerprint.
-    pub engine_threads: usize,
 }
 
 impl Default for RunnerConfig {
@@ -165,7 +160,6 @@ impl Default for RunnerConfig {
             max_cells: None,
             inject_panic: None,
             inject_timeout: None,
-            engine_threads: 0,
         }
     }
 }
@@ -173,7 +167,7 @@ impl Default for RunnerConfig {
 impl RunnerConfig {
     /// Builds the runner policy from flags: `--threads`, `--retries`,
     /// `--events-budget`, `--checkpoint PATH`, `--resume`, `--max-cells`,
-    /// `--engine-threads`, and the drill switches `--inject-panic n,theta,scheme` /
+    /// and the drill switches `--inject-panic n,theta,scheme` /
     /// `--inject-timeout n,theta,scheme`.
     pub fn try_from_flags(flags: &Flags) -> Result<Self, UsageError> {
         let parse_cell = |flag: &str| -> Result<Option<Cell>, UsageError> {
@@ -202,7 +196,6 @@ impl RunnerConfig {
             },
             inject_panic: parse_cell("inject-panic")?,
             inject_timeout: parse_cell("inject-timeout")?,
-            engine_threads: flags.try_get_usize("engine-threads", 0)?,
         })
     }
 }
@@ -225,18 +218,7 @@ pub fn enumerate_cells(scale: &GridScale) -> Vec<Cell> {
 /// count is deliberately excluded: results are thread-count independent,
 /// so a checkpoint taken at `--threads 1` resumes fine at `--threads 8`.
 pub fn grid_fingerprint(scale: &GridScale) -> String {
-    grid_fingerprint_for(scale, 0)
-}
-
-/// [`grid_fingerprint`] for a specific engine choice. The classic engine
-/// (`engine_threads == 0`) keeps the historical fingerprint; the sharded
-/// engine appends its fixed stripe count, because partitioned samples are
-/// not byte-equal to classic ones and the two must never restore into
-/// each other. The *worker* count stays excluded — sharded results are
-/// worker-count invariant, so `--engine-threads 2` resumes a checkpoint
-/// taken at `--engine-threads 4`.
-pub fn grid_fingerprint_for(scale: &GridScale, engine_threads: usize) -> String {
-    let mut canon = format!(
+    let canon = format!(
         "topologies={};measure={:?};warmup={:?};seed={};densities={:?};beamwidths={:?};fer={:?}",
         scale.topologies,
         scale.measure,
@@ -246,9 +228,6 @@ pub fn grid_fingerprint_for(scale: &GridScale, engine_threads: usize) -> String 
         scale.beamwidths,
         scale.fer
     );
-    if engine_threads > 0 {
-        canon.push_str(&format!(";engine=sharded{}", dirca_net::DEFAULT_SHARDS));
-    }
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canon.bytes() {
         hash ^= u64::from(b);
@@ -522,7 +501,7 @@ pub fn run_grid_with(
     observer: &mut dyn FnMut(&CellOutcome),
 ) -> Result<GridRun, CheckpointError> {
     let cells = enumerate_cells(scale);
-    let fingerprint = grid_fingerprint_for(scale, config.engine_threads);
+    let fingerprint = grid_fingerprint(scale);
     let mut done: BTreeMap<CellKey, Vec<TopologySample>> = BTreeMap::new();
     let mut warnings = Vec::new();
     let mut sink: Option<File> = None;
@@ -580,7 +559,6 @@ pub fn run_grid_with(
                 config.watchdog
             },
             drill_panic: config.inject_panic.is_some_and(|c| c.key() == cell.key()),
-            engine_threads: config.engine_threads,
         };
         let mut attempts = 0u32;
         let result = loop {
@@ -655,26 +633,16 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_engines_but_not_engine_workers() {
-        let scale = GridScale {
-            topologies: 2,
-            measure: dirca_sim::SimDuration::from_millis(100),
-            warmup: dirca_sim::SimDuration::from_millis(10),
-            threads: 1,
-            seed: 1,
-            densities: vec![3],
-            beamwidths: vec![90.0],
-            fer: 0.0,
-        };
-        // Classic keeps the historical fingerprint.
-        assert_eq!(grid_fingerprint_for(&scale, 0), grid_fingerprint(&scale));
-        // Sharded is a different universe of bytes…
-        assert_ne!(grid_fingerprint_for(&scale, 1), grid_fingerprint(&scale));
-        // …but the worker count within it does not matter.
-        assert_eq!(
-            grid_fingerprint_for(&scale, 1),
-            grid_fingerprint_for(&scale, 4)
+    fn fingerprint_of_the_quick_grid_is_pinned() {
+        // Checkpoints written by earlier versions resume only while this
+        // value holds.
+        let flags = Flags::parse(
+            ["--quick", "--n", "3", "--theta", "90"]
+                .iter()
+                .map(|s| s.to_string()),
         );
+        let scale = GridScale::try_from_flags(&flags).unwrap();
+        assert_eq!(grid_fingerprint(&scale), "b21cff794c84e3ce");
     }
 
     #[test]

@@ -25,7 +25,6 @@ use dirca_trace::wire::{
     encode_frame_into, encode_scheme, kind, metrics_payload, record_payload, WireWriter,
 };
 
-use crate::cli::Flags;
 use crate::report::GridScale;
 use crate::ringsim::topology_config;
 
@@ -80,15 +79,6 @@ fn render_with_capacity(scale: &GridScale, capacity: usize) -> Vec<u8> {
 /// Renders the grid trace and writes it to `path`.
 pub fn export_grid_trace(scale: &GridScale, path: &str) -> std::io::Result<()> {
     std::fs::write(path, render_grid_trace(scale))
-}
-
-/// The first `--trace-…` flag in `flags`, if any. `--trace PATH` is the
-/// only trace flag and the document has one encoding, so a sub-flag left
-/// over from older versions (an encoding choice, say) must be refused:
-/// [`Flags`] ignores names it does not know, and the run would otherwise
-/// go ahead without a word.
-pub fn stale_trace_flag(flags: &Flags) -> Option<&str> {
-    flags.names().find(|name| name.starts_with("trace-"))
 }
 
 #[cfg(test)]
@@ -167,23 +157,6 @@ mod tests {
             );
             assert_eq!(overwritten, 0, "a tiny cell fits the ring");
         }
-    }
-
-    #[test]
-    fn trace_sub_flags_are_named_for_refusal() {
-        let flags = |args: &[&str]| Flags::parse(args.iter().map(|s| s.to_string()));
-        assert_eq!(
-            stale_trace_flag(&flags(&["--quick", "--trace", "g.bin"])),
-            None
-        );
-        assert_eq!(
-            stale_trace_flag(&flags(&["--trace", "g.bin", "--trace-encoding", "jsonl"])),
-            Some("trace-encoding")
-        );
-        assert_eq!(
-            stale_trace_flag(&flags(&["--trace-encoding", "--quick"])),
-            Some("trace-encoding")
-        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Network assembly: the simulated world tying together the MAC variants,
 //! the directional radio, and saturated CBR traffic.
 //!
-//! This crate is the equivalent of GloMoSim's node/partition glue in the
-//! paper's experiments. It provides:
+//! This crate is the equivalent of GloMoSim's node glue in the paper's
+//! experiments. It provides:
 //!
 //! * [`NetWorld`] — the [`dirca_sim::World`] implementation: per-node
 //!   [`dirca_mac::DcfMac`] + [`dirca_radio::Transceiver`], a shared
-//!   [`dirca_radio::Channel`], and the event plumbing between them,
+//!   [`dirca_radio::Channel`], and the event plumbing between them. Every
+//!   run drives it on the one sequential [`dirca_sim::Simulation`] loop,
 //! * [`SimConfig`] — one experiment's knobs (scheme, beamwidth, reception
 //!   mode, traffic, warm-up/measurement windows, seed),
 //! * [`run`] — builds the world from a [`dirca_topology::Topology`], runs
@@ -38,13 +39,11 @@ pub mod audit;
 mod config;
 mod result;
 pub mod salts;
-mod shard;
 pub mod trace;
 mod world;
 
 pub use config::{MobilityConfig, SimConfig, TrafficModel};
 pub use result::{NodeReport, RunResult};
-pub use shard::{run_sharded, run_sharded_guarded, ShardNetWorld, ShardedNetSim, DEFAULT_SHARDS};
 pub use world::{AirtimeBreakdown, AppStats, NetEvent, NetWorld};
 
 // Fault-injection plumbing, re-exported so experiment code can configure a

@@ -45,13 +45,6 @@ pub const MODEL_RUN_STREAM_SALT: u64 = 0x51D;
 /// so scaling fields never correlate with the paper-grid ring draws.
 pub const SCALING_STREAM_SALT: u64 = 0x5CA_11E;
 
-/// Sharding-benchmark streams: Poisson-field placement and run seeds for
-/// the sharded-engine speedup benchmark, indexed per field size via a
-/// second `derive_seed(·, nodes)` step exactly like
-/// [`SCALING_STREAM_SALT`], but on its own base so the speedup workload
-/// never correlates with the scaling sweep's fields.
-pub const SHARDING_STREAM_SALT: u64 = 0x5_1CED;
-
 /// Client retry-backoff jitter streams for `dirca-serve`, indexed per
 /// attempt. Jitter only shapes *when* a client retries, never what it
 /// computes — but it is still a seeded stream so two clients launched
@@ -91,7 +84,6 @@ pub const ALL_STREAM_SALTS: &[(&str, u64)] = &[
     ("MODEL_STREAM_SALT", MODEL_STREAM_SALT),
     ("MODEL_RUN_STREAM_SALT", MODEL_RUN_STREAM_SALT),
     ("SCALING_STREAM_SALT", SCALING_STREAM_SALT),
-    ("SHARDING_STREAM_SALT", SHARDING_STREAM_SALT),
     ("SERVE_BACKOFF_STREAM_SALT", SERVE_BACKOFF_STREAM_SALT),
     ("MOBILITY_STREAM_SALT", MOBILITY_STREAM_SALT),
     ("SINR_STREAM_SALT", SINR_STREAM_SALT),
@@ -127,7 +119,6 @@ mod tests {
                 "MODEL_STREAM_SALT",
                 "MODEL_RUN_STREAM_SALT",
                 "SCALING_STREAM_SALT",
-                "SHARDING_STREAM_SALT",
                 "SERVE_BACKOFF_STREAM_SALT",
                 "MOBILITY_STREAM_SALT",
                 "SINR_STREAM_SALT",

@@ -433,36 +433,26 @@ impl NetWorld {
     /// sources get their first packet immediately (and are refilled
     /// forever); Poisson sources get their first arrival scheduled.
     pub fn prime(&mut self, sched: &mut Scheduler<NetEvent>) {
-        self.prime_in(sched);
-    }
-
-    /// [`NetWorld::prime`] under any scheduling context: only the nodes the
-    /// context owns get traffic seeded (all of them in the classic engine).
-    pub(crate) fn prime_in<S: NetSched>(&mut self, sched: &mut S) {
         // panic-path: per-node vectors are all sized to the node count at
         // build time, and node ids come from the topology/coverage plan, so
         // id-indexed access is infallible.
-        sched.sched().reserve(self.expected_events);
+        sched.reserve(self.expected_events);
         if let Some(m) = &self.mobility {
-            sched.sched().schedule_in(m.epoch, NetEvent::MobilityEpoch);
+            sched.schedule_in(m.epoch, NetEvent::MobilityEpoch);
         }
         match self.traffic {
             TrafficModel::Saturated => {
                 for i in 0..self.macs.len() {
-                    if sched.owns(NodeId(i)) {
-                        self.refill(NodeId(i), sched);
-                    }
+                    self.refill(NodeId(i), sched);
                 }
             }
             TrafficModel::Poisson {
                 packets_per_sec, ..
             } => {
                 for i in 0..self.macs.len() {
-                    if sched.owns(NodeId(i)) && !self.neighbors[i].is_empty() {
+                    if !self.neighbors[i].is_empty() {
                         let dt = exp_interval(&mut self.rngs[i], packets_per_sec);
-                        sched
-                            .sched()
-                            .schedule_in(dt, NetEvent::Arrival { node: NodeId(i) });
+                        sched.schedule_in(dt, NetEvent::Arrival { node: NodeId(i) });
                     }
                 }
             }
@@ -528,16 +518,15 @@ impl NetWorld {
     }
 
     /// Dispatches a MAC callback for `node` with a fully wired context.
-    fn with_mac<S: NetSched>(
+    fn with_mac(
         &mut self,
         node: NodeId,
-        sched: &mut S,
-        f: impl FnOnce(&mut DcfMac, &mut Ctx<'_, S>),
+        sched: &mut Scheduler<NetEvent>,
+        f: impl FnOnce(&mut DcfMac, &mut Ctx<'_>),
     ) {
         // panic-path: per-node vectors (macs/phys/rngs/app) are all sized to
         // the node count at build time and `node` comes from the event
         // stream, which only ever carries built node ids.
-        debug_assert!(sched.owns(node), "MAC dispatch for a foreign node");
         // Mute is decided at the instant the MAC acts: if the node's radio
         // is out of service now, any frame it puts on the air this instant
         // reaches nobody (the MAC itself keeps running and will time out
@@ -548,7 +537,6 @@ impl NetWorld {
         };
         let NetWorld {
             channel,
-            plan,
             macs,
             phys,
             rngs,
@@ -564,7 +552,6 @@ impl NetWorld {
             sched,
             phy: &mut phys[node.0],
             channel,
-            plan,
             params,
             rng: &mut rngs[node.0],
             next_signal,
@@ -606,7 +593,7 @@ impl NetWorld {
 
     /// Keeps a saturated node's MAC backlogged with fresh packets to random
     /// neighbours.
-    fn refill<S: NetSched>(&mut self, node: NodeId, sched: &mut S) {
+    fn refill(&mut self, node: NodeId, sched: &mut Scheduler<NetEvent>) {
         // panic-path: per-node vectors are sized to the node count at build,
         // so `node`-indexed access is infallible.
         if self.traffic != TrafficModel::Saturated || self.macs[node.0].has_backlog() {
@@ -627,7 +614,7 @@ impl NetWorld {
 
     /// One Poisson arrival at `node`: enqueue (or drop at a full queue)
     /// and schedule the next arrival.
-    fn poisson_arrival<S: NetSched>(&mut self, node: NodeId, sched: &mut S) {
+    fn poisson_arrival(&mut self, node: NodeId, sched: &mut Scheduler<NetEvent>) {
         // panic-path: per-node vectors are sized to the node count at build,
         // so `node`-indexed access is infallible.
         let TrafficModel::Poisson {
@@ -651,7 +638,7 @@ impl NetWorld {
                 self.app[node.0].queue_drops += 1;
             }
             let dt = exp_interval(&mut self.rngs[node.0], packets_per_sec);
-            sched.sched().schedule_in(dt, NetEvent::Arrival { node });
+            sched.schedule_in(dt, NetEvent::Arrival { node });
         }
     }
 
@@ -843,7 +830,7 @@ impl NetWorld {
     /// saturated sources the motion reconnected, and schedule the next
     /// epoch. A zero-motion epoch does zero cache work (counter-asserted
     /// by the golden battery) and consumes no RNG.
-    fn mobility_epoch<S: NetSched>(&mut self, sched: &mut S) {
+    fn mobility_epoch(&mut self, sched: &mut Scheduler<NetEvent>) {
         let (moved, epoch) = {
             let NetWorld {
                 mobility,
@@ -875,7 +862,7 @@ impl NetWorld {
                 self.refill(NodeId(id), sched);
             }
         }
-        sched.sched().schedule_in(epoch, NetEvent::MobilityEpoch);
+        sched.schedule_in(epoch, NetEvent::MobilityEpoch);
     }
 }
 
@@ -911,18 +898,8 @@ fn standard_normal(rng: &mut SmallRng) -> f64 {
 impl World for NetWorld {
     type Event = NetEvent;
 
+    /// The one event dispatch of the network world.
     fn handle(&mut self, now: SimTime, event: NetEvent, sched: &mut Scheduler<NetEvent>) {
-        self.dispatch(now, event, sched);
-    }
-}
-
-impl NetWorld {
-    /// The one event dispatch of the network world, under any scheduling
-    /// context. Wave edges can reach a context that does not own every
-    /// covered receiver (a shard receives copies of foreign waves); the
-    /// receiver walks skip the nodes it does not own, whose owner handles
-    /// its own copy.
-    pub(crate) fn dispatch<S: NetSched>(&mut self, now: SimTime, event: NetEvent, sched: &mut S) {
         // panic-path: events only ever carry node ids the world itself
         // built, and every per-node vector is sized to the node count, so
         // id-indexed access throughout dispatch is infallible.
@@ -942,9 +919,6 @@ impl NetWorld {
                     let powers =
                         std::mem::take(&mut self.sinr.as_mut().expect("SINR runtime").powers);
                     for (i, &dst) in wave.iter().enumerate() {
-                        if !sched.owns(dst) {
-                            continue;
-                        }
                         let (heading, distance) = self.plan.node(dst).toward(src);
                         let became_busy = self.phys[dst.0]
                             .signal_arrives_powered(id, heading, distance, powers[i], end);
@@ -956,9 +930,6 @@ impl NetWorld {
                 } else {
                     self.fill_wave_targets(src, frame.dst, directional, &mut wave);
                     for &dst in &wave {
-                        if !sched.owns(dst) {
-                            continue;
-                        }
                         let (heading, distance) = self.plan.node(dst).toward(src);
                         let became_busy =
                             self.phys[dst.0].signal_arrives_at(id, heading, distance, end);
@@ -999,9 +970,6 @@ impl NetWorld {
                     self.fill_wave_targets(src, frame.dst, directional, &mut wave);
                 }
                 for &dst in &wave {
-                    if !sched.owns(dst) {
-                        continue;
-                    }
                     let report = self.phys[dst.0].signal_ends(id);
                     if report.delivered {
                         match self.fault_verdict(src, dst, &frame, now) {
@@ -1091,82 +1059,12 @@ impl NetWorld {
     }
 }
 
-/// The scheduling context the network dispatch runs against: the event
-/// queue plus the three points where a partitioned run differs from the
-/// classic one.
-///
-/// `Scheduler<NetEvent>` is the classic context — it owns every node, tags
-/// no signal id, and routes nothing — and every dispatch path is
-/// monomorphised over it, so the classic hot path carries no per-receiver
-/// branch. The sharded engine's context lives in `crate::shard`.
-pub(crate) trait NetSched {
-    /// The local event queue and clock.
-    fn sched(&mut self) -> &mut Scheduler<NetEvent>;
-
-    /// The current simulated instant.
-    fn now(&self) -> SimTime;
-
-    /// Whether this context acts for `node`: drives its MAC and PHY, draws
-    /// from its streams, and keeps its counters.
-    fn owns(&self, node: NodeId) -> bool;
-
-    /// Tag placed above bit 48 of every [`SignalId`] issued here, so ids
-    /// stay globally unique without coordination.
-    fn shard_tag(&self) -> u32;
-
-    /// Posts the copies of a wave just transmitted by `src` to every other
-    /// context owning a covered receiver; `edges` are the absolute arrival
-    /// instants of its leading and trailing edges.
-    fn route_wave(
-        &mut self,
-        plan: &CoveragePlan,
-        src: NodeId,
-        id: SignalId,
-        frame: Frame,
-        directional: bool,
-        edges: [SimTime; 2],
-    );
-}
-
-impl NetSched for Scheduler<NetEvent> {
-    fn sched(&mut self) -> &mut Scheduler<NetEvent> {
-        self
-    }
-
-    fn now(&self) -> SimTime {
-        Scheduler::now(self)
-    }
-
-    fn owns(&self, _node: NodeId) -> bool {
-        true
-    }
-
-    fn shard_tag(&self) -> u32 {
-        0
-    }
-
-    fn route_wave(
-        &mut self,
-        _: &CoveragePlan,
-        _: NodeId,
-        _: SignalId,
-        _: Frame,
-        _: bool,
-        _: [SimTime; 2],
-    ) {
-    }
-}
-
-/// The [`MacContext`] wired to the scheduling context and the shared
-/// channel.
-struct Ctx<'a, S> {
+/// The [`MacContext`] wired to the event queue and the shared channel.
+struct Ctx<'a> {
     node: NodeId,
-    sched: &'a mut S,
+    sched: &'a mut Scheduler<NetEvent>,
     phy: &'a mut Transceiver,
     channel: &'a Channel,
-    /// The plan a transmission's cross-context copies are routed by
-    /// (unused by the classic context).
-    plan: &'a CoveragePlan,
     params: &'a Dot11Params,
     rng: &'a mut SmallRng,
     next_signal: &'a mut u64,
@@ -1178,7 +1076,7 @@ struct Ctx<'a, S> {
     muted: bool,
 }
 
-impl<S: NetSched> Ctx<'_, S> {
+impl Ctx<'_> {
     /// Pushes one record attributed to this context's node.
     fn record(&mut self, kind: RecordKind) {
         if let Some(recorder) = self.recorder.as_mut() {
@@ -1191,7 +1089,7 @@ impl<S: NetSched> Ctx<'_, S> {
     }
 }
 
-impl<S: NetSched> MacContext for Ctx<'_, S> {
+impl MacContext for Ctx<'_> {
     fn now(&self) -> SimTime {
         self.sched.now()
     }
@@ -1217,7 +1115,6 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
         }
         self.phy.begin_transmit();
         self.sched
-            .sched()
             .schedule_in(duration, NetEvent::TxEnd { node: self.node });
 
         if self.muted {
@@ -1228,15 +1125,14 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
             return;
         }
 
-        let id = SignalId((u64::from(self.sched.shard_tag()) << 48) | *self.next_signal);
+        let id = SignalId(*self.next_signal);
         *self.next_signal += 1;
         let prop = self.channel.propagation_delay();
         // Hot path: one batched wave pair per frame. The handler walks the
         // precomputed footprint with cached headings and distances, so heap
         // traffic stays O(1) per transmission regardless of how many
         // receivers the wave covers.
-        let sched = self.sched.sched();
-        sched.schedule_in(
+        self.sched.schedule_in(
             prop,
             NetEvent::WaveStart {
                 src: self.node,
@@ -1245,7 +1141,7 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
                 directional,
             },
         );
-        sched.schedule_in(
+        self.sched.schedule_in(
             duration + prop,
             NetEvent::WaveEnd {
                 src: self.node,
@@ -1253,15 +1149,6 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
                 frame,
                 directional,
             },
-        );
-        let now = self.sched.now();
-        self.sched.route_wave(
-            self.plan,
-            self.node,
-            id,
-            frame,
-            directional,
-            [now + prop, now + duration + prop],
         );
     }
 
@@ -1271,7 +1158,7 @@ impl<S: NetSched> MacContext for Ctx<'_, S> {
         gen: TimerGeneration,
         delay: dirca_sim::SimDuration,
     ) {
-        self.sched.sched().schedule_in(
+        self.sched.schedule_in(
             delay,
             NetEvent::MacTimer {
                 node: self.node,

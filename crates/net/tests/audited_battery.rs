@@ -1,30 +1,24 @@
-//! Differential battery: the sharded engine against the classic one over
-//! the configuration space the golden batteries leave out.
+//! Audited battery: the classic engine over the configuration space the
+//! golden batteries leave out.
 //!
-//! `sharded_golden.rs` pins saturated, fault-free, omni-reception rings.
+//! The golden batteries pin saturated, fault-free, omni-reception rings.
 //! This battery draws scheme × beamwidth × fault plan × traffic ×
 //! reception mode on small random rings and requires, for every draw:
 //!
-//! 1. **One shard ≡ classic** — the one-stripe merged recorder stream (the
-//!    frame log and every other record kind) equals the classic engine's,
-//!    and so do the event count and every [`dirca_net::NodeReport`] of the
-//!    full warm-up + measurement lifecycle.
-//! 2. **Four shards, worker-invariant** — the four-stripe run gives the
-//!    same records, event count and reports on 1 and 2 workers, and the
-//!    same event count and reports with no recorders attached.
-//!
-//! With the `audit` feature the classic side runs under the standard
-//! runtime auditors, so each drawn configuration is also checked for NAV,
-//! transceiver, airtime and causality violations.
+//! 1. **Clean under the auditors** — with the `audit` feature the run
+//!    carries the standard runtime auditors, so each drawn configuration
+//!    is checked for NAV, transceiver, airtime and causality violations.
+//! 2. **Something on the air** — the recorder's frame log is not empty.
+//! 3. **Observation does not perturb** — the full warm-up + measurement
+//!    lifecycle gives the same event count and every
+//!    [`dirca_net::NodeReport`] with a recorder attached as without.
 
 mod common;
 
 use dirca_geometry::Beamwidth;
 use dirca_mac::Scheme;
-use dirca_net::trace::TraceRecord;
-use dirca_net::{
-    run, run_sharded, FaultPlan, NetWorld, RunResult, ShardedNetSim, SimConfig, TrafficModel,
-};
+use dirca_net::trace::{run_traced, TraceRecord};
+use dirca_net::{run, FaultPlan, NetWorld, RunResult, SimConfig, TrafficModel};
 use dirca_radio::{NodeId, ReceptionMode};
 use dirca_sim::rng::stream_rng;
 use dirca_sim::{SimDuration, SimTime, Simulation};
@@ -142,9 +136,9 @@ fn setup(case: &Case) -> (Topology, SimConfig) {
     (topology, config)
 }
 
-/// The classic engine's records over the whole run, under the
-/// standard auditors when the `audit` feature is on.
-fn classic_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceRecord> {
+/// The records of one run, under the standard auditors when the `audit`
+/// feature is on.
+fn audited_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceRecord> {
     let mut world = NetWorld::build(topology, config);
     world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
@@ -161,24 +155,6 @@ fn classic_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceRecord> {
     common::world_records(sim.world())
 }
 
-/// One sharded lifecycle: the merged records plus the collected result.
-fn sharded(
-    topology: &Topology,
-    config: &SimConfig,
-    shards: u32,
-    workers: usize,
-) -> (Vec<TraceRecord>, RunResult) {
-    let mut sim = ShardedNetSim::build(topology, config, shards);
-    common::attach_recorders(&mut sim);
-    sim.prime();
-    let warmup_end = SimTime::ZERO + WARMUP;
-    sim.run_until(warmup_end, workers);
-    sim.reset_counters();
-    sim.run_until(warmup_end + MEASURE, workers);
-    let trace = common::merged_records(&sim);
-    (trace, sim.into_result(MEASURE))
-}
-
 /// Everything a result says, node by node (`NodeReport` has no `Eq`; its
 /// debug form covers every field).
 fn reports(result: &RunResult) -> (u64, String) {
@@ -189,32 +165,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn sharded_engine_matches_classic(case in case()) {
+    fn drawn_cases_run_clean_and_on_the_air(case in case()) {
         let (topology, config) = setup(&case);
 
-        let classic = classic_trace(&topology, &config);
+        let records = audited_trace(&topology, &config);
         prop_assert!(
-            !common::frame_log(&classic).is_empty(),
+            !common::frame_log(&records).is_empty(),
             "the case put no frame on the air"
         );
-        let (one_trace, one) = sharded(&topology, &config, 1, 1);
-        prop_assert!(one_trace == classic, "one-shard trace diverged from classic");
-        prop_assert_eq!(reports(&one), reports(&run(&topology, &config)));
-
-        let (w1_trace, w1) = sharded(&topology, &config, 4, 1);
-        let (w2_trace, w2) = sharded(&topology, &config, 4, 2);
-        prop_assert!(w1_trace == w2_trace, "four-shard trace depends on the worker count");
-        prop_assert_eq!(reports(&w1), reports(&w2));
-        // The recorders observe without perturbing: no recorder, same run.
-        prop_assert_eq!(reports(&w2), reports(&run_sharded(&topology, &config, 4, 2)));
+        let (traced, _) = run_traced(&topology, &config, common::CAPACITY);
+        prop_assert_eq!(reports(&traced), reports(&run(&topology, &config)));
     }
 }
 
-/// The battery's fault and traffic draws reach the partitioned path: a
-/// four-stripe run counts FER losses, outage losses and Poisson queue
-/// drops, none of which the golden batteries exercise sharded.
+/// The battery's fault and traffic draws reach their code paths: runs
+/// count FER losses, outage losses and Poisson queue drops, none of which
+/// the golden batteries exercise.
 #[test]
-fn partitioned_runs_exercise_faults_and_poisson() {
+fn drawn_faults_and_poisson_reach_the_run() {
     let base = Case {
         scheme: Scheme::OrtsOcts,
         theta: 90.0,
@@ -223,16 +191,16 @@ fn partitioned_runs_exercise_faults_and_poisson() {
         reception: Reception::Omni,
         seed: 5,
     };
-    let four = |case: Case| {
+    let run_case = |case: Case| {
         let (topology, config) = setup(&case);
-        sharded(&topology, &config, 4, 2).1
+        run(&topology, &config)
     };
-    let fer = four(Case {
+    let fer = run_case(Case {
         faults: Faults::UniformFer,
         ..base
     });
     assert!(fer.fer_losses() > 0, "FER never corrupted a frame");
-    let outage = four(Case {
+    let outage = run_case(Case {
         faults: Faults::Outage,
         ..base
     });
@@ -240,7 +208,7 @@ fn partitioned_runs_exercise_faults_and_poisson() {
         outage.outage_losses() > 0,
         "outage never deafened a receiver"
     );
-    let poisson = four(Case {
+    let poisson = run_case(Case {
         poisson: true,
         ..base
     });

@@ -7,7 +7,7 @@
 
 use dirca_mac::{Frame, Scheme};
 use dirca_net::trace::{run_traced, RingTrace, TraceRecord};
-use dirca_net::{NetWorld, ShardedNetSim, SimConfig};
+use dirca_net::{NetWorld, SimConfig};
 use dirca_sim::rng::stream_rng;
 use dirca_sim::{SimDuration, SimTime};
 use dirca_topology::{RingSpec, Topology};
@@ -41,24 +41,6 @@ pub fn ring_records(ring: &RingTrace) -> Vec<TraceRecord> {
 
 pub fn world_records(world: &NetWorld) -> Vec<TraceRecord> {
     ring_records(world.recorder().expect("recorder attached"))
-}
-
-pub fn attach_recorders(sim: &mut ShardedNetSim) {
-    for s in 0..sim.shard_count() {
-        sim.net_world_mut(s).attach_recorder(recorder());
-    }
-}
-
-/// The per-shard recorders merged into one timeline: their records,
-/// none of which may have wrapped, concatenated in shard order and stably
-/// sorted by time, so the merged order is a pure function of the shard
-/// count.
-pub fn merged_records(sim: &ShardedNetSim) -> Vec<TraceRecord> {
-    let mut merged: Vec<TraceRecord> = (0..sim.shard_count())
-        .flat_map(|s| world_records(sim.net_world(s)))
-        .collect();
-    merged.sort_by_key(|record| record.time);
-    merged
 }
 
 /// The frame log held in `records`, oldest first.

@@ -263,8 +263,7 @@ impl CoveragePlan {
         self.beamwidth
     }
 
-    /// The underlying spatial grid (sharding key for future
-    /// partitioned-execution work, and a diagnostic for tests).
+    /// The underlying spatial grid (a diagnostic for tests).
     pub fn grid(&self) -> &SpatialGrid {
         &self.grid
     }

@@ -41,7 +41,6 @@ mod channel;
 mod coverage;
 mod edges;
 mod fault;
-mod partition;
 mod pattern;
 mod spatial;
 mod transceiver;
@@ -50,7 +49,6 @@ pub use channel::{Channel, ChannelError, TxPattern};
 pub use coverage::{CoveragePlan, DynamicCoveragePlan, InvalidationStats};
 pub use edges::NodeCoverage;
 pub use fault::{CompiledFaults, FaultPlan, FaultPlanError, LinkFault, Outage};
-pub use partition::RegionPartition;
 pub use pattern::{AntennaPattern, SinrPhy};
 pub use spatial::SpatialGrid;
 pub use transceiver::{ReceptionMode, RxEndReport, SignalId, Transceiver};

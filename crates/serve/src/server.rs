@@ -228,7 +228,6 @@ impl Server {
             max_cells: None,
             inject_panic: spec.inject_panic,
             inject_timeout: None,
-            engine_threads: 0,
         };
         if conn
             .write_frame(kind::ACCEPT, &encode_accept(&Accept { fingerprint, total }))

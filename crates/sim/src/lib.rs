@@ -50,7 +50,6 @@
 
 mod engine;
 mod queue;
-mod shard;
 mod time;
 mod timer;
 
@@ -61,6 +60,5 @@ pub mod rng;
 
 pub use engine::{AbortReason, RunAborted, Scheduler, Simulation, Watchdog, World};
 pub use queue::EventQueue;
-pub use shard::{Outbox, ShardCtx, ShardWorld, ShardedSimulation};
 pub use time::{SimDuration, SimTime};
 pub use timer::{TimerGeneration, TimerSlot};
