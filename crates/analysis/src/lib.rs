@@ -62,7 +62,6 @@ mod model;
 mod tgeom;
 
 pub use integrate::simpson;
-#[cfg(feature = "audit")]
 pub use markov::audit as markov_audit;
 pub use markov::{steady_state, throughput_from_chain, ChainInput, SteadyState};
 pub use model::{ModelInput, ProtocolTimes};

@@ -32,7 +32,8 @@ pub struct SteadyState {
 /// # Panics
 ///
 /// Panics if the probabilities are outside `[0, 1]` or `p_ws > 1 − p_ww`
-/// (the *wait* state's exits cannot exceed its non-self mass).
+/// (the *wait* state's exits cannot exceed its non-self mass), and with an
+/// `audit[markov]:` message if the solution fails the [`audit`] checks.
 pub fn steady_state(input: &ChainInput) -> SteadyState {
     assert!(
         (0.0..=1.0).contains(&input.p_ww) && (0.0..=1.0).contains(&input.p_ws),
@@ -52,11 +53,8 @@ pub fn steady_state(input: &ChainInput) -> SteadyState {
         succeed,
         fail,
     };
-    #[cfg(feature = "audit")]
-    {
-        audit::assert_stochastic(&audit::transition_matrix(input));
-        audit::assert_fixed_point(input, &ss);
-    }
+    audit::assert_stochastic(&audit::transition_matrix(input));
+    audit::assert_fixed_point(input, &ss);
     ss
 }
 
@@ -77,11 +75,10 @@ pub fn throughput_from_chain(input: &ChainInput) -> f64 {
     input.l_data * ss.succeed / denom
 }
 
-/// Stochastic-matrix auditing for the chain (feature `audit`): panics with
-/// `audit[markov]:` messages when the transition matrix is not
-/// row-stochastic or a claimed steady state is not a fixed point of it.
-/// [`steady_state`] runs both checks on every solve when the feature is on.
-#[cfg(feature = "audit")]
+/// Stochastic-matrix auditing for the chain: panics with `audit[markov]:`
+/// messages when the transition matrix is not row-stochastic or a claimed
+/// steady state is not a fixed point of it. [`steady_state`] runs both
+/// checks on every solve.
 pub mod audit {
     use super::{ChainInput, SteadyState};
 

@@ -1,11 +1,10 @@
 //! Parsing and evaluation of `#[cfg(...)]` predicates.
 //!
 //! The model builder hands every `cfg` attribute's argument tokens to
-//! [`parse`], producing a small predicate tree that rules can query:
-//! *is this item compiled only under `cfg(test)`?* and *which features
-//! gate it, positively or negatively?* Nested combinators (`all`, `any`,
-//! `not`) are handled structurally, so `#[cfg(all(test, feature = "x"))]`
-//! and `#[cfg(not(feature = "trace"))]` mean exactly what they say.
+//! [`parse`], producing a small predicate tree that rules can query: *is
+//! this item compiled only under `cfg(test)`?* Nested combinators (`all`,
+//! `any`, `not`) are handled structurally, so `#[cfg(all(test, unix))]`
+//! and `#[cfg(any(test, unix))]` mean exactly what they say.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -38,54 +37,6 @@ impl Cfg {
             Cfg::All(children) => children.iter().any(Cfg::definitely_test),
             Cfg::Any(children) => !children.is_empty() && children.iter().all(Cfg::definitely_test),
             Cfg::Not(_) => false,
-        }
-    }
-
-    /// Features this predicate asserts **positively** (the item only
-    /// compiles when the feature is on): `feature = "x"` at the top level
-    /// or under `all`.
-    pub fn positive_features(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_features(true, &mut out);
-        out
-    }
-
-    /// Features this predicate asserts **negatively** (the item only
-    /// compiles when the feature is off): `not(feature = "x")` at the top
-    /// level or under `all`.
-    pub fn negative_features(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_features(false, &mut out);
-        out
-    }
-
-    fn collect_features(&self, positive: bool, out: &mut Vec<String>) {
-        match self {
-            Cfg::Atom { name, value } => {
-                if positive && name == "feature" {
-                    if let Some(v) = value {
-                        out.push(v.clone());
-                    }
-                }
-            }
-            Cfg::All(children) => {
-                for c in children {
-                    c.collect_features(positive, out);
-                }
-            }
-            // A feature under `any` does not gate the item by itself.
-            Cfg::Any(_) => {}
-            Cfg::Not(inner) => {
-                // One negation flips polarity; deeper stacks are not worth
-                // modelling (`not(not(feature))` does not occur in practice).
-                if let Cfg::Atom { name, value } = inner.as_ref() {
-                    if !positive && name == "feature" {
-                        if let Some(v) = value {
-                            out.push(v.clone());
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -161,22 +112,24 @@ mod tests {
     fn bare_test_atom() {
         let cfg = parse_str("test");
         assert!(cfg.definitely_test());
-        assert!(cfg.positive_features().is_empty());
     }
 
     #[test]
-    fn feature_atom() {
+    fn valued_atom() {
         let cfg = parse_str(r#"feature = "trace""#);
         assert!(!cfg.definitely_test());
-        assert_eq!(cfg.positive_features(), vec!["trace"]);
-        assert!(cfg.negative_features().is_empty());
+        assert_eq!(
+            cfg,
+            Cfg::Atom {
+                name: "feature".into(),
+                value: Some("trace".into()),
+            }
+        );
     }
 
     #[test]
-    fn negated_feature() {
-        let cfg = parse_str(r#"not(feature = "trace")"#);
-        assert!(cfg.positive_features().is_empty());
-        assert_eq!(cfg.negative_features(), vec!["trace"]);
+    fn negated_test_is_not_test_only() {
+        let cfg = parse_str("not(test)");
         assert!(!cfg.definitely_test());
     }
 
@@ -184,14 +137,12 @@ mod tests {
     fn all_with_test_is_test_only() {
         let cfg = parse_str(r#"all(test, feature = "audit")"#);
         assert!(cfg.definitely_test());
-        assert_eq!(cfg.positive_features(), vec!["audit"]);
     }
 
     #[test]
     fn any_with_test_is_not_test_only() {
         let cfg = parse_str(r#"any(test, feature = "audit")"#);
         assert!(!cfg.definitely_test());
-        assert!(cfg.positive_features().is_empty());
     }
 
     #[test]

@@ -19,9 +19,8 @@ pub enum Rule {
     /// DA005: RNG stream salts — duplicates, literals at derivation
     /// sites, or salt consts defined outside the registry.
     SaltUnique,
-    /// DA006: feature-gated public functions without a `cfg(not(...))`
-    /// no-op counterpart.
-    GateSymmetry,
+    /// DA006: `cfg(feature = …)` in library code.
+    FeatureGate,
     /// DA007: interior mutability, I/O, or wall-clock in event-dispatch
     /// crates.
     DispatchPurity,
@@ -41,7 +40,7 @@ impl Rule {
         Rule::FloatEq,
         Rule::Unwrap,
         Rule::SaltUnique,
-        Rule::GateSymmetry,
+        Rule::FeatureGate,
         Rule::DispatchPurity,
         Rule::PanicPath,
         Rule::StaleAllow,
@@ -55,7 +54,7 @@ impl Rule {
             Rule::FloatEq => "DA003",
             Rule::Unwrap => "DA004",
             Rule::SaltUnique => "DA005",
-            Rule::GateSymmetry => "DA006",
+            Rule::FeatureGate => "DA006",
             Rule::DispatchPurity => "DA007",
             Rule::PanicPath => "DA008",
             Rule::StaleAllow => "DA009",
@@ -70,7 +69,7 @@ impl Rule {
             Rule::FloatEq => "float-eq",
             Rule::Unwrap => "unwrap",
             Rule::SaltUnique => "salt-unique",
-            Rule::GateSymmetry => "gate-symmetry",
+            Rule::FeatureGate => "feature-gate",
             Rule::DispatchPurity => "dispatch-purity",
             Rule::PanicPath => "panic-path",
             Rule::StaleAllow => "stale-allow",
@@ -93,8 +92,8 @@ impl Rule {
             Rule::SaltUnique => {
                 "RNG stream salts must be unique, const-bound, and defined in the dirca-net salt registry"
             }
-            Rule::GateSymmetry => {
-                "feature-gated public functions need a cfg(not(feature)) no-op counterpart so the gated layer stays non-perturbing by construction"
+            Rule::FeatureGate => {
+                "library code has one build: no cfg(feature = …); compile every layer in and decide at run time whether it is attached"
             }
             Rule::DispatchPurity => {
                 "event-dispatch crates must stay pure: no interior mutability, I/O, or wall-clock reachable from dispatch"

@@ -59,11 +59,10 @@ pub fn analyze(root: &Path) -> Result<Analysis, String> {
 /// play (see [`baseline::Baseline::apply`]).
 pub fn analyze_workspace(ws: &Workspace) -> Analysis {
     let mut findings: Vec<Finding> = Vec::new();
-    let gated = rules::gates::gated_module_files(ws);
     for krate in &ws.crates {
         for file in &krate.files {
             rules::bans::run(krate, file, &mut findings);
-            rules::gates::run(krate, file, &gated, &mut findings);
+            rules::gates::run(krate, file, &mut findings);
             rules::purity::run(krate, file, &mut findings);
             rules::allows::run(krate, file, &mut findings);
             rules::salts::run_calls(krate, file, &mut findings);

@@ -92,16 +92,6 @@ impl Item {
     pub fn own_test(&self) -> bool {
         self.cfgs.iter().any(Cfg::definitely_test)
     }
-
-    /// Features this item's own `cfg` attributes assert positively.
-    pub fn own_positive_features(&self) -> Vec<String> {
-        self.cfgs.iter().flat_map(Cfg::positive_features).collect()
-    }
-
-    /// Features this item's own `cfg` attributes assert negatively.
-    pub fn own_negative_features(&self) -> Vec<String> {
-        self.cfgs.iter().flat_map(Cfg::negative_features).collect()
-    }
 }
 
 /// One parsed source file.
@@ -797,16 +787,6 @@ pub fn library_code() {
         let file = parse(src);
         assert!(!file.is_test_line(1));
         assert!(file.is_test_line(4));
-    }
-
-    #[test]
-    fn items_carry_cfg_features() {
-        let src = "#[cfg(feature = \"trace\")]\npub fn probe() {}\n\
-                   #[cfg(not(feature = \"trace\"))]\npub fn probe_off() {}\n";
-        let file = parse(src);
-        assert_eq!(file.items.len(), 2);
-        assert_eq!(file.items[0].own_positive_features(), vec!["trace"]);
-        assert_eq!(file.items[1].own_negative_features(), vec!["trace"]);
     }
 
     #[test]

@@ -1,193 +1,107 @@
-//! DA006 — feature-gate symmetry.
+//! DA006 — feature gates.
 //!
-//! The trace/audit observability layers are non-perturbing *by
-//! construction*: every feature-gated public hook has a
-//! `cfg(not(feature = …))` no-op twin, so call sites compile identically
-//! with the feature off and the gated layer cannot leak behavior into
-//! ungated builds. This pass enforces the pattern: a `pub fn` gated on a
-//! feature needs, in the same file, either
-//!
-//! * a same-named `pub fn` gated on `not(feature = …)`, or
-//! * to live in a module that is itself gated on that feature (the whole
-//!   surface disappears together — callers must be gated too or the build
-//!   breaks, which is its own enforcement), or
-//! * an `audit-allow(gate-symmetry): why` when the signature genuinely
-//!   cannot exist without the feature (it mentions gated types).
-
-use std::collections::BTreeSet;
+//! Every layer of the simulator is compiled into every build: the trace
+//! recorder, the dispatch probe and the runtime auditors are attached at
+//! run time, and a run with none attached executes a loop without their
+//! hooks. A cargo feature would bring back a second build of the engine,
+//! in which whether a test binary checks anything depends on how cargo was
+//! invoked. This pass keeps the one-build property: a `cfg(feature = …)`
+//! in non-test library source is a finding, whether it sits in an
+//! attribute, inside `cfg_attr`, or in a `cfg!` macro, and on an item or a
+//! statement.
 
 use crate::diag::{Finding, Rule};
-use crate::model::{CrateSrc, Item, ItemKind, SourceFile, Workspace};
+use crate::lexer::TokenKind;
+use crate::model::{CrateSrc, SourceFile};
 
 use super::finding;
 
-/// A `(path-or-prefix, feature)` pair marking files wholly gated by a
-/// feature via a `#[cfg(feature = …)] mod x;` declaration. Entries ending
-/// in `/` are directory prefixes.
-pub type GatedFiles = Vec<(String, String)>;
-
-/// Finds files that are feature-gated as whole modules anywhere in the
-/// workspace.
-pub fn gated_module_files(ws: &Workspace) -> GatedFiles {
-    let mut out = GatedFiles::new();
-    for krate in &ws.crates {
-        for file in &krate.files {
-            let Some(dir) = file.rel_path.rfind('/').map(|i| &file.rel_path[..i]) else {
-                continue;
-            };
-            for item in file.all_items() {
-                if item.kind != ItemKind::Mod || !item.children.is_empty() {
-                    continue;
-                }
-                for feature in item.own_positive_features() {
-                    out.push((format!("{dir}/{}.rs", item.name), feature.clone()));
-                    out.push((format!("{dir}/{}/", item.name), feature));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Runs the symmetry check over one file.
-pub fn run(_krate: &CrateSrc, file: &SourceFile, gated: &GatedFiles, out: &mut Vec<Finding>) {
-    // Features under which this whole file compiles (or not at all).
-    let file_features: BTreeSet<&str> = gated
-        .iter()
-        .filter(|(prefix, _)| {
-            file.rel_path == *prefix
-                || (prefix.ends_with('/') && file.rel_path.starts_with(prefix.as_str()))
-        })
-        .map(|(_, f)| f.as_str())
-        .collect();
-    // Counterpart index: fn name → negatively-asserted features.
-    let mut negatives: Vec<(&str, String)> = Vec::new();
-    for item in file.all_items() {
-        if item.kind == ItemKind::Fn {
-            for f in item.own_negative_features() {
-                negatives.push((item.name.as_str(), f));
-            }
-        }
-    }
-    check_items(&file.items, &[], file, &file_features, &negatives, out);
-}
-
-fn check_items(
-    items: &[Item],
-    ancestor_features: &[String],
-    file: &SourceFile,
-    file_features: &BTreeSet<&str>,
-    negatives: &[(&str, String)],
-    out: &mut Vec<Finding>,
-) {
-    for item in items {
-        let mut inherited = ancestor_features.to_vec();
-        inherited.extend(item.own_positive_features());
-        if item.kind == ItemKind::Fn
-            && item.is_pub
-            && !item.own_test()
-            && !file.is_test_line(item.line)
+/// Runs the feature-gate ban over one file.
+pub fn run(_krate: &CrateSrc, file: &SourceFile, out: &mut Vec<Finding>) {
+    let tokens = &file.tokens;
+    let text = |i: usize| tokens.get(i).map_or("", |t| t.text(&file.source));
+    for (i, tok) in tokens.iter().enumerate() {
+        let name = text(i);
+        if tok.kind != TokenKind::Ident
+            || !(name == "cfg" || name == "cfg_attr")
+            || file.is_test_line(tok.line)
         {
-            for feature in item.own_positive_features() {
-                let in_gated_file = file_features.contains(feature.as_str());
-                let in_gated_scope = ancestor_features.contains(&feature);
-                let has_twin = negatives
-                    .iter()
-                    .any(|(name, f)| *name == item.name && *f == feature);
-                if !in_gated_file && !in_gated_scope && !has_twin {
-                    out.push(finding(
-                        file,
-                        Rule::GateSymmetry,
-                        item.line,
-                        item.col,
-                        format!(
-                            "pub fn `{}` is gated on feature \"{feature}\" with no \
-                             `#[cfg(not(feature = \"{feature}\"))]` no-op counterpart in \
-                             this file",
-                            item.name
-                        ),
-                    ));
+            continue;
+        }
+        let open = if text(i + 1) == "!" { i + 2 } else { i + 1 };
+        if text(open) != "(" {
+            continue;
+        }
+        // The first `feature = "…"` inside the balanced argument group.
+        let mut depth = 0usize;
+        let mut feature = None;
+        for j in open..tokens.len() {
+            match text(j) {
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
                 }
+                "feature" if text(j + 1) == "=" => {
+                    feature = Some(text(j + 2));
+                    break;
+                }
+                _ => {}
             }
         }
-        check_items(
-            &item.children,
-            &inherited,
-            file,
-            file_features,
-            negatives,
-            out,
-        );
+        if let Some(feature) = feature {
+            out.push(finding(
+                file,
+                Rule::FeatureGate,
+                tok.line,
+                tok.col,
+                format!(
+                    "`{name}` on feature {feature} compiles a second build of this code; \
+                     compile it unconditionally and decide at run time whether it is attached"
+                ),
+            ));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Workspace;
 
     fn run_single(src: &str) -> Vec<Finding> {
         let ws = Workspace::from_source("sim", "crates/sim/src/engine.rs", src);
-        let gated = gated_module_files(&ws);
         let mut out = Vec::new();
-        run(&ws.crates[0], &ws.crates[0].files[0], &gated, &mut out);
+        run(&ws.crates[0], &ws.crates[0].files[0], &mut out);
         out
     }
 
     #[test]
-    fn gated_fn_without_twin_is_flagged() {
-        let out = run_single("#[cfg(feature = \"audit\")]\npub fn finish_audit(&self) {}\n");
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, Rule::GateSymmetry);
-        assert!(out[0].message.contains("finish_audit"));
-    }
-
-    #[test]
-    fn gated_fn_with_twin_is_clean() {
+    fn every_feature_cfg_form_is_flagged() {
         let out = run_single(
-            "#[cfg(feature = \"audit\")]\npub fn finish_audit(&self) { work(); }\n\
-             #[cfg(not(feature = \"audit\"))]\npub fn finish_audit(&self) {}\n",
+            "#[cfg(feature = \"audit\")]\npub fn finish_audit(&self) {}\n\
+             #[cfg(not(feature = \"audit\"))]\npub fn finish_audit(&self) {}\n\
+             #[cfg_attr(feature = \"trace\", inline)]\nfn hot() {}\n\
+             fn body() {\n    #[cfg(all(unix, feature = \"trace\"))]\n    emit();\n\
+             \x20   if cfg!(feature = \"trace\") {}\n}\n",
         );
-        assert!(out.is_empty(), "unexpected: {out:?}");
+        let lines: Vec<u32> = out.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![1, 3, 5, 8, 10], "{out:?}");
+        assert!(out.iter().all(|f| f.rule == Rule::FeatureGate));
+        assert!(out[0].message.contains("\"audit\""), "{}", out[0].message);
     }
 
     #[test]
-    fn private_fns_and_methods_in_gated_modules_are_exempt() {
-        // Private: callers are in this file and must themselves be gated.
-        let private = run_single("#[cfg(feature = \"audit\")]\nfn helper() {}\n");
-        assert!(private.is_empty());
-        // Inside a module gated on the same feature: the surface vanishes
-        // as a unit.
-        let scoped =
-            run_single("#[cfg(feature = \"trace\")]\npub mod hooks {\n    pub fn emit() {}\n}\n");
-        assert!(scoped.is_empty(), "unexpected: {scoped:?}");
-        // …but a *different* feature inside still needs a twin.
-        let cross = run_single(
-            "#[cfg(feature = \"trace\")]\npub mod hooks {\n    #[cfg(feature = \"audit\")]\n    pub fn emit() {}\n}\n",
+    fn test_scope_strings_and_other_cfgs_are_exempt() {
+        let out = run_single(
+            "#![cfg_attr(test, allow(clippy::unwrap_used))]\n\
+             #[cfg(unix)]\nfn os() {}\n\
+             pub const DOC: &str = \"#[cfg(feature = \\\"audit\\\")]\";\n\
+             #[cfg(all(test, feature = \"audit\"))]\nmod harness {}\n\
+             #[cfg(test)]\nmod tests {\n    #[cfg(feature = \"trace\")]\n    fn t() {}\n}\n",
         );
-        assert_eq!(cross.len(), 1);
-    }
-
-    #[test]
-    fn fn_in_feature_gated_module_file_is_exempt() {
-        let lib = Workspace::from_source(
-            "trace",
-            "crates/trace/src/lib.rs",
-            "#[cfg(feature = \"trace\")]\npub mod record;\n",
-        );
-        let record = Workspace::from_source(
-            "trace",
-            "crates/trace/src/record.rs",
-            "#[cfg(feature = \"trace\")]\npub fn attach() {}\n",
-        );
-        let mut ws = lib;
-        ws.crates[0]
-            .files
-            .extend(record.crates.into_iter().flat_map(|c| c.files));
-        let gated = gated_module_files(&ws);
-        let mut out = Vec::new();
-        for file in &ws.crates[0].files {
-            run(&ws.crates[0], file, &gated, &mut out);
-        }
         assert!(out.is_empty(), "unexpected: {out:?}");
     }
 }

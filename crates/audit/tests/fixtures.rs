@@ -133,17 +133,21 @@ fn salt_unique_clean_registry_and_const_call_sites() {
 }
 
 #[test]
-fn gate_symmetry_bad_flags_hook_without_twin() {
-    let analysis = analyze("gate-symmetry", "bad");
-    let found = active(&analysis);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].0, "DA006");
-    assert_eq!(found[0].1, "crates/sim/src/lib.rs");
+fn feature_gate_bad_flags_every_feature_cfg() {
+    let analysis = analyze("feature-gate", "bad");
+    assert_eq!(
+        active(&analysis),
+        vec![
+            ("DA006", "crates/sim/src/lib.rs", 2),
+            ("DA006", "crates/sim/src/lib.rs", 7),
+            ("DA006", "crates/sim/src/lib.rs", 11),
+        ]
+    );
 }
 
 #[test]
-fn gate_symmetry_clean_twin_and_private_helper() {
-    assert_clean("gate-symmetry");
+fn feature_gate_clean_one_build_and_test_scope() {
+    assert_clean("feature-gate");
 }
 
 #[test]

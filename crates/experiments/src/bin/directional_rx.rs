@@ -15,10 +15,7 @@ fn main() {
     let topologies = flags.get_usize("topologies", if quick { 4 } else { 25 });
     let n = flags.get_usize("n", 5);
     let theta = flags.get_f64("theta", 30.0);
-    let threads = flags.get_usize(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |v| v.get()),
-    );
+    let threads = flags.get_threads();
     let mut t = Table::new(vec![
         "scheme".into(),
         "omni RX throughput".into(),

@@ -20,10 +20,7 @@ fn main() {
     let n = flags.get_usize("n", 5);
     let theta = flags.get_f64("theta", 30.0);
     let topologies = flags.get_usize("topologies", if quick { 3 } else { 10 });
-    let threads = flags.get_usize(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |v| v.get()),
-    );
+    let threads = flags.get_threads();
     let outcomes = run_variants(scheme, n, theta, topologies, threads, &standard_variants());
     let mut t = Table::new(vec![
         "MAC variant".into(),

@@ -24,9 +24,6 @@ fn main() {
     if flags.get("measure-ms").is_some() {
         sweep.measure = SimDuration::from_millis(flags.get_u64("measure-ms", 0));
     }
-    let threads = flags.get_usize(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |v| v.get()),
-    );
+    let threads = flags.get_threads();
     println!("{}", render(&sweep, threads));
 }

@@ -16,10 +16,7 @@ fn main() {
     let fields = flags.get_usize("fields", if quick { 4 } else { 12 });
     let measure =
         SimDuration::from_millis(flags.get_u64("measure-ms", if quick { 1000 } else { 5000 }));
-    let threads = flags.get_usize(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |v| v.get()),
-    );
+    let threads = flags.get_threads();
     let cells = compare(n, &[30.0, 90.0, 150.0], fields, measure, 0x0E14, threads);
     let mut t = Table::new(vec![
         "θ (deg)".into(),

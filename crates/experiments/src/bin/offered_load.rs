@@ -23,10 +23,7 @@ fn main() {
         ),
         ..LoadSweep::default()
     };
-    let threads = flags.get_usize(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |v| v.get()),
-    );
+    let threads = flags.get_threads();
     println!(
         "Offered load sweep — N = {}, θ = {}°, Poisson arrivals, {} topologies/point\n",
         sweep.n_avg, sweep.beamwidth_degrees, sweep.topologies

@@ -19,10 +19,7 @@ fn main() {
         ),
         ..ThresholdStudy::default()
     };
-    let threads = flags.get_usize(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |v| v.get()),
-    );
+    let threads = flags.get_threads();
     let rows = run_study(&study, threads);
     let mut t = Table::new(vec![
         "data (bytes)".into(),

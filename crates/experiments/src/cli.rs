@@ -136,6 +136,27 @@ impl Flags {
         self.try_parse(name, default, "a number")
     }
 
+    /// `--threads`, or the host's available parallelism (4 when unknown).
+    /// A malformed value or 0 is a [`UsageError`]: a worker pool needs at
+    /// least one thread.
+    pub fn try_get_threads(&self) -> Result<usize, UsageError> {
+        let default = std::thread::available_parallelism().map_or(4, |n| n.get());
+        match self.try_get_usize("threads", default)? {
+            0 => Err(UsageError {
+                flag: "threads".to_string(),
+                expected: "at least 1",
+                got: "0".to_string(),
+            }),
+            n => Ok(n),
+        }
+    }
+
+    /// Like [`Flags::try_get_threads`], but a malformed or zero value
+    /// prints a usage error to stderr and exits with status 2.
+    pub fn get_threads(&self) -> usize {
+        self.try_get_threads().unwrap_or_else(|e| e.exit())
+    }
+
     /// `--name` parsed as `usize`, or `default`. A malformed value prints a
     /// usage error to stderr and exits with status 2.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
@@ -202,6 +223,17 @@ mod tests {
         assert_eq!(f.get_u64("seed", 9), 9);
         assert!((f.get_f64("x", 1.5) - 1.5).abs() < 1e-12);
         assert_eq!(f.get("missing"), None);
+    }
+
+    #[test]
+    fn threads_refuses_zero_and_malformed_counts() {
+        let err = flags(&["--threads", "0"])
+            .try_get_threads()
+            .expect_err("zero threads accepted");
+        assert_eq!((err.flag.as_str(), err.expected), ("threads", "at least 1"));
+        assert!(flags(&["--threads", "many"]).try_get_threads().is_err());
+        assert_eq!(flags(&["--threads", "3"]).try_get_threads(), Ok(3));
+        assert!(flags(&[]).try_get_threads().is_ok_and(|n| n >= 1));
     }
 
     #[test]

@@ -78,10 +78,7 @@ impl GridScale {
         let topologies = flags.try_get_usize("topologies", if quick { 4 } else { 50 })?;
         let measure_ms = flags.try_get_u64("measure-ms", if quick { 1_000 } else { 10_000 })?;
         let warmup_ms = flags.try_get_u64("warmup-ms", if quick { 100 } else { 500 })?;
-        let threads = flags.try_get_usize(
-            "threads",
-            std::thread::available_parallelism().map_or(4, |n| n.get()),
-        )?;
+        let threads = flags.try_get_threads()?;
         let densities = match flags.get("n") {
             Some(_) => vec![flags.try_get_usize("n", 0)?],
             None => vec![3, 5, 8],
@@ -384,6 +381,15 @@ mod tests {
     #[test]
     fn scale_from_flags_refuses_zero_measure() {
         assert_eq!(refused_flag(&["--measure-ms", "0"]), "measure-ms");
+    }
+
+    #[test]
+    fn scale_and_runner_from_flags_refuse_zero_threads() {
+        assert_eq!(refused_flag(&["--threads", "0"]), "threads");
+        let flags = Flags::parse(["--threads", "0"].iter().map(|s| s.to_string()));
+        let err =
+            crate::runner::RunnerConfig::try_from_flags(&flags).expect_err("zero threads accepted");
+        assert_eq!((err.flag.as_str(), err.expected), ("threads", "at least 1"));
     }
 
     #[test]

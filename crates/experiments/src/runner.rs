@@ -182,10 +182,7 @@ impl RunnerConfig {
         };
         let events_budget = flags.try_get_u64("events-budget", 0)?;
         Ok(RunnerConfig {
-            threads: flags.try_get_usize(
-                "threads",
-                std::thread::available_parallelism().map_or(4, |n| n.get()),
-            )?,
+            threads: flags.try_get_threads()?,
             retries: u32::try_from(flags.try_get_usize("retries", 1)?).unwrap_or(u32::MAX),
             watchdog: (events_budget > 0).then(|| Watchdog::max_events(events_budget)),
             checkpoint: flags.get("checkpoint").map(PathBuf::from),

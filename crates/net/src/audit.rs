@@ -1,5 +1,4 @@
-//! Protocol-aware runtime invariant auditors for [`NetWorld`] (feature
-//! `audit`).
+//! Protocol-aware runtime invariant auditors for [`NetWorld`].
 //!
 //! Each auditor implements [`dirca_sim::audit::Auditor`] and panics with a
 //! message prefixed `audit[<name>]:` at the first violation it observes.

@@ -34,7 +34,6 @@
 // Unwraps and exact float comparisons are idiomatic in test assertions.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 mod config;
 mod result;

@@ -5,9 +5,9 @@
 //! This battery draws scheme × beamwidth × fault plan × traffic ×
 //! reception mode on small random rings and requires, for every draw:
 //!
-//! 1. **Clean under the auditors** — with the `audit` feature the run
-//!    carries the standard runtime auditors, so each drawn configuration
-//!    is checked for NAV, transceiver, airtime and causality violations.
+//! 1. **Clean under the auditors** — the run carries the standard runtime
+//!    auditors, so each drawn configuration is checked for NAV,
+//!    transceiver, airtime and causality violations.
 //! 2. **Something on the air** — the recorder's frame log is not empty.
 //! 3. **Observation does not perturb** — the full warm-up + measurement
 //!    lifecycle gives the same event count and every
@@ -136,13 +136,11 @@ fn setup(case: &Case) -> (Topology, SimConfig) {
     (topology, config)
 }
 
-/// The records of one run, under the standard auditors when the `audit`
-/// feature is on.
+/// The records of one run, under the standard auditors.
 fn audited_trace(topology: &Topology, config: &SimConfig) -> Vec<TraceRecord> {
     let mut world = NetWorld::build(topology, config);
     world.attach_recorder(common::recorder());
     let mut sim = Simulation::new(world);
-    #[cfg(feature = "audit")]
     for auditor in dirca_net::audit::standard_auditors() {
         sim.add_auditor(auditor);
     }

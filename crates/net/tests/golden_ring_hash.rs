@@ -14,8 +14,10 @@
 mod common;
 
 use dirca_mac::Scheme;
-use dirca_net::run;
+use dirca_net::audit::standard_auditors;
 use dirca_net::trace::run_traced;
+use dirca_net::{run, NetWorld};
+use dirca_sim::Simulation;
 
 /// (scheme, seed, FNV-1a of the trace) recorded on the pre-fast-path tree.
 const RECORDED: &[(Scheme, u64, u64)] = &[
@@ -54,6 +56,35 @@ fn unrecorded_runs_match_the_recorded_golden_runs() {
             (plain.events_processed(), format!("{:?}", plain.nodes)),
             (recorded.events_processed(), format!("{:?}", recorded.nodes)),
             "{scheme} seed {seed}: attaching the trace recorder perturbed the run"
+        );
+    }
+}
+
+/// The auditors' non-perturbation check: the golden runs with the
+/// standard auditors attached reproduce the recorded hashes and audit
+/// clean.
+#[test]
+fn audited_runs_match_the_recorded_golden_hashes() {
+    for &(scheme, seed, want) in RECORDED {
+        let mut world = NetWorld::build(
+            &common::ring_topology(seed),
+            &common::ring_config(scheme, seed),
+        );
+        world.attach_recorder(common::recorder());
+        let mut sim = Simulation::new(world);
+        for auditor in standard_auditors() {
+            sim.add_auditor(auditor);
+        }
+        {
+            let (world, sched) = sim.world_and_scheduler_mut();
+            world.prime(sched);
+        }
+        sim.run_until(common::END);
+        sim.finish_audit();
+        assert_eq!(
+            common::hash(&common::world_log(sim.world())),
+            want,
+            "{scheme} seed {seed}: attaching the auditors perturbed the golden run"
         );
     }
 }

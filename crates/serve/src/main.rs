@@ -28,7 +28,7 @@ fn main() {
             .get("state-dir")
             .map_or(defaults.state_dir, PathBuf::from),
         queue_cap: flags.get_usize("queue-cap", defaults.queue_cap),
-        threads: flags.get_usize("threads", defaults.threads),
+        threads: flags.get_threads(),
         io_timeout: Duration::from_millis(flags.get_u64("io-timeout-ms", 10_000)),
     };
     let mut server = Server::bind(config).unwrap_or_else(|e| {

@@ -1,12 +1,14 @@
-//! Runtime invariant auditing for the event loop (feature `audit`).
+//! Runtime invariant auditing for the event loop.
 //!
 //! An [`Auditor`] observes every event the [`Simulation`](crate::Simulation)
 //! dispatches and panics the moment an invariant is violated, so a broken
 //! run dies at the first corrupt state instead of producing subtly wrong
 //! statistics. Auditors are installed with
-//! [`Simulation::add_auditor`](crate::Simulation::add_auditor); without the
-//! `audit` cargo feature neither the hooks nor this module exist, so the
-//! event loop carries zero auditing cost in normal builds.
+//! [`Simulation::add_auditor`](crate::Simulation::add_auditor). The hooks
+//! are compiled into every build; whether any auditor (or a
+//! [`Probe`](crate::probe::Probe)) is attached is decided once per
+//! [`Simulation::try_run_until`](crate::Simulation::try_run_until) call, so
+//! a run with none attached executes a loop without the hooks.
 //!
 //! This module ships the world-agnostic [`CausalityAuditor`];
 //! protocol-aware auditors (NAV consistency, transceiver legality, airtime
@@ -42,7 +44,7 @@ pub trait Auditor<W: World>: std::fmt::Debug {
 /// Checks event-queue causality: the clock never moves backwards and no
 /// pending event ever lies in the past.
 ///
-/// The [`Scheduler`](crate::Scheduler) already panics on
+/// The [`Scheduler`] already panics on
 /// `schedule_at` into the past; this auditor additionally catches clock or
 /// queue corruption introduced through any other path (a broken queue
 /// ordering, a world that tampers with timestamps).

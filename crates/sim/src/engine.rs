@@ -163,7 +163,6 @@ pub struct Simulation<W: World> {
     scheduler: Scheduler<W::Event>,
     processed: u64,
     watchdog: Option<Watchdog>,
-    #[cfg(feature = "audit")]
     auditors: Vec<Box<dyn crate::audit::Auditor<W>>>,
     probe: Option<Box<dyn crate::probe::Probe<W>>>,
 }
@@ -177,7 +176,6 @@ impl<W: World> Simulation<W> {
             scheduler: Scheduler::new(),
             processed: 0,
             watchdog: None,
-            #[cfg(feature = "audit")]
             auditors: Vec::new(),
             probe: None,
         }
@@ -196,25 +194,18 @@ impl<W: World> Simulation<W> {
 
     /// Installs a runtime invariant auditor; it observes every event
     /// dispatched from now on and panics on the first violation.
-    #[cfg(feature = "audit")] // audit-allow(gate-symmetry): signature needs the gated Auditor trait; callers gate themselves
     pub fn add_auditor(&mut self, auditor: Box<dyn crate::audit::Auditor<W>>) {
         self.auditors.push(auditor);
     }
 
     /// Runs every installed auditor's end-of-run check (whole-run
     /// conservation laws). Call after the last `run_until`.
-    #[cfg(feature = "audit")]
     pub fn finish_audit(&mut self) {
         let now = self.scheduler.now;
         for auditor in &mut self.auditors {
             auditor.finish(now, &self.world);
         }
     }
-
-    /// No-op counterpart of `finish_audit` so call sites compile
-    /// identically with the `audit` feature off.
-    #[cfg(not(feature = "audit"))]
-    pub fn finish_audit(&mut self) {}
 
     /// Installs (or clears) the dispatch-loop probe; it observes every
     /// event dispatched from now on.
@@ -287,9 +278,10 @@ impl<W: World> Simulation<W> {
     /// On abort the offending event is left in the queue and the clock
     /// reads the last dispatched instant, so the world remains inspectable.
     pub fn try_run_until(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
-        // The probe can only change through `&mut self` between calls, so
-        // whether one is attached is decided once here, not per event.
-        if self.probe.is_some() {
+        // Auditors and the probe can only change through `&mut self`
+        // between calls, so whether anything observes the loop is decided
+        // once here, not per event.
+        if self.probe.is_some() || !self.auditors.is_empty() {
             self.run_loop::<true>(deadline)
         } else {
             self.run_loop::<false>(deadline)
@@ -297,8 +289,8 @@ impl<W: World> Simulation<W> {
     }
 
     /// The body of [`Simulation::try_run_until`], monomorphised over
-    /// whether a probe is attached.
-    fn run_loop<const PROBED: bool>(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
+    /// whether an auditor or a probe is attached.
+    fn run_loop<const OBSERVED: bool>(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
         let before = self.processed;
         while let Some(t) = self.scheduler.queue.peek_time() {
             if t > deadline {
@@ -325,7 +317,7 @@ impl<W: World> Simulation<W> {
             // non-empty, and nothing between the peek and this pop touches it.
             let (time, event) = self.scheduler.queue.pop().expect("peeked event vanished");
             debug_assert!(time >= self.scheduler.now, "event queue went backwards");
-            self.dispatch::<PROBED>(time, event);
+            self.dispatch::<OBSERVED>(time, event);
         }
         if deadline != SimTime::MAX {
             self.scheduler.now = deadline;
@@ -345,35 +337,32 @@ impl<W: World> Simulation<W> {
     /// queue was empty.
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.scheduler.queue.pop()?;
-        // One event: the probed body's own `Option` check is the choice.
+        // One event: the observed body's own checks are the choice.
         self.dispatch::<true>(time, event);
         Some(time)
     }
 
-    /// Advances the clock to `time` and hands `event` to the world,
-    /// running the auditor hooks (feature `audit`) and, when `PROBED`, the
-    /// probe hooks around the dispatch.
-    fn dispatch<const PROBED: bool>(&mut self, time: SimTime, event: W::Event) {
+    /// Advances the clock to `time` and hands `event` to the world; when
+    /// `OBSERVED`, runs the auditor and probe hooks around the dispatch.
+    fn dispatch<const OBSERVED: bool>(&mut self, time: SimTime, event: W::Event) {
         self.scheduler.now = time;
-        #[cfg(feature = "audit")]
-        for auditor in &mut self.auditors {
-            auditor.before_event(time, &event, &self.world);
-        }
-        if PROBED {
+        if OBSERVED {
+            for auditor in &mut self.auditors {
+                auditor.before_event(time, &event, &self.world);
+            }
             if let Some(probe) = &mut self.probe {
                 probe.before_event(time, &event);
             }
         }
         self.world.handle(time, event, &mut self.scheduler);
         self.processed += 1;
-        if PROBED {
+        if OBSERVED {
             if let Some(probe) = &mut self.probe {
                 probe.after_event(time);
             }
-        }
-        #[cfg(feature = "audit")]
-        for auditor in &mut self.auditors {
-            auditor.after_event(time, &self.world, &self.scheduler);
+            for auditor in &mut self.auditors {
+                auditor.after_event(time, &self.world, &self.scheduler);
+            }
         }
     }
 }
@@ -384,6 +373,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
+    use crate::audit::Auditor;
     use crate::probe::Probe;
 
     /// Records (time, label) pairs; `Spawn` events fan out two `Leaf` events.
@@ -554,12 +544,39 @@ mod tests {
         }
     }
 
+    /// Tallies `(before_event, after_event, finish)` hook calls in a shared
+    /// cell that outlives the auditor.
+    #[derive(Debug)]
+    struct CountingAuditor(Rc<Cell<(u64, u64, u64)>>);
+
+    impl<W: World> Auditor<W> for CountingAuditor {
+        fn before_event(&mut self, _now: SimTime, _event: &W::Event, _world: &W) {
+            let (before, after, finish) = self.0.get();
+            self.0.set((before + 1, after, finish));
+        }
+
+        fn after_event(&mut self, _now: SimTime, _world: &W, _sched: &Scheduler<W::Event>) {
+            let (before, after, finish) = self.0.get();
+            self.0.set((before, after + 1, finish));
+        }
+
+        fn finish(&mut self, _now: SimTime, _world: &W) {
+            let (before, after, finish) = self.0.get();
+            self.0.set((before, after, finish + 1));
+        }
+    }
+
     #[test]
-    fn probe_sees_every_dispatch_and_perturbs_nothing() {
-        let run = |seen: Option<&Rc<Cell<(u64, u64)>>>| {
+    fn observers_see_every_dispatch_and_perturb_nothing() {
+        let run = |probed: bool, audited: bool| {
+            let probe_seen = Rc::new(Cell::new((0, 0)));
+            let audit_seen = Rc::new(Cell::new((0, 0, 0)));
             let mut sim = Simulation::new(Recorder { log: Vec::new() });
-            if let Some(seen) = seen {
-                sim.set_probe(Some(Box::new(Counting(Rc::clone(seen)))));
+            if probed {
+                sim.set_probe(Some(Box::new(Counting(Rc::clone(&probe_seen)))));
+            }
+            if audited {
+                sim.add_auditor(Box::new(CountingAuditor(Rc::clone(&audit_seen))));
             }
             for t in [5, 8, 30] {
                 sim.scheduler_mut()
@@ -569,29 +586,38 @@ mod tests {
             sim.run_until(SimTime::from_nanos(20));
             assert_eq!(sim.step(), Some(SimTime::from_nanos(30)));
             sim.run_to_completion();
-            if let Some(seen) = seen {
-                let n = sim.events_processed();
-                assert_eq!(seen.get(), (n, n), "one hook pair per dispatch");
+            sim.finish_audit();
+            let n = sim.events_processed();
+            if probed {
+                assert_eq!(probe_seen.get(), (n, n), "one probe pair per dispatch");
+            }
+            if audited {
+                assert_eq!(audit_seen.get(), (n, n, 1), "one auditor pair per dispatch");
             }
             sim.into_world().log
         };
-        let seen = Rc::new(Cell::new((0, 0)));
-        let plain = run(None);
-        let probed = run(Some(&seen));
+        let plain = run(false, false);
         assert_eq!(plain.len(), 9);
-        assert_eq!(
-            plain, probed,
-            "an attached probe changed the dispatch order"
-        );
+        for (probed, audited) in [(true, false), (false, true), (true, true)] {
+            let observed = run(probed, audited);
+            assert_eq!(
+                plain, observed,
+                "probe {probed}, auditor {audited}: dispatch changed"
+            );
+        }
     }
 
     #[test]
-    fn watchdog_trips_identically_with_a_probe_attached() {
-        let abort = |probed: bool| {
-            let seen = Rc::new(Cell::new((0, 0)));
+    fn watchdog_trips_identically_with_observers_attached() {
+        let abort = |probed: bool, audited: bool| {
+            let probe_seen = Rc::new(Cell::new((0, 0)));
+            let audit_seen = Rc::new(Cell::new((0, 0, 0)));
             let mut sim = Simulation::new(Runaway);
             if probed {
-                sim.set_probe(Some(Box::new(Counting(Rc::clone(&seen)))));
+                sim.set_probe(Some(Box::new(Counting(Rc::clone(&probe_seen)))));
+            }
+            if audited {
+                sim.add_auditor(Box::new(CountingAuditor(Rc::clone(&audit_seen))));
             }
             sim.set_watchdog(Some(Watchdog::max_events(1000)));
             sim.scheduler_mut().schedule_at(SimTime::ZERO, ());
@@ -599,13 +625,22 @@ mod tests {
                 .try_run_until(SimTime::MAX)
                 .expect_err("a runaway world must trip the event budget");
             if probed {
-                assert_eq!(seen.get(), (1000, 1000));
+                assert_eq!(probe_seen.get(), (1000, 1000));
+            }
+            if audited {
+                assert_eq!(audit_seen.get(), (1000, 1000, 0));
             }
             abort
         };
-        let plain = abort(false);
+        let plain = abort(false, false);
         assert_eq!(plain.events, 1000);
-        assert_eq!(plain, abort(true), "the probe moved the watchdog trip");
+        for (probed, audited) in [(true, false), (false, true), (true, true)] {
+            let observed = abort(probed, audited);
+            assert_eq!(
+                plain, observed,
+                "probe {probed}, auditor {audited}: trip moved"
+            );
+        }
     }
 
     #[test]

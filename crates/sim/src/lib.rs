@@ -53,7 +53,6 @@ mod queue;
 mod time;
 mod timer;
 
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod probe;
 pub mod rng;

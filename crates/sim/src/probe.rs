@@ -1,16 +1,16 @@
 //! Dispatch-loop probes.
 //!
-//! A [`Probe`] is the observability twin of the `audit` feature's
-//! `Auditor`: an object hooked into [`crate::Simulation`]'s dispatch
-//! immediately around `World::handle`. Where auditors *check* invariants
-//! and panic, probes *measure* — perfbench's traced run installs one to
-//! time per-event-class dispatch, and higher layers can observe event flow
-//! without touching the world.
+//! A [`Probe`] is the observability twin of the
+//! [`Auditor`](crate::audit::Auditor): an object hooked into
+//! [`crate::Simulation`]'s dispatch immediately around `World::handle`.
+//! Where auditors *check* invariants and panic, probes *measure* —
+//! perfbench's traced run installs one to time per-event-class dispatch,
+//! and higher layers can observe event flow without touching the world.
 //!
-//! The hooks are compiled into every build. Whether a probe is attached is
-//! decided once per [`crate::Simulation::try_run_until`] call, which then
-//! runs a loop monomorphised with or without the hooks, so a run with no
-//! probe pays no per-event probe check.
+//! The hooks are compiled into every build. Whether a probe or an auditor
+//! is attached is decided once per [`crate::Simulation::try_run_until`]
+//! call, which then runs a loop monomorphised with or without the hooks,
+//! so a run with neither attached pays no per-event hook check.
 //!
 //! Probes receive the event by shared reference before it is handled and a
 //! plain tick afterwards; they cannot schedule, mutate the world, or draw

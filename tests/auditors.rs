@@ -1,9 +1,5 @@
 //! The runtime invariant auditors: each must stay silent on a healthy
 //! (golden) run and fire on corrupted state.
-//!
-//! These tests enable the `audit` features of `dirca-sim`, `dirca-net`,
-//! and `dirca-analysis` through this package's dev-dependencies; normal
-//! builds compile none of the auditing code.
 
 use dirca_analysis::{markov_audit, steady_state, ChainInput};
 use dirca_mac::{DataPacket, Dot11Params, Frame, MacConfig, MacContext, Scheme, TimerKind};
@@ -327,7 +323,7 @@ fn chain(p_ww: f64, p_ws: f64) -> ChainInput {
 #[test]
 fn markov_audit_silent_on_valid_chain() {
     let input = chain(0.9, 0.05);
-    // With the audit feature on, steady_state self-checks every solve.
+    // steady_state self-checks every solve.
     let ss = steady_state(&input);
     markov_audit::assert_stochastic(&markov_audit::transition_matrix(&input));
     markov_audit::assert_fixed_point(&input, &ss);
