@@ -14,7 +14,9 @@
 //!
 //! `--scaling-max` caps the largest scaling field (default 10000; 0 skips
 //! the sweep entirely while keeping the empty `scaling` section in the
-//! report).
+//! report). Each row is timed [`REPEATS`] times and reports the median
+//! with the quartiles, so a row carries its own spread. A malformed or
+//! unknown flag prints one `usage error:` line and exits with status 2.
 //!
 //! The workload is deterministic — identical seeds, topologies, and event
 //! streams on every invocation — so run-to-run differences in the JSON are
@@ -37,60 +39,111 @@ use dirca_topology::poisson_field_pinned;
 /// Master seed shared with the `paper_grid` experiment binary.
 const SEED: u64 = 0xD1CA;
 
+/// Timed runs per scaling row.
+const REPEATS: usize = 5;
+
 fn main() {
-    let (out_path, scaling_max) = parse_args();
-    eprintln!("dirca-bench: scaling, seed {SEED:#x}");
-    let scaling = scaling_bench(scaling_max);
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("usage error: {message}");
+        std::process::exit(2);
+    });
+    eprintln!("dirca-bench: scaling, seed {SEED:#x}, {REPEATS} repeats per row");
+    let scaling = scaling_bench(args.scaling_max);
     // What `std::thread::available_parallelism` reported on this host:
     // the sweep is single-threaded, but the wall-clock rows are only
     // comparable between hosts that say how many cores they shared.
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::fs::write(&out_path, render_json(&scaling, host_parallelism))
+    std::fs::write(&args.out, render_json(&scaling, host_parallelism))
         .expect("failed to write benchmark report");
-    eprintln!("dirca-bench: wrote {out_path}");
+    eprintln!("dirca-bench: wrote {}", args.out);
 }
 
-/// Parses `--out <path>` and `--scaling-max <nodes>` (both optional).
-fn parse_args() -> (String, usize) {
+/// The command line: `--out <path>` and `--scaling-max <nodes>`, both
+/// optional.
+struct Args {
+    out: String,
+    scaling_max: usize,
+}
+
+/// Parses the command line, or says what is wrong with it.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper_grid.json");
-    let mut out = default_out.to_string();
-    let mut scaling_max = 10_000usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = args.next().expect("--out requires a path");
-            }
+    let mut parsed = Args {
+        out: default_out.to_string(),
+        scaling_max: 10_000,
+    };
+    while let Some(flag) = args.next() {
+        let mut value = |expects: &str| {
+            args.next()
+                .ok_or_else(|| format!("{flag} expects {expects}"))
+        };
+        match flag.as_str() {
+            "--out" => parsed.out = value("a path")?,
             "--scaling-max" => {
-                scaling_max = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scaling-max requires a non-negative integer");
+                let expects = "a non-negative integer";
+                let v = value(expects)?;
+                parsed.scaling_max = v
+                    .parse()
+                    .map_err(|_| format!("--scaling-max expects {expects}, got {v:?}"))?;
             }
-            other => panic!("unrecognized flag {other:?} (expected --out or --scaling-max)"),
+            other => {
+                return Err(format!(
+                    "unrecognized flag {other:?} (expected --out or --scaling-max)"
+                ))
+            }
         }
     }
-    (out, scaling_max)
+    Ok(parsed)
+}
+
+/// The median and quartiles of a row's repeated measurements.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    /// Quartiles of `samples` by linear interpolation between order
+    /// statistics (so five samples give their second, third and fourth).
+    fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+        };
+        Spread {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
 }
 
 /// One row of the large-field scaling benchmark.
 struct ScalingRow {
     nodes: usize,
+    /// Median over the repeats.
     plan_build_ms: f64,
     plan_index_bytes: usize,
     dense_plan_bytes: u64,
-    sim_wall_ms: f64,
     events: u64,
-    events_per_sec: f64,
+    sim_wall_ms: Spread,
+    events_per_sec: Spread,
 }
 
 /// Runs pinned Poisson fields of increasing size (up to `scaling_max`
-/// nodes) through plan construction and a short DRTS/DCTS simulation.
+/// nodes) through plan construction and a short DRTS/DCTS simulation,
+/// [`REPEATS`] times each.
 ///
 /// Field sizes and simulation windows are pinned; only wall-clock varies
-/// between runs. `dense_plan_bytes` is what the pre-grid dense plan would
-/// have allocated (two f64 and one `(u32, u32)` matrix: 24 bytes per node
-/// pair) for the sub-quadratic comparison the report commits.
+/// between runs, so every repeat must process the same events.
+/// `dense_plan_bytes` is what the pre-grid dense plan would have allocated
+/// (two f64 and one `(u32, u32)` matrix: 24 bytes per node pair) for the
+/// sub-quadratic comparison the report commits.
 fn scaling_bench(scaling_max: usize) -> Vec<ScalingRow> {
     // (nodes, warmup, measure): windows shrink as fields grow so the
     // sweep stays minutes-bounded while still processing millions of
@@ -134,62 +187,102 @@ fn scaling_bench(scaling_max: usize) -> Vec<ScalingRow> {
             config.params.propagation_delay,
         )
         .expect("field range is valid");
-        let start = Instant::now();
-        let plan = CoveragePlan::new(&channel, config.beamwidth);
-        let plan_build_ms = start.elapsed().as_secs_f64() * 1e3;
-        let plan_index_bytes = black_box(plan).index_bytes();
+        let mut plan_ms = Vec::with_capacity(REPEATS);
+        let mut wall_ms = Vec::with_capacity(REPEATS);
+        let mut per_sec = Vec::with_capacity(REPEATS);
+        let mut plan_index_bytes = 0;
+        let mut events = None;
+        for _ in 0..REPEATS {
+            let start = Instant::now();
+            let plan = CoveragePlan::new(&channel, config.beamwidth);
+            plan_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            plan_index_bytes = black_box(plan).index_bytes();
 
-        let start = Instant::now();
-        let result = run(&topology, &config);
-        let sim_wall = start.elapsed();
-        let events = result.events_processed();
-        let events_per_sec = events as f64 / sim_wall.as_secs_f64();
-        eprintln!(
-            "  scaling n={nodes}: plan {plan_build_ms:.1} ms / {:.1} MB, sim {:.0} ms, {:.2} Mev/s",
-            plan_index_bytes as f64 / 1e6,
-            sim_wall.as_secs_f64() * 1e3,
-            events_per_sec / 1e6,
-        );
-        rows.push(ScalingRow {
+            let start = Instant::now();
+            let result = run(&topology, &config);
+            let sim_wall = start.elapsed().as_secs_f64();
+            let processed = result.events_processed();
+            assert_eq!(
+                *events.get_or_insert(processed),
+                processed,
+                "n={nodes}: a repeat processed different events"
+            );
+            wall_ms.push(sim_wall * 1e3);
+            per_sec.push(processed as f64 / sim_wall);
+        }
+        let row = ScalingRow {
             nodes,
-            plan_build_ms,
+            plan_build_ms: Spread::of(&plan_ms).median,
             plan_index_bytes,
             dense_plan_bytes: 24 * (nodes as u64) * (nodes as u64),
-            sim_wall_ms: sim_wall.as_secs_f64() * 1e3,
-            events,
-            events_per_sec,
-        });
+            events: events.unwrap_or_default(),
+            sim_wall_ms: Spread::of(&wall_ms),
+            events_per_sec: Spread::of(&per_sec),
+        };
+        eprintln!(
+            "  scaling n={nodes}: plan {:.1} ms / {:.1} MB, sim {:.0} ms \
+             [{:.0}, {:.0}], {:.2} Mev/s",
+            row.plan_build_ms,
+            plan_index_bytes as f64 / 1e6,
+            row.sim_wall_ms.median,
+            row.sim_wall_ms.q1,
+            row.sim_wall_ms.q3,
+            row.events_per_sec.median / 1e6,
+        );
+        rows.push(row);
     }
     rows
 }
 
 /// Renders the report by hand; the workspace deliberately has no JSON
-/// dependency.
+/// dependency. A timed field holds the median over the row's
+/// [`REPEATS`] runs; `_q1`/`_q3` hold its quartiles.
 fn render_json(scaling: &[ScalingRow], host_parallelism: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"dirca-bench/paper-grid/v5\",\n");
+    s.push_str("  \"schema\": \"dirca-bench/paper-grid/v6\",\n");
     let _ = writeln!(s, "  \"seed\": {SEED},");
     let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
+    let _ = writeln!(s, "  \"repeats\": {REPEATS},");
     s.push_str("  \"scaling\": [\n");
     for (i, r) in scaling.iter().enumerate() {
         let comma = if i + 1 < scaling.len() { "," } else { "" };
         let _ = writeln!(
             s,
             "    {{\"nodes\": {}, \"plan_build_ms\": {:.1}, \
-             \"plan_index_bytes\": {}, \"dense_plan_bytes\": {}, \
-             \"sim_wall_ms\": {:.1}, \"events\": {}, \
-             \"events_per_sec\": {:.0}}}{comma}",
+             \"plan_index_bytes\": {}, \"dense_plan_bytes\": {}, \"events\": {}, \
+             \"sim_wall_ms\": {:.1}, \"sim_wall_ms_q1\": {:.1}, \"sim_wall_ms_q3\": {:.1}, \
+             \"events_per_sec\": {:.0}, \"events_per_sec_q1\": {:.0}, \
+             \"events_per_sec_q3\": {:.0}}}{comma}",
             r.nodes,
             r.plan_build_ms,
             r.plan_index_bytes,
             r.dense_plan_bytes,
-            r.sim_wall_ms,
             r.events,
-            r.events_per_sec
+            r.sim_wall_ms.median,
+            r.sim_wall_ms.q1,
+            r.sim_wall_ms.q3,
+            r.events_per_sec.median,
+            r.events_per_sec.q1,
+            r.events_per_sec.q3,
         );
     }
     s.push_str("  ]\n");
     s.push_str("}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spread_interpolates_between_order_statistics() {
+        let five = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((five.q1, five.median, five.q3), (2.0, 3.0, 4.0));
+        let three = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((three.q1, three.median, three.q3), (1.5, 2.0, 2.5));
+        let one = Spread::of(&[7.0]);
+        assert_eq!((one.q1, one.median, one.q3), (7.0, 7.0, 7.0));
+    }
 }

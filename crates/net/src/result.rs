@@ -67,6 +67,9 @@ pub struct RunResult {
     /// Total events processed by the run (for determinism checks and
     /// performance accounting).
     events: u64,
+    /// Stale MAC-timer dispatches over the run (see
+    /// [`RunResult::stale_timers`]).
+    stale_timers: u64,
 }
 
 impl RunResult {
@@ -83,17 +86,28 @@ impl RunResult {
             nodes,
             window,
             events,
+            stale_timers: world.stale_timers(),
         }
     }
 
     /// Assembles a result from hand-constructed parts — for metric
     /// arithmetic tests and external tooling that replays recorded runs.
+    /// It reports no stale timers.
     pub fn from_parts(nodes: Vec<NodeReport>, window: SimDuration, events: u64) -> Self {
         RunResult {
             nodes,
             window,
             events,
+            stale_timers: 0,
         }
+    }
+
+    /// MAC-timer dispatches the run discarded as stale (cancelled or
+    /// superseded armings), warm-up included: see
+    /// [`NetWorld::stale_timers`](crate::NetWorld::stale_timers). An exact
+    /// work counter, identical with and without a recorder or auditors.
+    pub fn stale_timers(&self) -> u64 {
+        self.stale_timers
     }
 
     /// Reports of the measured (innermost) nodes.
@@ -273,6 +287,7 @@ mod tests {
             ],
             window: SimDuration::from_secs(1),
             events: 123,
+            stale_timers: 0,
         }
     }
 
@@ -299,6 +314,7 @@ mod tests {
             nodes: vec![report(0, true, 0, 0)],
             window: SimDuration::from_secs(1),
             events: 0,
+            stale_timers: 0,
         };
         assert_eq!(r.collision_ratio(), None);
         assert_eq!(r.mean_delay(), None);

@@ -255,6 +255,9 @@ pub struct NetWorld {
     /// transceivers forever). A `BTreeMap` keeps iteration deterministic
     /// and respects the workspace's no-`HashMap` ordering discipline.
     pub(crate) inflight: BTreeMap<u64, Vec<NodeId>>,
+    /// MAC-timer dispatches discarded as stale (see
+    /// [`NetWorld::stale_timers`]).
+    pub(crate) stale_timers: u64,
 }
 
 impl NetWorld {
@@ -379,6 +382,7 @@ impl NetWorld {
             mobility,
             sinr,
             inflight: BTreeMap::new(),
+            stale_timers: 0,
         }
     }
 
@@ -475,6 +479,18 @@ impl NetWorld {
             app.delay_samples.clear();
             app.airtime = AirtimeBreakdown::default();
         }
+    }
+
+    /// MAC-timer events dispatched after their arming was cancelled or
+    /// superseded, which the MAC discards by generation: dead weight the
+    /// lazily cancelled timers leave in the event queue. Counted over the
+    /// whole run, warm-up included, like [`Simulation::events_processed`];
+    /// [`NetWorld::reset_counters`] leaves it alone. Observation never
+    /// changes it: a recorder or auditors see the same dispatches.
+    ///
+    /// [`Simulation::events_processed`]: dirca_sim::Simulation::events_processed
+    pub fn stale_timers(&self) -> u64 {
+        self.stale_timers
     }
 
     /// The per-node MACs (for result collection).
@@ -1047,6 +1063,8 @@ impl World for NetWorld {
                     }
                     self.with_mac(node, sched, |mac, ctx| mac.on_timer(kind, gen, ctx));
                     self.refill(node, sched);
+                } else {
+                    self.stale_timers += 1;
                 }
             }
             NetEvent::Arrival { node } => {

@@ -261,6 +261,8 @@ impl<W: World> Simulation<W> {
     ///
     /// On return the clock reads `deadline` if the run was cut short by it,
     /// or the time of the last processed event if the queue drained first.
+    /// The clock never moves back: a `deadline` before it leaves it as is,
+    /// so nothing can be scheduled below an event already dispatched.
     ///
     /// # Panics
     ///
@@ -294,7 +296,7 @@ impl<W: World> Simulation<W> {
         let before = self.processed;
         while let Some(t) = self.scheduler.queue.peek_time() {
             if t > deadline {
-                self.scheduler.now = deadline;
+                self.scheduler.now = self.scheduler.now.max(deadline);
                 return Ok(self.processed - before);
             }
             if let Some(w) = self.watchdog {
@@ -320,7 +322,7 @@ impl<W: World> Simulation<W> {
             self.dispatch::<OBSERVED>(time, event);
         }
         if deadline != SimTime::MAX {
-            self.scheduler.now = deadline;
+            self.scheduler.now = self.scheduler.now.max(deadline);
         }
         Ok(self.processed - before)
     }
@@ -432,6 +434,22 @@ mod tests {
         assert_eq!(sim.world().log.len(), 3);
         assert_eq!(sim.now(), SimTime::from_nanos(100));
         assert_eq!(sim.events_processed(), 3);
+    }
+
+    #[test]
+    fn an_earlier_deadline_never_moves_the_clock_back() {
+        let mut sim = Simulation::new(Recorder { log: Vec::new() });
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_nanos(5), Ev::Spawn);
+        sim.run_until(SimTime::from_nanos(12));
+        assert_eq!(sim.run_until(SimTime::from_nanos(3)), 0);
+        assert_eq!(sim.now(), SimTime::from_nanos(12));
+        // Scheduling relative to the clock stays at or after every
+        // dispatched event, which the queue requires.
+        sim.scheduler_mut()
+            .schedule_in(SimDuration::ZERO, Ev::Leaf("now"));
+        sim.run_until(SimTime::from_nanos(100));
+        assert_eq!(sim.world().log.len(), 4);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests of the simulation substrate.
 
+use std::collections::BTreeMap;
+
 use dirca_sim::{rng::derive_seed, EventQueue, SimDuration, SimTime, TimerSlot};
 use proptest::prelude::*;
 
@@ -45,6 +47,49 @@ proptest! {
             prop_assert!(t.as_nanos() >= last_popped);
             last_popped = t.as_nanos();
         }
+    }
+
+    #[test]
+    fn queue_matches_an_ordered_map_under_monotone_interleavings(
+        ops in prop::collection::vec((0u8..7, 0u64..1_000_000_000), 1..400),
+    ) {
+        // Differential check against a `BTreeMap` keyed by (time, push
+        // index): every pop must return the model's first entry, and the
+        // peeked time must be the model's before every pop. Pushes are
+        // monotone (never below the last pop), with many equal timestamps
+        // and jumps to just below `SimTime::MAX`.
+        let mut q = EventQueue::new();
+        let mut model = BTreeMap::new();
+        let mut last = 0u64;
+        for (i, (op, raw)) in ops.into_iter().enumerate() {
+            let at = match op {
+                0 | 1 => None,
+                2 => Some(last),
+                3 => Some(last.saturating_add(raw % 3)),
+                4 => Some(last.saturating_add(raw % 1_000)),
+                5 => Some(last.saturating_add(raw)),
+                _ => Some((u64::MAX - raw % 16).max(last)),
+            };
+            if let Some(t) = at {
+                q.push(SimTime::from_nanos(t), i);
+                model.insert((t, i), i);
+            } else {
+                let want = model.pop_first();
+                prop_assert_eq!(q.peek_time(), want.map(|((t, _), _)| SimTime::from_nanos(t)));
+                let got = q.pop();
+                prop_assert_eq!(got, want.map(|((t, _), v)| (SimTime::from_nanos(t), v)));
+                if let Some((t, _)) = got {
+                    last = t.as_nanos();
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some(((t, _), v)) = model.pop_first() {
+            prop_assert_eq!(q.peek_time(), Some(SimTime::from_nanos(t)));
+            prop_assert_eq!(q.pop(), Some((SimTime::from_nanos(t), v)));
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.pop(), None);
     }
 
     #[test]
