@@ -59,9 +59,10 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/mac/src/dcf.rs",
     "crates/radio/src/coverage.rs",
     "crates/radio/src/spatial.rs",
-    // The footprint kernel runs on every plan build and every position
-    // epoch; epochs also step the mobility model, and every arrival edge
-    // evaluates the antenna gain.
+    // The edge fill runs on every plan build and every position epoch,
+    // and the footprint filter on every directional wave; epochs also step
+    // the mobility model, and every arrival edge evaluates the antenna
+    // gain.
     "crates/radio/src/edges.rs",
     "crates/radio/src/pattern.rs",
     "crates/topology/src/mobility.rs",

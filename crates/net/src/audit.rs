@@ -131,8 +131,8 @@ impl Auditor<NetWorld> for NavAuditor {
 /// the PHY is transmitting, and no node starts a second transmission while
 /// its first is still on the air (half-duplex).
 ///
-/// Waves are expanded per receiver through [`NetWorld::wave_targets`] —
-/// the same footprint the event handler walks — so the auditor tracks the
+/// Waves are expanded per receiver through [`NetWorld::wave_targets_for`]
+/// — the same receivers the event handler walks — so the auditor tracks the
 /// exact `(receiver, signal)` pairs the world delivers edges to.
 #[derive(Debug, Default)]
 pub struct TransceiverAuditor {

@@ -12,13 +12,15 @@
 //! * **Omni neighbour lists** are materialised once per node from the
 //!   grid's candidate superset — O(n · local density) build, O(n) total
 //!   memory — and served as borrowed id-sorted slices, allocation-free.
-//! * **Per-edge tables** hold, per omni arena slot, the distance and
-//!   arrival bearing (the reference [`Channel`] expressions) and the
-//!   footprint of a beam aimed along the edge — a filter of the owner's
-//!   omni slice, since a beam shares the omni disk's distance bound, built
-//!   by the trig-free kernel in `edges`. They cost O(Σ deg²) — linear in
-//!   n at fixed density — instead of the old n² matrices; arbitrary-pair
-//!   queries compute on demand.
+//! * **Per-edge tables** hold, per omni arena slot, the distance, squared
+//!   distance and arrival bearing (the reference [`Channel`]
+//!   expressions): O(Σ deg) build and memory, linear in n at fixed
+//!   density, instead of the old n² matrices.
+//! * **Beam footprints** are not stored. A beam shares the omni disk's
+//!   distance bound, so its footprint is a filter of the owner's omni
+//!   slice, which the trig-free O(deg) filter in `edges` computes on each
+//!   query from the cached bearings. Arbitrary-pair queries compute on
+//!   demand.
 //!
 //! Every query is equal to its reference implementation
 //! ([`Channel::covered_by`] / [`Channel::heading`] /
@@ -32,16 +34,16 @@
 //!
 //! [`CoveragePlan::apply_moves`] takes one epoch's moves and rebuilds the
 //! whole plan in place: it re-bins the grid under its construction frame
-//! and refills the edge table with the same kernel a build runs. The
-//! experiments and the benchmark move every node in every epoch, so
-//! tracking which caches a move dirtied would save them nothing. An empty
-//! move list does no work at all. Clamping out-of-box
-//! movers to the border cells is monotone and 1-Lipschitz in cell units,
-//! so two positions within one reach still land within one cell of each
-//! other and the 3×3 superset survives arbitrary excursions. The plan's
-//! contents are a pure function of the current positions:
-//! `tests/dynamic_plan.rs` pins a moved plan to a fresh build over the
-//! final positions, field for field.
+//! and refills the omni slices and edge caches as a build does, O(Σ deg)
+//! work with no footprint to recompute. The experiments and the benchmark
+//! move every node in every epoch, so tracking which caches a move
+//! dirtied would save them nothing. An empty move list does no work at
+//! all. Clamping out-of-box movers to the border cells is monotone and
+//! 1-Lipschitz in cell units, so two positions within one reach still land
+//! within one cell of each other and the 3×3 superset survives arbitrary
+//! excursions. The plan's contents are a pure function of the current
+//! positions: `tests/dynamic_plan.rs` pins a moved plan to a fresh build
+//! over the final positions, field for field.
 
 use dirca_geometry::{Beamwidth, Point};
 
@@ -93,8 +95,8 @@ pub struct CoveragePlan {
     grid: SpatialGrid,
     /// `n + 1` offsets delimiting each node's omni slice in `edges`.
     omni_offsets: Vec<u32>,
-    /// Every node's omni slice (ascending id order within each), per-edge
-    /// distance, bearing and footprint, footprints appended after.
+    /// Every node's omni slice (ascending id order within each) and
+    /// per-edge distance, squared distance and bearing.
     edges: EdgeTable,
     /// Position-epoch work counters since construction.
     stats: InvalidationStats,
@@ -117,9 +119,9 @@ pub struct InvalidationStats {
 
 impl PartialEq for CoveragePlan {
     /// Field-for-field table equality: positions, build parameters, and
-    /// every node's neighbour list, edge geometry and footprints. Work
-    /// counters and the grid are excluded — a moved plan keeps its
-    /// construction frame while serving exactly a fresh build's answers.
+    /// every node's neighbour list and edge geometry. Work counters and
+    /// the grid are excluded — a moved plan keeps its construction frame
+    /// while serving exactly a fresh build's answers.
     fn eq(&self, other: &Self) -> bool {
         self.positions == other.positions
             && self.range.to_bits() == other.range.to_bits()
@@ -133,10 +135,9 @@ impl CoveragePlan {
     /// Builds the plan for `channel` with directional sets computed at
     /// `beamwidth`.
     ///
-    /// Cost: O(n · local density) time for the grid and omni lists, one
-    /// `heading_to` per edge, and O(Σ deg²) comparisons of cached bearings
-    /// for the per-edge directional footprints — linear in n at fixed
-    /// density, never pairwise-quadratic.
+    /// Cost: O(n · local density) time for the grid and omni lists and
+    /// one `heading_to` per edge — linear in n at fixed density, never
+    /// pairwise-quadratic. Directional footprints are filtered per query.
     ///
     /// # Panics
     ///
@@ -177,14 +178,11 @@ impl CoveragePlan {
         // superset with the exact reference predicate, sorted: equal to
         // `Channel::covered_by(src, Omni)` output by construction (same
         // membership, and the reference emits ascending ids). Then cache
-        // each edge's distance and bearing and fill its beam footprint
-        // with the trig-free kernel (see `edges`): a beam shares the omni
-        // disk's exact distance bound, so every footprint is a filter of
-        // the owner's omni slice and the table is O(Σ deg²), not O(n²).
+        // each edge's distance and bearing for the arrival geometry and
+        // the footprint filter (see `edges`).
         let CoveragePlan {
             positions,
             range,
-            beamwidth,
             grid,
             omni_offsets,
             edges,
@@ -198,11 +196,9 @@ impl CoveragePlan {
             omni_offsets.push(arena_offset(edges.arena_len()));
         }
         edges.reserve_edges();
-        let mut dist_sq = Vec::new();
         for (src, ends) in omni_offsets.windows(2).enumerate() {
             // panic-path: `windows(2)` yields two-element slices.
-            let omni = ends[0] as usize..ends[1] as usize;
-            edges.push_edges(omni, positions, src, *beamwidth, *range, &mut dist_sq);
+            edges.push_edges(ends[0] as usize..ends[1] as usize, positions, src);
         }
     }
 
@@ -258,7 +254,7 @@ impl CoveragePlan {
         self.positions.is_empty()
     }
 
-    /// The beamwidth the directional footprints are filtered at.
+    /// The beamwidth directional footprints are filtered at.
     pub fn beamwidth(&self) -> Beamwidth {
         self.beamwidth
     }
@@ -268,14 +264,15 @@ impl CoveragePlan {
         &self.grid
     }
 
-    /// Total arena entries (a size diagnostic for tests and tooling).
+    /// Total arena entries, one per edge: Σ deg (a size diagnostic for
+    /// tests and tooling).
     pub fn arena_len(&self) -> usize {
         self.edges.arena_len()
     }
 
     /// Approximate resident bytes of the whole plan: positions, the slice
     /// arena + offsets, the per-edge caches, and the grid index. Grows
-    /// O(n + Σ deg²) — linear in n at fixed density, never O(n²).
+    /// O(n + Σ deg) — linear in n at fixed density, never O(n²).
     pub fn index_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.positions.len() * std::mem::size_of::<Point>()
@@ -459,24 +456,28 @@ mod tests {
     }
 
     #[test]
-    fn plan_memory_is_subquadratic() {
-        // A constant-density field: plan bytes must grow ~linearly, far
-        // below the dense 24·n² matrices the old plan carried.
+    fn plan_memory_is_linear() {
+        // A constant-density field: the arena holds exactly one entry per
+        // edge (no per-aim footprint is stored), and the bytes grow with
+        // nodes plus edges.
         let make = |side: usize| {
             let pts: Vec<Point> = (0..side * side)
                 .map(|i| Point::new((i % side) as f64 * 0.7, (i / side) as f64 * 0.7))
                 .collect();
-            let n = pts.len();
             let plan = CoveragePlan::new(&chan(pts), beam(45.0));
-            (n, plan.index_bytes())
+            let edges: usize = (0..plan.len())
+                .map(|i| plan.neighbors(NodeId(i)).len())
+                .sum();
+            assert_eq!(plan.arena_len(), edges, "arena must hold Σ deg entries");
+            (plan.len() + edges, plan.index_bytes())
         };
-        let (n_small, b_small) = make(10);
-        let (n_large, b_large) = make(30);
+        let (size_small, b_small) = make(10);
+        let (size_large, b_large) = make(30);
         let growth = b_large as f64 / b_small as f64;
-        let quadratic = ((n_large * n_large) / (n_small * n_small)) as f64;
+        let linear = size_large as f64 / size_small as f64;
         assert!(
-            growth < quadratic / 2.0,
-            "bytes grew {growth:.1}× for {quadratic:.0}× the pair count"
+            growth <= linear,
+            "bytes grew {growth:.2}× for {linear:.2}× the nodes plus edges"
         );
     }
 

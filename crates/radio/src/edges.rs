@@ -1,22 +1,26 @@
 //! The coverage plan's per-edge table and the trig-free beam-footprint
-//! kernel that fills it, on every plan build and every position epoch.
+//! filter that answers directional queries from it.
 //!
 //! An [`EdgeTable`] stores omni neighbour slices together with, per edge,
-//! the distance and bearing `heading_to(neighbour)` and the footprint of
-//! a beam aimed along that edge. [`crate::CoveragePlan`] keeps every
-//! node's slices in one table, refilled in place when nodes move, and
-//! answers its queries through [`NodeCoverage`].
+//! the distance, squared distance and bearing `heading_to(neighbour)`.
+//! [`crate::CoveragePlan`] keeps every node's slices in one table,
+//! refilled in place when nodes move, and answers its queries through
+//! [`NodeCoverage`]. A build or a position epoch is O(Σ deg) work.
 //!
-//! A beam aimed at a neighbour has that neighbour's cached bearing as its
-//! boresight, and every candidate's bearing from the apex is cached too,
-//! so sector membership needs no trigonometry: the kernel compares two
-//! cached angles. The answer is bit-identical to [`TxPattern::covers`] by
-//! construction. `TxPattern::aimed(origin, target, θ)` sets the boresight
-//! to `origin.heading_to(target)` and `Sector::contains(p)` evaluates
+//! No footprint is stored. A beam shares the omni disk's distance bound,
+//! so its footprint is a filter of the owner's omni slice, which
+//! [`NodeCoverage::directional_coverage_into`] computes when asked. The
+//! beam's boresight is the cached bearing toward its aim and every
+//! candidate's bearing from the apex is cached too, so sector membership
+//! needs no trigonometry: the filter compares two cached angles. The
+//! answer is bit-identical to `TxPattern::covers` by construction.
+//! `TxPattern::aimed(origin, target, θ)` sets the boresight to
+//! `origin.heading_to(target)` and `Sector::contains(p)` evaluates
 //! `boresight.separation(origin.heading_to(p))`; the cache holds exactly
-//! those `heading_to` values, and the kernel keeps `Sector::contains`'s
-//! distance tests (`d² > R² + EPSILON` rejects, `d² ≤ EPSILON` accepts at
-//! the apex) on the same `distance_squared` values, in the same order.
+//! those `heading_to` values, and the `distance_squared` values that its
+//! apex rule (`d² ≤ EPSILON` accepts) reads. Its reach test
+//! (`d² > R² + EPSILON` rejects) is the complement of the omni predicate,
+//! so no omni member fails it.
 
 use std::ops::Range;
 
@@ -26,20 +30,17 @@ use crate::channel::TxPattern;
 use crate::spatial::SpatialGrid;
 use crate::NodeId;
 
-/// Omni neighbour slices with their per-edge geometry and footprints.
+/// Omni neighbour slices with their per-edge geometry.
 ///
-/// `arena[..dist.len()]` holds the omni slices, each ascending by id. Slot
-/// `s` of that prefix is one edge: `dist[s]` and `heading[s]` are the
-/// distance and bearing from the slice's owner to `arena[s]`, and
-/// `footprint[s]` is the arena range of the footprint of the beam aimed
-/// along it. Footprints follow the prefix; one that covers the whole
-/// neighbourhood aliases the omni slice instead of being copied.
+/// `arena` holds the omni slices, each ascending by id. Slot `s` is one
+/// edge: `dist[s]`, `dist_sq[s]` and `heading[s]` are the distance, squared
+/// distance and bearing from the slice's owner to `arena[s]`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct EdgeTable {
     arena: Vec<NodeId>,
     dist: Vec<f64>,
+    dist_sq: Vec<f64>,
     heading: Vec<Angle>,
-    footprint: Vec<(u32, u32)>,
 }
 
 impl EdgeTable {
@@ -47,11 +48,11 @@ impl EdgeTable {
     pub(crate) fn clear(&mut self) {
         self.arena.clear();
         self.dist.clear();
+        self.dist_sq.clear();
         self.heading.clear();
-        self.footprint.clear();
     }
 
-    /// Arena entries: omni slots plus stored footprint entries.
+    /// Arena entries: one per edge, Σ deg in total.
     pub(crate) fn arena_len(&self) -> usize {
         self.arena.len()
     }
@@ -59,9 +60,8 @@ impl EdgeTable {
     /// Heap bytes of the table.
     pub(crate) fn index_bytes(&self) -> usize {
         self.arena.len() * std::mem::size_of::<NodeId>()
-            + self.dist.len() * std::mem::size_of::<f64>()
+            + (self.dist.len() + self.dist_sq.len()) * std::mem::size_of::<f64>()
             + self.heading.len() * std::mem::size_of::<Angle>()
-            + self.footprint.len() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Sizes the per-edge caches for every omni slot pushed so far, so a
@@ -69,8 +69,8 @@ impl EdgeTable {
     pub(crate) fn reserve_edges(&mut self) {
         let edges = self.arena.len();
         self.dist.reserve_exact(edges);
+        self.dist_sq.reserve_exact(edges);
         self.heading.reserve_exact(edges);
-        self.footprint.reserve_exact(edges);
     }
 
     /// Appends the omni neighbourhood of node `src`, ascending by id: the
@@ -98,56 +98,19 @@ impl EdgeTable {
     }
 
     /// Completes the omni slice `omni` of node `src`: caches each edge's
-    /// distance and bearing (the reference expressions; `distance` is
-    /// `distance_squared().sqrt()`), then appends the footprint of a beam
-    /// aimed along each edge. Slices must be completed in arena order.
-    /// `dist_sq` is scratch.
+    /// squared distance, distance and bearing with the reference
+    /// expressions (`distance` is `distance_squared().sqrt()`). Slices must
+    /// be completed in arena order.
     ///
     /// panic-path: `omni` is a pushed slice of ids of `positions`.
-    pub(crate) fn push_edges(
-        &mut self,
-        omni: Range<usize>,
-        positions: &[Point],
-        src: usize,
-        beamwidth: Beamwidth,
-        range: f64,
-        dist_sq: &mut Vec<f64>,
-    ) {
+    pub(crate) fn push_edges(&mut self, omni: Range<usize>, positions: &[Point], src: usize) {
         debug_assert_eq!(omni.start, self.dist.len(), "slices out of order");
-        let EdgeTable {
-            arena,
-            dist,
-            heading,
-            footprint,
-        } = self;
         let origin = positions[src];
-        dist_sq.clear();
-        for &dst in &arena[omni.clone()] {
+        for &dst in &self.arena[omni] {
             let d2 = origin.distance_squared(positions[dst.0]);
-            dist_sq.push(d2);
-            dist.push(d2.sqrt());
-            heading.push(origin.heading_to(positions[dst.0]));
-        }
-        let reach_sq = range * range + EPSILON;
-        let headings = &heading[omni.clone()];
-        for &boresight in headings {
-            let start = arena.len();
-            for (slot, (&bearing, &d2)) in headings.iter().zip(dist_sq.iter()).enumerate() {
-                // `Sector::contains`, test for test.
-                if d2 > reach_sq {
-                    continue;
-                }
-                if d2 <= EPSILON || beamwidth.covers_separation(boresight.separation(bearing)) {
-                    let id = arena[omni.start + slot];
-                    arena.push(id);
-                }
-            }
-            footprint.push(if arena.len() - start == omni.len() {
-                arena.truncate(start);
-                (arena_offset(omni.start), arena_offset(omni.end))
-            } else {
-                (arena_offset(start), arena_offset(arena.len()))
-            });
+            self.dist_sq.push(d2);
+            self.dist.push(d2.sqrt());
+            self.heading.push(origin.heading_to(positions[dst.0]));
         }
     }
 }
@@ -168,9 +131,9 @@ pub struct NodeCoverage<'a> {
 }
 
 // panic-path: a view's omni range delimits a completed slice of its table,
-// whose edge caches are slot-parallel to the arena prefix, and every id in
-// the table indexes `positions`; a foreign id panics on the positions
-// read, which is the documented contract.
+// whose edge caches are slot-parallel to the arena, and every id in the
+// table indexes `positions`; a foreign id panics on the positions read,
+// which is the documented contract.
 impl<'a> NodeCoverage<'a> {
     /// The omni neighbourhood in ascending id order, equal to
     /// [`crate::Channel::neighbors`].
@@ -215,29 +178,35 @@ impl<'a> NodeCoverage<'a> {
     /// Fills `out` with the footprint of a beam from this node aimed at
     /// `dst` at the plan's beamwidth, ascending by id — equal to
     /// [`crate::Channel::covered_by`] with [`TxPattern::aimed`] for any
-    /// `dst`. An aim at a neighbour (every aim a MAC produces) copies the
-    /// stored footprint; other aims filter the omni slice with the
-    /// reference predicate, which keeps its ascending order because the
-    /// sector shares the omni disk's distance bound.
+    /// `dst`. The boresight is [`NodeCoverage::toward`]'s bearing (cached
+    /// for a neighbour, which every aim a MAC produces is), and the omni
+    /// slice is filtered with `Sector::contains`'s apex and aperture tests
+    /// on the cached squared distances and bearings, in its order. The
+    /// filter is O(deg) and branch-free: each candidate is written, and
+    /// kept by advancing the write index.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is out of range.
     #[inline]
     pub fn directional_coverage_into(&self, dst: NodeId, out: &mut Vec<NodeId>) {
+        let (boresight, _) = self.toward(dst);
+        let ids = self.neighbors();
+        let dist_sq = &self.table.dist_sq[self.omni.clone()];
+        let heading = &self.table.heading[self.omni.clone()];
         out.clear();
-        if let Some(slot) = self.slot(dst) {
-            let (start, end) = self.table.footprint[slot];
-            out.extend_from_slice(&self.table.arena[start as usize..end as usize]);
-            return;
+        out.extend_from_slice(ids);
+        let mut kept = 0;
+        for ((&id, &d2), &bearing) in ids.iter().zip(dist_sq).zip(heading) {
+            let inside = (d2 <= EPSILON)
+                | self
+                    .beamwidth
+                    .covers_separation(boresight.separation(bearing));
+            // panic-path: `kept` never passes the candidate's own index.
+            out[kept] = id;
+            kept += usize::from(inside);
         }
-        let origin = self.positions[self.id.0];
-        let pattern = TxPattern::aimed(origin, self.positions[dst.0], self.beamwidth);
-        out.extend(
-            self.neighbors()
-                .iter()
-                .filter(|p| pattern.covers(origin, self.range, self.positions[p.0])),
-        );
+        out.truncate(kept);
     }
 
     /// Fills `out` with the nodes strictly within range under the
@@ -253,14 +222,15 @@ impl<'a> NodeCoverage<'a> {
     /// of the omni slice: no grid scan, no sort.
     pub fn adjacency_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
-        // panic-path: the view's own id and every neighbour index
-        // `positions`.
-        let origin = self.positions[self.id.0];
         let r2 = self.range * self.range;
+        // panic-path: the omni range is a completed slice of the table.
+        let dist_sq = &self.table.dist_sq[self.omni.clone()];
         out.extend(
             self.neighbors()
                 .iter()
-                .filter(|p| origin.distance_squared(self.positions[p.0]) <= r2),
+                .zip(dist_sq)
+                .filter(|&(_, &d2)| d2 <= r2)
+                .map(|(&id, _)| id),
         );
     }
 }
@@ -275,8 +245,8 @@ pub(crate) fn coverage_reach(range: f64) -> f64 {
 
 /// Narrows an arena length to the 32-bit offset type.
 ///
-/// panic-path: the arena holds at most one entry per (aim, neighbour) pair
-/// of a plan whose node count the constructors cap below `u32::MAX`.
+/// panic-path: the arena holds one entry per edge, Σ deg in total; a plan
+/// with more edges than a `u32` counts panics here instead of wrapping.
 pub(crate) fn arena_offset(len: usize) -> u32 {
     u32::try_from(len).expect("arena stays below u32::MAX entries")
 }
