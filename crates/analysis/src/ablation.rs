@@ -112,6 +112,7 @@ pub fn ablation_table(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use crate::ProtocolTimes;

@@ -87,6 +87,7 @@ pub fn throughput(input: &ModelInput, p: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use crate::optimize::maximize;

@@ -44,6 +44,7 @@ pub fn simpson(a: f64, b: f64, panels: usize, f: impl Fn(f64) -> f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -41,8 +41,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
 /// The paper-to-code notation map (rendered from `NOTATION.md`).
 #[doc = include_str!("../NOTATION.md")]
@@ -85,6 +83,7 @@ pub fn throughput(scheme: Scheme, input: &ModelInput, p: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -93,6 +93,7 @@ pub(crate) fn validate_p(p: f64) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

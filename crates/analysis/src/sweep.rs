@@ -116,6 +116,7 @@ pub fn data_length_sweep(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -22,8 +22,8 @@
 //! streams on every invocation — so run-to-run differences in the JSON are
 //! pure wall-clock noise, and two checkouts can be compared by running the
 //! harness on each. Wall-clock timing itself is the *point* of this
-//! binary, which is why the `dirca-audit` static rules exempt the bench
-//! crate from the `std::time` ban that covers the deterministic core.
+//! binary, which is why this crate's `clippy.toml` lifts the
+//! `std::time::Instant` ban that covers every other crate.
 
 use std::fmt::Write as _;
 use std::hint::black_box;

@@ -422,7 +422,6 @@ fn process_ckpt(bytes: &[u8], check_only: bool) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
     use dirca_trace::wire::{encode_frame_into, metrics_payload, WireWriter};
     use dirca_trace::MetricsRegistry;

@@ -252,7 +252,7 @@ pub fn render(config: &Connectivity) -> String {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::float_cmp)]
+    #![expect(clippy::float_cmp, reason = "assertions compare exact expected values")]
 
     use super::*;
 

@@ -65,6 +65,7 @@ pub fn render_optimal_p(n_avg: f64) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -172,8 +172,6 @@ pub fn render(sweep: &MobilitySweep, threads: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
 
     #[test]

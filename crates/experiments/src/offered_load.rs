@@ -118,6 +118,7 @@ fn run_point(scheme: Scheme, sweep: &LoadSweep, rate: f64, threads: usize) -> Lo
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

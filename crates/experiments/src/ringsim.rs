@@ -304,6 +304,7 @@ pub fn paper_grid() -> Vec<(usize, f64, Scheme)> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -588,6 +588,7 @@ pub fn run_grid_with(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

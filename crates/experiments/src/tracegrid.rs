@@ -82,6 +82,7 @@ pub fn export_grid_trace(scale: &GridScale, path: &str) -> std::io::Result<()> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use dirca_sim::SimDuration;

@@ -7,8 +7,6 @@
 //! crash-safe (the temp-file + rename sequence leaves either the old
 //! file or the new one on disk — never a hybrid).
 
-#![allow(clippy::unwrap_used)]
-
 use dirca_experiments::report::GridScale;
 use dirca_experiments::ringsim::TopologySample;
 use dirca_experiments::runner::{

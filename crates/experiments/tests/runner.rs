@@ -2,8 +2,6 @@
 //! are isolated and reported with coordinates, interrupted runs resume to
 //! a byte-identical report, and checkpoints are validated strictly.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
-
 use std::path::PathBuf;
 
 use dirca_experiments::report::{render_combined, GridScale};

@@ -4,8 +4,6 @@
 //! torn bytes desyncing the CRC frame decoder right where the first
 //! resume appended its re-run record.
 
-#![allow(clippy::unwrap_used)]
-
 use dirca_experiments::report::GridScale;
 use dirca_experiments::runner::{run_grid, RunnerConfig};
 use dirca_sim::SimDuration;

@@ -162,6 +162,7 @@ pub fn lens_area(r1: f64, r2: f64, d: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use std::f64::consts::PI;

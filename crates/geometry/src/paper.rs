@@ -136,6 +136,7 @@ fn validate_r_theta(r: f64, theta: f64) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use std::f64::consts::PI;

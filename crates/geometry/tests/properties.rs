@@ -1,8 +1,5 @@
 //! Property-based tests for the geometric substrate.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
-
 use dirca_geometry::{
     hidden_area, lens_area, paper, q, sample, Angle, Beamwidth, Circle, Point, Sector,
 };

@@ -1,5 +1,9 @@
 //! The DCF protocol engine.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use dirca_radio::NodeId;
@@ -426,13 +430,15 @@ impl DcfMac {
         self.arm(ctx, TimerKind::Backoff, delay);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "state-machine invariant — Contend is only entered with a packet in service (`current` set by enqueue/try_resume)"
+    )]
     fn on_backoff_done(&mut self, ctx: &mut impl MacContext) {
         debug_assert_eq!(self.state, State::Contend, "backoff fired outside Contend");
         self.backoff_armed_at = None;
         self.backoff.complete();
         self.eifs_pending = false;
-        // panic-path: state-machine invariant — Contend is only entered
-        // with a packet in service (`current` set by enqueue/try_resume).
         let pkt = self
             .current
             .expect("backoff completed without a packet in service");
@@ -466,12 +472,14 @@ impl DcfMac {
         // Stale or misdirected CTS addressed to us: ignore.
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "state-machine invariant — WaitAck holds the packet whose DATA was just acknowledged"
+    )]
     fn on_ack(&mut self, frame: Frame, ctx: &mut impl MacContext) {
         let expected_peer = self.current.map(|p| p.dst);
         if self.state == State::WaitAck && Some(frame.src) == expected_peer {
             self.timer_mut(TimerKind::AckTimeout).cancel();
-            // panic-path: state-machine invariant — WaitAck holds the packet
-            // whose DATA was just acknowledged.
             let pkt = self.current.take().expect("WaitAck without packet");
             self.counters.packets_acked += 1;
             self.counters.data_acked_bytes += u64::from(pkt.bytes);
@@ -511,9 +519,11 @@ impl DcfMac {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "state-machine invariant — drop_current is only called from states that hold a packet in service"
+    )]
     fn drop_current(&mut self, ctx: &mut impl MacContext) {
-        // panic-path: state-machine invariant — drop_current is only called
-        // from states that hold a packet in service.
         let pkt = self.current.take().expect("drop without packet");
         self.counters.packets_dropped += 1;
         self.backoff.on_success(); // window resets after a drop, per 802.11
@@ -579,6 +589,10 @@ impl DcfMac {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "state-machine invariant — SifsData holds the packet whose CTS was just received"
+    )]
     fn on_sifs_done(&mut self, ctx: &mut impl MacContext) {
         match std::mem::replace(&mut self.state, State::Idle) {
             State::SifsCts { rts } => {
@@ -591,8 +605,6 @@ impl DcfMac {
                 ctx.transmit(cts, self.scheme.is_directional(FrameKind::Cts));
             }
             State::SifsData => {
-                // panic-path: state-machine invariant — SifsData holds the
-                // packet whose CTS was just received.
                 let pkt = self.current.expect("SifsData without packet");
                 let data = Frame::data(pkt, &self.params);
                 self.counters.data_tx += 1;
@@ -619,15 +631,17 @@ impl DcfMac {
     // ------------------------------------------------------------------
 
     /// The slot backing `kind`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "infallible — `TimerKind::index` maps the 6 variants to 0..COUNT, the exact length of the `timers` array"
+    )]
     fn timer(&self, kind: TimerKind) -> &TimerSlot {
-        // panic-path: infallible — `TimerKind::index` maps the 6 variants to
-        // 0..COUNT, the exact length of the `timers` array.
         &self.timers[kind.index()]
     }
 
     /// Mutable access to the slot backing `kind`.
+    #[expect(clippy::indexing_slicing, reason = "infallible — see `timer`")]
     fn timer_mut(&mut self, kind: TimerKind) -> &mut TimerSlot {
-        // panic-path: infallible — see `timer`.
         &mut self.timers[kind.index()]
     }
 

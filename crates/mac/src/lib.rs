@@ -25,8 +25,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
 mod backoff;
 mod counters;

@@ -31,8 +31,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
 pub mod audit;
 mod config;
@@ -118,6 +116,7 @@ pub(crate) fn run_with(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use dirca_mac::Scheme;

@@ -252,6 +252,7 @@ impl RunResult {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -5,9 +5,10 @@
 //! `dirca_sim::rng::derive_seed(master_seed, salt)`; two call sites that
 //! share a salt share a stream and silently correlate. Keeping every salt
 //! here, each bound to a documented `const`, makes pairwise uniqueness
-//! reviewable at a glance and lets `dirca-audit` enforce it mechanically
-//! (rule `DA005 salt-unique`: salts defined elsewhere, duplicate values,
-//! and raw literals at `derive_seed` call sites are all findings).
+//! reviewable at a glance and testable: the tests below check the values
+//! pairwise, and `tests/source_rules.rs` fails on a salt const defined
+//! elsewhere, a const missing from [`ALL_STREAM_SALTS`], or an integer
+//! literal passed as the salt of a `derive_seed` call.
 //!
 //! Salts that index per-trial streams (`RUN_STREAM_SALT + trial`) reserve
 //! a *range*; keep new salts well clear of an existing base (trial counts

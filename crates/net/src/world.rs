@@ -5,6 +5,10 @@
 //! ([`CoveragePlan::apply_moves`]) and refreshes the traffic rows derived
 //! from it; static runs build it once.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -272,7 +276,12 @@ impl NetWorld {
     ///
     /// # Panics
     ///
-    /// Panics if the topology is empty or the fault plan is invalid for it.
+    /// Panics if the topology is empty, its range is not finite and
+    /// positive, or the fault plan is invalid for it.
+    #[expect(
+        clippy::expect_used,
+        reason = "`Channel::new` refuses only a non-finite or non-positive range, a documented panic here"
+    )]
     pub fn build(topology: &Topology, config: &SimConfig) -> Self {
         assert!(!topology.is_empty(), "cannot simulate an empty topology");
         let channel = Channel::new(
@@ -423,6 +432,10 @@ impl NetWorld {
     /// # Panics
     ///
     /// Panics if `src` or `dst` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range `src` or `dst` is a documented panic"
+    )]
     pub fn enqueue_packet(
         &mut self,
         src: NodeId,
@@ -443,10 +456,11 @@ impl NetWorld {
     /// Seeds initial traffic according to the traffic model: saturated
     /// sources get their first packet immediately (and are refilled
     /// forever); Poisson sources get their first arrival scheduled.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-node vectors are all sized to the node count at build time, and node ids come from the topology/coverage plan, so id-indexed access is infallible"
+    )]
     pub fn prime(&mut self, sched: &mut Scheduler<NetEvent>) {
-        // panic-path: per-node vectors are all sized to the node count at
-        // build time, and node ids come from the topology/coverage plan, so
-        // id-indexed access is infallible.
         sched.reserve(self.expected_events);
         if let Some(m) = &self.mobility {
             sched.schedule_in(m.epoch, NetEvent::MobilityEpoch);
@@ -541,15 +555,16 @@ impl NetWorld {
     }
 
     /// Dispatches a MAC callback for `node` with a fully wired context.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-node vectors (macs/phys/rngs/app) are all sized to the node count at build time and `node` comes from the event stream, which only ever carries built node ids"
+    )]
     fn with_mac(
         &mut self,
         node: NodeId,
         sched: &mut Scheduler<NetEvent>,
         f: impl FnOnce(&mut DcfMac, &mut Ctx<'_>),
     ) {
-        // panic-path: per-node vectors (macs/phys/rngs/app) are all sized to
-        // the node count at build time and `node` comes from the event
-        // stream, which only ever carries built node ids.
         // Mute is decided at the instant the MAC acts: if the node's radio
         // is out of service now, any frame it puts on the air this instant
         // reaches nobody (the MAC itself keeps running and will time out
@@ -590,6 +605,10 @@ impl NetWorld {
     /// applying outage deafness first (a dead radio decodes nothing, no
     /// randomness involved) and then the link's frame error rate, drawn
     /// from the receiver's dedicated fault stream.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fault rngs are sized to the node count when the fault state is built, so `dst`-indexed access is infallible"
+    )]
     pub(crate) fn fault_verdict(
         &mut self,
         src: NodeId,
@@ -597,8 +616,6 @@ impl NetWorld {
         frame: &Frame,
         now: SimTime,
     ) -> FaultVerdict {
-        // panic-path: fault rngs are sized to the node count when the fault
-        // state is built, so `dst`-indexed access is infallible.
         let Some(state) = self.faults.as_mut() else {
             return FaultVerdict::Deliver;
         };
@@ -616,9 +633,11 @@ impl NetWorld {
 
     /// Keeps a saturated node's MAC backlogged with fresh packets to random
     /// neighbours.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-node vectors are sized to the node count at build, so `node`-indexed access is infallible"
+    )]
     fn refill(&mut self, node: NodeId, sched: &mut Scheduler<NetEvent>) {
-        // panic-path: per-node vectors are sized to the node count at build,
-        // so `node`-indexed access is infallible.
         if self.traffic != TrafficModel::Saturated || self.macs[node.0].has_backlog() {
             return;
         }
@@ -637,9 +656,11 @@ impl NetWorld {
 
     /// One Poisson arrival at `node`: enqueue (or drop at a full queue)
     /// and schedule the next arrival.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-node vectors are sized to the node count at build, so `node`-indexed access is infallible"
+    )]
     fn poisson_arrival(&mut self, node: NodeId, sched: &mut Scheduler<NetEvent>) {
-        // panic-path: per-node vectors are sized to the node count at build,
-        // so `node`-indexed access is infallible.
         let TrafficModel::Poisson {
             packets_per_sec,
             max_queue,
@@ -666,9 +687,10 @@ impl NetWorld {
     }
 
     /// Picks a uniformly random neighbour of `node`.
-    ///
-    /// panic-path: callers check `neighbors[node]` is non-empty, so the
-    /// range is never empty and the picked index is always in bounds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers check `neighbors[node]` is non-empty, so the range is never empty and the picked index is always in bounds"
+    )]
     pub(crate) fn pick_neighbor(&mut self, node: NodeId) -> NodeId {
         let pick = self.rngs[node.0].random_range(0..self.neighbors[node.0].len());
         NodeId(self.neighbors[node.0][pick])
@@ -686,6 +708,10 @@ impl NetWorld {
     /// # Panics
     ///
     /// Panics if `src` or `aim` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range `src` or `aim` is a documented panic"
+    )]
     pub fn wave_targets_for(
         &self,
         id: SignalId,
@@ -721,9 +747,10 @@ impl NetWorld {
     /// The index in `pins` of a pin of `src` holding `wave` (`None`: a
     /// free one), trying the transmitter's own entry before the shared
     /// ones past the per-node entries.
-    ///
-    /// panic-path: `pins` holds one entry per node, and `src` is a built
-    /// node id.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pins` holds one entry per node, and `src` is a built node id"
+    )]
     fn find_pin(&self, src: NodeId, wave: Option<SignalId>) -> Option<usize> {
         let shared = self.macs.len()..self.pins.len();
         std::iter::once(src.0)
@@ -744,6 +771,11 @@ impl NetWorld {
     /// order from the receiver's dedicated `SINR_STREAM_SALT` stream; a
     /// fading factor is strictly positive, so fading never changes
     /// membership.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "only the SINR dispatch path calls this, and it checked the runtime exists; fading rngs are sized to the node count whenever fading_sigma > 0 (see build)"
+    )]
     fn fill_sinr_wave(
         &mut self,
         src: NodeId,
@@ -752,8 +784,6 @@ impl NetWorld {
         out: &mut Vec<NodeId>,
     ) {
         let NetWorld { plan, sinr, .. } = self;
-        // panic-path: only the SINR dispatch path calls this, and it
-        // checked the runtime exists.
         let s = sinr
             .as_mut()
             .expect("SINR wave fill without a SINR runtime");
@@ -781,8 +811,6 @@ impl NetWorld {
             };
             let mut power = s.phy.rx_power(gain, dist);
             if power > 0.0 && s.phy.fading_sigma > 0.0 {
-                // panic-path: fading rngs are sized to the node count
-                // whenever fading_sigma > 0 (see build).
                 let z = standard_normal(&mut s.rngs[dst.0]);
                 power *= (s.phy.fading_sigma * z).exp();
             }
@@ -800,6 +828,10 @@ impl NetWorld {
     /// saturated sources the motion reconnected, and schedule the next
     /// epoch. A zero-motion epoch does zero cache work (counter-asserted
     /// by the golden battery) and consumes no RNG.
+    #[expect(
+        clippy::expect_used,
+        reason = "the event is only ever scheduled when a mobility runtime exists (prime and this reschedule both guard on it)"
+    )]
     fn mobility_epoch(&mut self, sched: &mut Scheduler<NetEvent>) {
         let (moved, epoch) = {
             let NetWorld {
@@ -808,8 +840,6 @@ impl NetWorld {
                 neighbors,
                 ..
             } = self;
-            // panic-path: the event is only ever scheduled when a mobility
-            // runtime exists (prime and this reschedule both guard on it).
             let m = mobility
                 .as_mut()
                 .expect("mobility epoch without a mobility runtime");
@@ -895,10 +925,12 @@ impl World for NetWorld {
     type Event = NetEvent;
 
     /// The one event dispatch of the network world.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "events only ever carry node ids the world itself built, and every per-node vector is sized to the node count, so id-indexed access throughout dispatch is infallible; the SINR path runs fill_sinr_wave first, so the runtime exists and powers is wave-parallel; every leading edge pins its receivers before its trailing edge can fire"
+    )]
     fn handle(&mut self, now: SimTime, event: NetEvent, sched: &mut Scheduler<NetEvent>) {
-        // panic-path: events only ever carry node ids the world itself
-        // built, and every per-node vector is sized to the node count, so
-        // id-indexed access throughout dispatch is infallible.
         match event {
             NetEvent::WaveStart {
                 src,
@@ -920,8 +952,6 @@ impl World for NetWorld {
                 let mut wave = std::mem::take(&mut self.pins[slot].receivers);
                 if self.sinr.is_some() {
                     self.fill_sinr_wave(src, frame.dst, directional, &mut wave);
-                    // panic-path: fill_sinr_wave just ran, so the runtime
-                    // exists and powers is wave-parallel.
                     let powers =
                         std::mem::take(&mut self.sinr.as_mut().expect("SINR runtime").powers);
                     for (i, &dst) in wave.iter().enumerate() {
@@ -947,8 +977,6 @@ impl World for NetWorld {
                 self.pins[slot].receivers = wave;
             }
             NetEvent::WaveEnd { src, id, frame, .. } => {
-                // panic-path: every leading edge pins its receivers before
-                // its trailing edge can fire.
                 let slot = self
                     .find_pin(src, Some(id))
                     .expect("trailing edge without a pinned wave");

@@ -5,9 +5,6 @@
 //! frame airtimes (sync + serialization), propagation delay, and the SIFS
 //! gaps — against hand-computed values from Table 1.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
-
 mod common;
 
 use dirca_mac::{FrameKind, Scheme};

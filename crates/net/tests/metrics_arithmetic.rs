@@ -4,7 +4,7 @@
 //! each derived quantity is pinned here against values computed by hand —
 //! including the degenerate windows a simulation never produces but a
 //! replay tool might.
-#![allow(clippy::float_cmp)] // exact-zero identities are the point here
+#![expect(clippy::float_cmp, reason = "exact-zero identities are the point here")]
 
 use dirca_mac::MacCounters;
 use dirca_net::{AirtimeBreakdown, NodeReport, RunResult};

@@ -10,8 +10,10 @@
 //! the recorded hashes of five moving runs, and the zero-cache-work
 //! contract of speed-0 position epochs.
 
-// Byte-identical runs are the point: exact float equality is intended.
-#![allow(clippy::float_cmp)]
+#![expect(
+    clippy::float_cmp,
+    reason = "byte-identical runs are the point: exact float equality is intended"
+)]
 
 mod common;
 

@@ -1,8 +1,5 @@
 //! Tests of the unsaturated (Poisson) traffic model.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
-
 use dirca_mac::Scheme;
 use dirca_net::{run, SimConfig, TrafficModel};
 use dirca_sim::SimDuration;

@@ -45,6 +45,10 @@
 //! positions: `tests/dynamic_plan.rs` pins a moved plan to a fresh build
 //! over the final positions, field for field.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use dirca_geometry::{Beamwidth, Point};
 
 use crate::channel::Channel;
@@ -173,6 +177,10 @@ impl CoveragePlan {
 
     /// Refills the omni offsets and the edge table in place from the grid
     /// and the current positions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields two-element slices"
+    )]
     fn fill(&mut self) {
         // Materialise each node's omni neighbourhood from the grid
         // superset with the exact reference predicate, sorted: equal to
@@ -197,7 +205,6 @@ impl CoveragePlan {
         }
         edges.reserve_edges();
         for (src, ends) in omni_offsets.windows(2).enumerate() {
-            // panic-path: `windows(2)` yields two-element slices.
             edges.push_edges(ends[0] as usize..ends[1] as usize, positions, src);
         }
     }
@@ -213,6 +220,10 @@ impl CoveragePlan {
     /// # Panics
     ///
     /// Panics if a move names an out-of-range node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a move naming an out-of-range node is a documented panic"
+    )]
     pub fn apply_moves(&mut self, moves: &[(usize, Point)]) {
         self.stats.epochs += 1;
         if moves.is_empty() {
@@ -288,10 +299,11 @@ impl CoveragePlan {
     ///
     /// Panics if `id` is out of range.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range `id` panics on the offset read, the documented contract; in-range offsets are monotone within the table by construction"
+    )]
     pub fn node(&self, id: NodeId) -> NodeCoverage<'_> {
-        // panic-path: an out-of-range id panics on the offset read, the
-        // documented contract; in-range offsets are monotone within the
-        // table by construction.
         NodeCoverage {
             table: &self.edges,
             omni: self.omni_offsets[id.0] as usize..self.omni_offsets[id.0 + 1] as usize,

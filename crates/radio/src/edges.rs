@@ -22,6 +22,10 @@
 //! (`d² > R² + EPSILON` rejects) is the complement of the omni predicate,
 //! so no omni member fails it.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use std::ops::Range;
 
 use dirca_geometry::{Angle, Beamwidth, Point, EPSILON};
@@ -77,9 +81,10 @@ impl EdgeTable {
     /// grid candidates other than `src` that the reference omni predicate
     /// accepts. Every slice must be pushed before the first
     /// [`EdgeTable::push_edges`].
-    ///
-    /// panic-path: the grid only enumerates ids of `positions`, and callers
-    /// pass an in-range `src`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the grid only enumerates ids of `positions`, and callers pass an in-range `src`"
+    )]
     pub(crate) fn push_neighbors(
         &mut self,
         grid: &SpatialGrid,
@@ -101,8 +106,10 @@ impl EdgeTable {
     /// squared distance, distance and bearing with the reference
     /// expressions (`distance` is `distance_squared().sqrt()`). Slices must
     /// be completed in arena order.
-    ///
-    /// panic-path: `omni` is a pushed slice of ids of `positions`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`omni` is a pushed slice of ids of `positions`"
+    )]
     pub(crate) fn push_edges(&mut self, omni: Range<usize>, positions: &[Point], src: usize) {
         debug_assert_eq!(omni.start, self.dist.len(), "slices out of order");
         let origin = positions[src];
@@ -130,7 +137,7 @@ pub struct NodeCoverage<'a> {
     pub(crate) beamwidth: Beamwidth,
 }
 
-// panic-path: a view's omni range delimits a completed slice of its table,
+// Indexing below: a view's omni range delimits a completed slice of its table,
 // whose edge caches are slot-parallel to the arena, and every id in the
 // table indexes `positions`; a foreign id panics on the positions read,
 // which is the documented contract.
@@ -138,8 +145,11 @@ impl<'a> NodeCoverage<'a> {
     /// The omni neighbourhood in ascending id order, equal to
     /// [`crate::Channel::neighbors`].
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the omni range is a completed slice of the table"
+    )]
     pub fn neighbors(&self) -> &'a [NodeId] {
-        // panic-path: the omni range is a completed slice of the table.
         &self.table.arena[self.omni.clone()]
     }
 
@@ -164,6 +174,10 @@ impl<'a> NodeCoverage<'a> {
     ///
     /// Panics if `other` is out of range.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range `other` is a documented panic"
+    )]
     pub fn toward(&self, other: NodeId) -> (Angle, f64) {
         match self.slot(other) {
             Some(slot) => (self.table.heading[slot], self.table.dist[slot]),
@@ -189,6 +203,10 @@ impl<'a> NodeCoverage<'a> {
     ///
     /// Panics if `dst` is out of range.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range `dst` is a documented panic; `kept` never passes the candidate's own index"
+    )]
     pub fn directional_coverage_into(&self, dst: NodeId, out: &mut Vec<NodeId>) {
         let (boresight, _) = self.toward(dst);
         let ids = self.neighbors();
@@ -202,7 +220,6 @@ impl<'a> NodeCoverage<'a> {
                 | self
                     .beamwidth
                     .covers_separation(boresight.separation(bearing));
-            // panic-path: `kept` never passes the candidate's own index.
             out[kept] = id;
             kept += usize::from(inside);
         }
@@ -220,10 +237,13 @@ impl<'a> NodeCoverage<'a> {
     /// signal coverage uses the slack bound, and collapsing the two would
     /// shift golden traces. Strict ⊆ slack, so the strict set is a filter
     /// of the omni slice: no grid scan, no sort.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the omni range is a completed slice of the table"
+    )]
     pub fn adjacency_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
         let r2 = self.range * self.range;
-        // panic-path: the omni range is a completed slice of the table.
         let dist_sq = &self.table.dist_sq[self.omni.clone()];
         out.extend(
             self.neighbors()
@@ -244,9 +264,10 @@ pub(crate) fn coverage_reach(range: f64) -> f64 {
 }
 
 /// Narrows an arena length to the 32-bit offset type.
-///
-/// panic-path: the arena holds one entry per edge, Σ deg in total; a plan
-/// with more edges than a `u32` counts panics here instead of wrapping.
+#[expect(
+    clippy::expect_used,
+    reason = "the arena holds one entry per edge, Σ deg in total; a plan with more edges than a `u32` counts panics here instead of wrapping"
+)]
 pub(crate) fn arena_offset(len: usize) -> u32 {
     u32::try_from(len).expect("arena stays below u32::MAX entries")
 }

@@ -29,6 +29,10 @@
 //! side-lobe floor never decreases interference; raising β — i.e.
 //! shrinking `margin` — never increases captures).
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use dirca_geometry::{Beamwidth, EPSILON};
 
 /// A transmit antenna gain pattern: an ideal sector generalized with a
@@ -301,6 +305,7 @@ impl Default for SinrPhy {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

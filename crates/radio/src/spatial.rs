@@ -36,6 +36,10 @@
 //! is soft-capped at ~4·n by growing the cell edge, which only ever
 //! *widens* the candidate superset, never narrows it below the reach.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use std::ops::RangeInclusive;
 
 use dirca_geometry::Point;
@@ -109,6 +113,10 @@ impl SpatialGrid {
     ///
     /// Panics if `positions` holds ≥ `u32::MAX` nodes (the arena uses
     /// 32-bit offsets).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`flat` clamps both axes into the grid, so the +1-shifted counting slot is within `starts`' cells+1 length; `i` ranges over `starts` indices; `i - 1` is the predecessor of an index that starts at 1; `starts[slot]` begins at the cell's offset and is bumped once per node in the cell, so it stays within the cell's slice of the n-length arena; `starts` holds cells + 1 ≥ 2 entries"
+    )]
     pub(crate) fn rebin(&mut self, positions: &[Point]) {
         assert!(
             (positions.len() as u64) < u64::from(u32::MAX),
@@ -123,13 +131,9 @@ impl SpatialGrid {
         starts.clear();
         starts.resize(frame.cells() + 1, 0);
         for p in positions {
-            // panic-path: `flat` clamps both axes into the grid, so the
-            // +1-shifted counting slot is within `starts`' cells+1 length.
             starts[flat(p) + 1] += 1;
         }
         for i in 1..starts.len() {
-            // panic-path: `i` ranges over `starts` indices; `i - 1` is the
-            // predecessor of an index that starts at 1.
             starts[i] += starts[i - 1];
         }
         // Stable placement: walking ids in ascending order fills each
@@ -141,14 +145,10 @@ impl SpatialGrid {
         order.resize(positions.len(), NodeId(0));
         for (id, p) in positions.iter().enumerate() {
             let slot = flat(p);
-            // panic-path: `starts[slot]` begins at the cell's offset and is
-            // bumped once per node in the cell, so it stays within the
-            // cell's slice of the n-length arena.
             order[starts[slot] as usize] = NodeId(id);
             starts[slot] += 1;
         }
         starts.copy_within(..frame.cells(), 1);
-        // panic-path: `starts` holds cells + 1 ≥ 2 entries.
         starts[0] = 0;
     }
 
@@ -188,15 +188,16 @@ impl SpatialGrid {
     /// # Panics
     ///
     /// Panics if `col`/`row` are outside the grid.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `col`/`row` outside the grid is a documented panic; `starts` has cols·rows + 1 entries and `idx` is bounds-checked first, so `idx + 1` is in range and the offsets delimit a valid arena slice by construction"
+    )]
     pub fn cell_nodes(&self, col: u32, row: u32) -> &[NodeId] {
         assert!(
             col < self.frame.cols && row < self.frame.rows,
             "cell out of range"
         );
         let idx = self.frame.index((col, row));
-        // panic-path: `starts` has cols·rows + 1 entries and `idx` was
-        // bounds-checked above, so `idx + 1` is in range and the offsets
-        // delimit a valid arena slice by construction.
         &self.order[self.starts[idx] as usize..self.starts[idx + 1] as usize]
     }
 
@@ -205,6 +206,10 @@ impl SpatialGrid {
     /// `reach` of that point. Cells are visited row-major and each cell's
     /// ids ascend, so the visit sequence is a pure function of geometry.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`lo ≤ hi < cols·rows` from the block clamps and `starts` offsets are monotonically increasing within the arena length by construction"
+    )]
     pub fn for_each_candidate(&self, around: Point, mut f: impl FnMut(NodeId)) {
         let (rows, first, last) = self.frame.block(self.frame.cell_of(around));
         for row in rows {
@@ -212,9 +217,6 @@ impl SpatialGrid {
             let hi = self.frame.index((last, row));
             // A row's 1–3 adjacent cells occupy contiguous arena slots, so
             // the whole row strip is one slice.
-            // panic-path: `lo ≤ hi < cols·rows` from the block clamps and
-            // `starts` offsets are monotonically increasing within the
-            // arena length by construction.
             let slice = &self.order[self.starts[lo] as usize..self.starts[hi + 1] as usize];
             for &id in slice {
                 f(id);

@@ -154,12 +154,6 @@ impl Transceiver {
         self.transmitting || !self.arrivals.is_empty()
     }
 
-    /// Whether any signal energy is currently arriving (ignores own
-    /// transmission state).
-    pub fn energy_arriving(&self) -> bool {
-        !self.arrivals.is_empty()
-    }
-
     /// The latest trailing edge among the signals currently arriving, or
     /// `None` when no energy is on the air. Incoming energy keeps the
     /// carrier busy until at least this instant (later arrivals can extend

@@ -1,8 +1,5 @@
 //! Property tests of the channel's coverage geometry.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
-
 use dirca_geometry::{Angle, Beamwidth, Point};
 use dirca_radio::{Channel, NodeId, TxPattern};
 use dirca_sim::SimDuration;

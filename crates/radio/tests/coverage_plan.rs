@@ -10,8 +10,10 @@
 //! degenerate collinear layouts, and receivers placed exactly θ/2 off
 //! boresight or on the apex, where sector membership sits on the boundary.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "the fixture builders outside `#[test]` fns unwrap known-good inputs"
+)]
 
 use dirca_geometry::{Beamwidth, Point};
 use dirca_radio::{Channel, CoveragePlan, NodeId, TxPattern};

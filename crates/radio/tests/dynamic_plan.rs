@@ -16,8 +16,10 @@
 //! grid cell changed — counter-asserted via
 //! [`InvalidationStats`](dirca_radio::InvalidationStats), not timed.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "the fixture builders outside `#[test]` fns unwrap known-good inputs"
+)]
 
 use dirca_geometry::{Angle, Beamwidth, Point};
 use dirca_radio::{Channel, CoveragePlan, NodeId, TxPattern};

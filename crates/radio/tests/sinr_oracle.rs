@@ -17,8 +17,11 @@
 //!    capture margin (lowering the threshold β) never shrinks the
 //!    delivered set; raising the noise floor never grows it.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "the strategies outside `#[test]` fns unwrap in-range beamwidths"
+)]
+#![expect(clippy::float_cmp, reason = "assertions compare exact expected values")]
 
 use dirca_geometry::{Angle, Beamwidth, Point};
 use dirca_radio::{AntennaPattern, ReceptionMode, SignalId, Transceiver, TxPattern};

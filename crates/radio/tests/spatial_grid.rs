@@ -7,8 +7,10 @@
 //! cell corner. Every property here compares the plan against the
 //! reference `Channel` full scan, which is immune to all of them.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "the shared checkers outside `#[test]` fns unwrap known-good inputs"
+)]
 
 use dirca_geometry::{Beamwidth, Point};
 use dirca_radio::{Channel, CoveragePlan, NodeId, SpatialGrid, TxPattern};

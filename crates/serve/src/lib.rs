@@ -29,12 +29,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
 /// Wall-clock duration, used only for service plumbing: socket timeouts,
 /// accept-loop polling, and client retry backoff. Simulation code never
 /// sees wall-clock time — all simulated time is `dirca_sim::SimTime`.
-pub use std::time::Duration; // audit-allow(wall-clock-entropy): socket timeouts and retry backoff are service plumbing; simulated time stays virtual
+pub use std::time::Duration;
 
 pub mod client;
 pub mod proto;

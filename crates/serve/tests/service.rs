@@ -3,7 +3,10 @@
 //! rejects (never a crash), a `SIGKILL` mid-grid resumes to the same
 //! bytes, overload is shed with `BUSY`, and shutdown is acknowledged.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "the drill helpers outside `#[test]` fns unwrap socket and file I/O"
+)]
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;

@@ -1,5 +1,9 @@
 //! The event loop.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use std::fmt;
 
 use crate::{EventQueue, SimDuration, SimTime};
@@ -213,11 +217,6 @@ impl<W: World> Simulation<W> {
         self.probe = probe;
     }
 
-    /// Removes and returns the installed probe, if any.
-    pub fn take_probe(&mut self) -> Option<Box<dyn crate::probe::Probe<W>>> {
-        self.probe.take()
-    }
-
     /// Read access to the world.
     pub fn world(&self) -> &W {
         &self.world
@@ -292,6 +291,10 @@ impl<W: World> Simulation<W> {
 
     /// The body of [`Simulation::try_run_until`], monomorphised over
     /// whether an auditor or a probe is attached.
+    #[expect(
+        clippy::expect_used,
+        reason = "a successful peek guarantees the queue is non-empty, and nothing between the peek and this pop touches it"
+    )]
     fn run_loop<const OBSERVED: bool>(&mut self, deadline: SimTime) -> Result<u64, RunAborted> {
         let before = self.processed;
         while let Some(t) = self.scheduler.queue.peek_time() {
@@ -315,8 +318,6 @@ impl<W: World> Simulation<W> {
                     });
                 }
             }
-            // panic-path: a successful peek above guarantees the queue is
-            // non-empty, and nothing between the peek and this pop touches it.
             let (time, event) = self.scheduler.queue.pop().expect("peeked event vanished");
             debug_assert!(time >= self.scheduler.now, "event queue went backwards");
             self.dispatch::<OBSERVED>(time, event);
@@ -370,6 +371,10 @@ impl<W: World> Simulation<W> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the probe and auditor counters share a cell with the test that reads them"
+)]
 mod tests {
     use std::cell::Cell;
     use std::rc::Rc;

@@ -42,11 +42,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 // The engine never indexes unchecked: feasible here, so gate it.
 #![warn(clippy::indexing_slicing)]
-#![cfg_attr(test, allow(clippy::indexing_slicing))]
 
 mod engine;
 mod queue;

@@ -1,6 +1,10 @@
 //! A stable timestamp-ordered event queue: a monotone radix heap, for
 //! event loops whose clock only moves forward (see [`EventQueue`]).
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use crate::SimTime;
 
 /// A priority queue of `(SimTime, E)` pairs that pops the earliest event
@@ -205,6 +209,10 @@ impl<E> EventQueue<E> {
     /// monotone contract on [`EventQueue`]), and after `u32::MAX`
     /// simultaneously pending events (the slab index width); a simulation
     /// queue that size has long since exhausted memory.
+    #[expect(
+        clippy::expect_used,
+        reason = "the free list only holds in-range slots, and the slab index overflows only after `u32::MAX` simultaneously pending events, the documented panic"
+    )]
     pub fn push(&mut self, time: SimTime, event: E) {
         let entry = Entry {
             time: time.as_nanos(),
@@ -237,9 +245,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "`first_occupied` returns a bucket index; list links only hold in-range chunk indices, and `fill` is at most `CHUNK`; a bucket's recorded minimum is one of its keys"
+    )]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let b = self.first_occupied()?;
-        // panic-path: `first_occupied` returns a bucket index.
         let min = *self.mins.get(b).expect("bucket index in range");
         // Spread bucket `b` over the lower ones relative to the new `last`;
         // the minimum itself is the pop. (`last` only ever equals a popped
@@ -250,8 +261,6 @@ impl<E> EventQueue<E> {
         let Bucket { mut head, mut fill } = self.take(b);
         while head != NIL {
             for i in 0..fill {
-                // panic-path: list links only hold in-range chunk indices,
-                // and `fill` is at most `CHUNK`.
                 let entry = *self
                     .chunks
                     .get(head as usize)
@@ -268,7 +277,6 @@ impl<E> EventQueue<E> {
             head = next;
             fill = CHUNK;
         }
-        // panic-path: a bucket's recorded minimum is one of its keys.
         let entry = popped.expect("the first occupied bucket holds its minimum");
         let event = self
             .slab
@@ -311,11 +319,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Files `entry` in its bucket relative to `last`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`bucket_of` is at most 128, and a bucket's head is a chunk in range with `fill < CHUNK` after the refill"
+    )]
     fn insert(&mut self, entry: Entry) {
         let key = entry.key();
         let b = bucket_of(key, self.last);
-        // panic-path: `bucket_of` is at most 128, and a bucket's head is a
-        // chunk in range with `fill < CHUNK` after the refill below.
         let min = self.mins.get_mut(b).expect("bucket index in range");
         *min = (*min).min(key);
         let Bucket { mut head, mut fill } = *self.buckets.get(b).expect("bucket index in range");
@@ -338,9 +348,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Empties bucket `b`, returning its chunk list.
+    #[expect(clippy::expect_used, reason = "bucket indices are at most 128")]
     fn take(&mut self, b: usize) -> Bucket {
         self.mark(b, false);
-        // panic-path: bucket indices are at most 128.
         *self.mins.get_mut(b).expect("bucket index in range") = u128::MAX;
         std::mem::replace(
             self.buckets.get_mut(b).expect("bucket index in range"),
@@ -349,6 +359,10 @@ impl<E> EventQueue<E> {
     }
 
     /// A chunk linked ahead of `next`: a spare one, or a new one.
+    #[expect(
+        clippy::expect_used,
+        reason = "the spare list only holds in-range chunk indices"
+    )]
     fn new_chunk(&mut self, next: u32) -> u32 {
         if self.spare == NIL {
             let chunk = u32::try_from(self.chunks.len()).expect("event queue chunk overflow");
@@ -359,7 +373,6 @@ impl<E> EventQueue<E> {
             chunk
         } else {
             let chunk = self.spare;
-            // panic-path: the spare list only holds in-range chunk indices.
             let link = &mut self
                 .chunks
                 .get_mut(chunk as usize)
@@ -371,8 +384,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Returns `chunk` to the spare list.
+    #[expect(
+        clippy::expect_used,
+        reason = "only chunk indices handed out by `new_chunk` arrive here"
+    )]
     fn spare_chunk(&mut self, chunk: u32) {
-        // panic-path: only chunk indices handed out by `new_chunk` arrive here.
         let link = &mut self
             .chunks
             .get_mut(chunk as usize)
@@ -382,8 +398,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Sets bucket `b`'s occupancy bit to `occupied`.
+    #[expect(
+        clippy::expect_used,
+        reason = "bucket indices are at most 128, so `b / 64` is at most 2"
+    )]
     fn mark(&mut self, b: usize, occupied: bool) {
-        // panic-path: bucket indices are at most 128, so `b / 64` is at most 2.
         let word = self
             .occupied
             .get_mut(b / 64)

@@ -88,11 +88,6 @@ impl Summary {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Square root of [`Summary::sample_variance`].
-    pub fn sample_std_dev(&self) -> Option<f64> {
-        self.sample_variance().map(f64::sqrt)
-    }
-
     /// Population variance (n denominator); `None` when empty.
     pub fn population_variance(&self) -> Option<f64> {
         (self.count > 0).then(|| self.m2 / self.count as f64)

@@ -254,6 +254,7 @@ pub fn from_text(text: &str) -> Result<Topology, ParseTopologyError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
     use crate::fixtures;

@@ -20,6 +20,10 @@
 //! without mobility. The golden battery in
 //! `crates/net/tests/mobility_golden.rs` pins this.
 
+// Transmit hot path: every indexing and `expect` site panics on a broken
+// invariant, so each carries an `#[expect]` on its fn saying which one.
+#![deny(clippy::indexing_slicing, clippy::expect_used)]
+
 use dirca_geometry::{sample, Point};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -166,6 +170,10 @@ impl MobilityState {
     ///
     /// Panics on invalid model parameters (see [`MobilityModel::validate`])
     /// or a non-positive/non-finite `radius`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`group_span` slices within `positions`, and `group_of` names one of the `groups` references pushed just before"
+    )]
     pub fn new(model: MobilityModel, initial: &[Point], radius: f64, seed: u64) -> Self {
         model.validate();
         assert!(
@@ -254,10 +262,11 @@ impl MobilityState {
     /// nodes that moved as `(node index, new position)` pairs in ascending
     /// index order. Static models (and non-positive `dt_secs`) return an
     /// empty slice without touching the RNG.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`legs`/`offsets` are sized to `positions` and `group_legs` to `group_pos` at construction and never resized, so every index in `step` is in bounds by invariant"
+    )]
     pub fn step(&mut self, dt_secs: f64) -> &[(usize, Point)] {
-        // panic-path: `legs`/`offsets` are sized to `positions` and
-        // `group_legs` to `group_pos` at construction and never resized,
-        // so every index below is in bounds by invariant.
         self.moves.clear();
         if self.model.is_static() || dt_secs <= 0.0 || dt_secs.is_nan() {
             return &self.moves;
@@ -445,6 +454,7 @@ fn centroid(points: &[Point]) -> Point {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
 

@@ -14,9 +14,6 @@
 //! * random-garbage payload decoding (typed error, never a panic),
 //! * a byte-exact fixture pinning the one on-disk trace format.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
-
 use dirca_mac::{FrameKind, TimerKind};
 use dirca_radio::NodeId;
 use dirca_sim::{SimDuration, SimTime};

@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full stack (topology → radio → MAC →
 //! metrics) on deterministic fixtures.
 
-// Unwraps and exact float comparisons are idiomatic in test assertions.
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![expect(clippy::float_cmp, reason = "assertions compare exact expected values")]
 
 use dirca::mac::Scheme;
 use dirca::net::{run, RunResult, SimConfig, TrafficModel};
