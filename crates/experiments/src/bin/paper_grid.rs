@@ -1,6 +1,8 @@
-//! Runs the full Figs. 6/7 simulation grid ONCE and prints all four
-//! metric reports (throughput, delay, collision ratio, fairness) from the
-//! same runs. This is the economical way to regenerate E3-E6 together.
+//! E3–E6 — runs the Figs. 6/7 simulation grid once and prints all four
+//! metric reports from the same runs: Fig. 6 throughput, Fig. 7 delay,
+//! the §4 collision ratio and Jain fairness. With `--svg DIR` it also
+//! draws Figs. 6 and 7 from those cells as `DIR/fig{6,7}_n{N}.svg`. The
+//! grid runs nowhere else.
 //!
 //! The grid runs under the fault-tolerant runner: each cell is isolated
 //! (a panic or watchdog trip fails that cell, not the run), and with
@@ -8,9 +10,9 @@
 //! binary record so `--resume` continues an interrupted run where it left
 //! off. `trace_view PATH` prints a checkpoint's records, one per line.
 //!
-//! Usage: same scale flags as `fig6` (`--quick`, `--topologies`,
-//! `--measure-ms`, `--n`, `--theta`, `--threads`, `--seed`), plus the
-//! runner flags `--checkpoint PATH`, `--resume`, `--max-cells K`,
+//! Usage: `paper_grid [--quick] [--topologies 50] [--measure-ms 10000]
+//! [--n 3|5|8] [--theta 30|90|150] [--threads K] [--seed S] [--svg DIR]`,
+//! plus the runner flags `--checkpoint PATH`, `--resume`, `--max-cells K`,
 //! `--retries R`, `--events-budget E`, and the CI drill switches
 //! `--inject-panic n,theta,scheme` / `--inject-timeout n,theta,scheme`.
 //!
@@ -23,12 +25,13 @@
 //! than silently ignored: any `--trace-…` flag (a leftover encoding
 //! choice) and `--engine-threads` (the removed sharded engine).
 //!
-//! Exit status: 0 on a clean complete grid, 1 if any cell failed, 2 on a
-//! usage error, 3 if `--max-cells` stopped the run early.
+//! Exit status: 0 on a clean complete grid, 1 if any cell failed or the
+//! SVGs could not be written, 2 on a usage error, 3 if `--max-cells`
+//! stopped the run early.
 
 use dirca_experiments::cli::{removed_flag, Flags};
-use dirca_experiments::report::{render_combined, GridScale};
-use dirca_experiments::ringsim::RingOutcome;
+use dirca_experiments::plot::write_svgs;
+use dirca_experiments::report::{grid_svgs, render_combined, GridScale};
 use dirca_experiments::runner::{run_grid, RunnerConfig};
 use dirca_experiments::tracegrid::export_grid_trace;
 
@@ -40,6 +43,17 @@ fn main() {
     }
     let scale = GridScale::from_flags(&flags);
     let runner = RunnerConfig::try_from_flags(&flags).unwrap_or_else(|e| e.exit());
+    let svg_dir = flags.try_get_path("svg").unwrap_or_else(|e| e.exit());
+    let write = |dir, files: &[(String, String)]| {
+        write_svgs(dir, files).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
+    };
+    if let Some(dir) = svg_dir {
+        // Refuse an unusable output directory before the grid runs.
+        write(dir, &[]);
+    }
     eprintln!(
         "running grid: {} densities x {} beamwidths x 3 schemes x {} topologies ({} ms measure, {} threads)",
         scale.densities.len(),
@@ -68,21 +82,11 @@ fn main() {
             outcome.restored
         );
     }
-    let completed: Vec<_> = outcome
-        .outcomes
-        .iter()
-        .filter_map(|o| {
-            o.result.as_ref().ok().map(|s| {
-                (
-                    o.cell.n,
-                    o.cell.theta,
-                    o.cell.scheme,
-                    RingOutcome::from_samples(s),
-                )
-            })
-        })
-        .collect();
+    let completed = outcome.completed();
     println!("{}", render_combined(&scale, &completed));
+    if let Some(dir) = svg_dir {
+        write(dir, &grid_svgs(&scale, &completed));
+    }
     let failures = outcome.render_failures();
     if !failures.is_empty() {
         eprint!("{failures}");

@@ -136,6 +136,19 @@ impl Flags {
         self.try_parse(name, default, "a number")
     }
 
+    /// The value of `--name` taken as a path, or `None` when the flag is
+    /// absent; a bare `--name` with no value is a [`UsageError`].
+    pub fn try_get_path(&self, name: &str) -> Result<Option<&str>, UsageError> {
+        if self.has(name) {
+            return Err(UsageError {
+                flag: name.to_string(),
+                expected: "a path",
+                got: String::new(),
+            });
+        }
+        Ok(self.get(name))
+    }
+
     /// `--threads`, or the host's available parallelism (4 when unknown).
     /// A malformed value or 0 is a [`UsageError`]: a worker pool needs at
     /// least one thread.
@@ -240,6 +253,17 @@ mod tests {
     fn adjacent_switches_both_register() {
         let f = flags(&["--quick", "--verbose"]);
         assert!(f.has("quick") && f.has("verbose"));
+    }
+
+    #[test]
+    fn a_path_flag_needs_a_value() {
+        assert_eq!(
+            flags(&["--svg", "out"]).try_get_path("svg"),
+            Ok(Some("out"))
+        );
+        assert_eq!(flags(&[]).try_get_path("svg"), Ok(None));
+        let err = flags(&["--svg"]).try_get_path("svg").unwrap_err();
+        assert_eq!((err.flag.as_str(), err.expected), ("svg", "a path"));
     }
 
     #[test]

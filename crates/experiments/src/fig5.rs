@@ -5,6 +5,7 @@ use dirca_analysis::sweep::{fig5, paper_theta_grid, Fig5Row};
 use dirca_analysis::{ModelInput, ProtocolTimes};
 use dirca_mac::Scheme;
 
+use crate::plot::{LineChart, PlotPoint};
 use crate::table::Table;
 
 /// Computes the Fig. 5 series for density `n_avg` on the paper's 15°–180°
@@ -34,6 +35,24 @@ pub fn render(n_avg: f64, rows: &[Fig5Row]) -> String {
          l_rts=l_cts=l_ack=5τ, l_data=100τ)\n\n{}",
         t.render()
     )
+}
+
+/// Renders a Fig. 5 series as an SVG line chart, one curve per scheme.
+pub fn svg(n_avg: f64, rows: &[Fig5Row]) -> String {
+    let mut chart = LineChart::new(
+        format!("Fig. 5 — max achievable throughput (analysis, N = {n_avg})"),
+        "beamwidth θ (degrees)",
+        "throughput",
+    );
+    for scheme in Scheme::ALL {
+        chart.series(
+            scheme.to_string(),
+            rows.iter()
+                .map(|r| PlotPoint::new(r.theta_degrees, r.get(scheme)))
+                .collect(),
+        );
+    }
+    chart.render_svg()
 }
 
 /// Renders the optimal attempt probabilities `p*` behind the Fig. 5
@@ -98,5 +117,17 @@ mod tests {
         assert!(text.contains("DRTS-DCTS"));
         assert!(text.contains("N = 3"));
         assert!(text.lines().count() > 12);
+    }
+
+    #[test]
+    fn svg_draws_one_curve_per_scheme() {
+        let svg = svg(8.0, &compute(8.0));
+        assert!(svg.contains("N = 8"));
+        assert_eq!(svg.matches("<polyline").count(), 3);
+        assert_eq!(
+            svg.matches("<circle").count(),
+            3 * 12,
+            "one marker per point"
+        );
     }
 }

@@ -1,14 +1,16 @@
-//! The experiment harness: one module (and one binary) per table or figure
-//! of the paper.
+//! The experiment harness: the module and binary behind each table or
+//! figure of the paper. E3–E6 share one grid, which only `paper_grid`
+//! simulates ([`runner::run_grid`]); every grid table and chart is
+//! rendered from its cells.
 //!
 //! | Experiment | Paper artefact | Module | Binary |
 //! |------------|----------------|--------|--------|
-//! | E1 | Fig. 5 — analytical throughput vs beamwidth | [`fig5`] | `fig5` |
+//! | E1 | Fig. 5 — analytical throughput vs beamwidth | [`fig5`] | `fig5` (`--svg DIR` draws it) |
 //! | E2 | Table 1 — 802.11 DSSS parameters | [`table1`] | `table1` |
-//! | E3 | Fig. 6 — simulated throughput | [`ringsim`] | `fig6` |
-//! | E4 | Fig. 7 — simulated delay | [`ringsim`] | `fig7` |
-//! | E5 | §4 collision-ratio statistic | [`ringsim`] | `collision_ratio` |
-//! | E6 | §4 fairness discussion | [`ringsim`] | `fairness` |
+//! | E3 | Fig. 6 — simulated throughput | [`runner`], [`report`] | `paper_grid` (`--svg DIR` draws it) |
+//! | E4 | Fig. 7 — simulated delay | [`runner`], [`report`] | `paper_grid` (`--svg DIR` draws it) |
+//! | E5 | §4 collision-ratio statistic | [`runner`], [`report`] | `paper_grid` |
+//! | E6 | §4 fairness discussion | [`runner`], [`report`] | `paper_grid` |
 //! | E7 | model ablations (ours) | `dirca_analysis::ablation` | `ablation` |
 //! | E8 | directional reception extension (ours) | [`directional_rx`] | `directional_rx` |
 //! | E9 | offered-load sweep extension (ours) | [`offered_load`] | `offered_load` |
@@ -20,7 +22,7 @@
 //! | E15 | throughput vs injected frame error rate (ours) | [`fault_sweep`] | `fault_sweep` |
 //! | E17 | mobility + side-lobe sweep (ours) | [`mobility_sweep`] | `mobility_sweep` |
 //! | E18 | directional connectivity vs closed-form theory (ours) | [`connectivity`] | `connectivity` |
-//! | — | SVG figure rendering | [`plot`] | `figures` |
+//! | — | SVG figure rendering | [`plot`] | `fig5 --svg DIR`, `paper_grid --svg DIR` |
 //! | — | structured trace export | [`tracegrid`] | `paper_grid --trace`, `trace_view` |
 //!
 //! Every binary accepts `--quick` (a fast smoke-test scale) plus

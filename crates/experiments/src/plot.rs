@@ -87,16 +87,6 @@ impl LineChart {
         self
     }
 
-    /// Number of series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Whether no series were added.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
     fn bounds(&self) -> (f64, f64, f64, f64) {
         let mut x_min = f64::INFINITY;
         let mut x_max = f64::NEG_INFINITY;
@@ -231,15 +221,25 @@ impl LineChart {
         svg.push_str("</svg>");
         svg
     }
+}
 
-    /// Renders and writes the chart to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.render_svg())
+/// Writes each `(file name, SVG text)` pair into `dir`, creating `dir`
+/// first, and prints `wrote PATH` to stderr per file. With no files it
+/// only creates `dir`, which lets a caller refuse a bad output path
+/// before a long run rather than after it.
+///
+/// # Errors
+///
+/// One line naming the directory or file that could not be created or
+/// written, and why.
+pub fn write_svgs(dir: &str, files: &[(String, String)]) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create SVG directory {dir}: {e}"))?;
+    for (name, svg) in files {
+        let path = std::path::Path::new(dir).join(name);
+        std::fs::write(&path, svg).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
     }
+    Ok(())
 }
 
 fn fmt_tick(v: f64) -> String {
@@ -308,9 +308,7 @@ mod tests {
 
     #[test]
     fn empty_chart_renders_without_panic() {
-        let c = LineChart::new("empty", "x", "y");
-        assert!(c.is_empty());
-        let svg = c.render_svg();
+        let svg = LineChart::new("empty", "x", "y").render_svg();
         assert!(svg.contains("</svg>"));
     }
 
@@ -332,14 +330,18 @@ mod tests {
     }
 
     #[test]
-    fn save_writes_file() {
-        let dir = std::env::temp_dir().join("dirca_plot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chart.svg");
-        chart().save(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("<svg"));
-        std::fs::remove_file(&path).ok();
+    fn write_svgs_creates_the_directory_and_writes_each_file() {
+        let dir = std::env::temp_dir().join(format!("dirca_plot_test_{}", std::process::id()));
+        let dir_str = dir.to_str().unwrap();
+        let files = [("chart.svg".to_string(), chart().render_svg())];
+        write_svgs(dir_str, &files).unwrap();
+        let content = std::fs::read_to_string(dir.join("chart.svg")).unwrap();
+        assert_eq!(content, files[0].1);
+        // A regular file where the directory should be is refused by name.
+        let blocked = dir.join("chart.svg");
+        let err = write_svgs(blocked.to_str().unwrap(), &files).unwrap_err();
+        assert!(err.contains(blocked.to_str().unwrap()), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

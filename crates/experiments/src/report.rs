@@ -1,16 +1,18 @@
-//! Shared reporting over the Figs. 6/7 simulation grid.
+//! Reporting over the Figs. 6/7 simulation grid: the grid's scale, and the
+//! text tables and SVG charts rendered from its cells.
 
 use dirca_mac::Scheme;
 use dirca_sim::SimDuration;
 use dirca_stats::Summary;
 
 use crate::cli::{Flags, UsageError};
-use crate::ringsim::{run_cell, RingExperiment, RingOutcome};
+use crate::plot::{LineChart, PlotPoint};
+use crate::ringsim::{RingExperiment, RingOutcome};
 use crate::table::{mean_range, Table};
 
-/// Which per-cell metric a report renders.
+/// Which per-cell metric a section or chart renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
+enum Metric {
     /// Fig. 6: normalized aggregate throughput of the inner nodes.
     Throughput,
     /// Fig. 7: mean MAC service delay in milliseconds.
@@ -156,61 +158,27 @@ impl GridScale {
     }
 }
 
-/// Runs the grid and renders `metric` as one table per density, matching
-/// the layout of the paper's Figs. 6/7 panels.
-pub fn grid_report(title: &str, metric: Metric, scale: &GridScale) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push_str("\n\n");
-    for &n in &scale.densities {
-        let mut t = Table::new(vec![
-            format!("N={n}, θ (deg)"),
-            "ORTS-OCTS".into(),
-            "DRTS-DCTS".into(),
-            "DRTS-OCTS".into(),
-        ]);
-        for &theta in &scale.beamwidths {
-            let mut cells = vec![format!("{theta:.0}")];
-            for scheme in Scheme::ALL {
-                let outcome = run_cell(&scale.cell(scheme, n, theta), scale.threads);
-                let s = metric.pick(&outcome);
-                let text = match (s.mean(), s.min(), s.max()) {
-                    (Some(m), Some(lo), Some(hi)) => mean_range(m, lo, hi, metric.decimals()),
-                    _ => "n/a".into(),
-                };
-                cells.push(text);
-            }
-            t.row(cells);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-    out
+/// The outcome of cell `(n, theta, scheme)` in `outcomes`, if it is there.
+fn find(
+    outcomes: &[(usize, f64, Scheme, RingOutcome)],
+    n: usize,
+    theta: f64,
+    scheme: Scheme,
+) -> Option<&RingOutcome> {
+    outcomes
+        .iter()
+        // Beamwidths are copied verbatim from the scale config, so bitwise
+        // equality is the right key comparison here.
+        .find(|(on, ot, os, _)| *on == n && ot.to_bits() == theta.to_bits() && *os == scheme)
+        .map(|(_, _, _, o)| o)
 }
 
-/// Runs the grid **once** and renders every metric (Fig. 6 throughput,
-/// Fig. 7 delay, collision ratio, fairness) from the same simulation runs
-/// — four reports for the price of one grid pass.
-pub fn combined_report(scale: &GridScale) -> String {
-    // Run all cells first.
-    let mut outcomes: Vec<(usize, f64, Scheme, RingOutcome)> = Vec::new();
-    for &n in &scale.densities {
-        for &theta in &scale.beamwidths {
-            for scheme in Scheme::ALL {
-                let outcome = run_cell(&scale.cell(scheme, n, theta), scale.threads);
-                outcomes.push((n, theta, scheme, outcome));
-            }
-        }
-    }
-    render_combined(scale, &outcomes)
-}
-
-/// Renders the four metric sections from precomputed cell outcomes. Cells
-/// absent from `outcomes` (e.g. ones that failed under the fault-tolerant
-/// runner) render as `n/a`, so a partial grid still reports cleanly. The
-/// text is identical to [`combined_report`]'s for a complete grid — which
-/// is what makes a resumed run's report comparable to an uninterrupted
-/// one.
+/// Renders the four metric sections (Fig. 6 throughput, Fig. 7 delay,
+/// collision ratio, fairness) from precomputed cell outcomes, usually
+/// [`GridRun::completed`](crate::runner::GridRun::completed). Cells absent
+/// from `outcomes` (e.g. ones that failed under the fault-tolerant runner)
+/// render as `n/a`, so a partial grid still reports cleanly, and a resumed
+/// run's report is byte-identical to an uninterrupted one's.
 pub fn render_combined(
     scale: &GridScale,
     outcomes: &[(usize, f64, Scheme, RingOutcome)],
@@ -244,28 +212,13 @@ pub fn render_combined(
             for &theta in &scale.beamwidths {
                 let mut cells = vec![format!("{theta:.0}")];
                 for scheme in Scheme::ALL {
-                    let outcome = outcomes
-                        .iter()
-                        // Beamwidths are copied verbatim from the scale
-                        // config, so bitwise equality is the right key
-                        // comparison here.
-                        .find(|(on, ot, os, _)| {
-                            *on == n && ot.to_bits() == theta.to_bits() && *os == scheme
-                        })
-                        .map(|(_, _, _, o)| o);
-                    let text = match outcome {
-                        Some(o) => {
-                            let s = metric.pick(o);
-                            match (s.mean(), s.min(), s.max()) {
-                                (Some(m), Some(lo), Some(hi)) => {
-                                    mean_range(m, lo, hi, metric.decimals())
-                                }
-                                _ => "n/a".into(),
-                            }
-                        }
-                        None => "n/a".into(),
-                    };
-                    cells.push(text);
+                    let s = find(outcomes, n, theta, scheme).map(|o| metric.pick(o));
+                    cells.push(
+                        match s.and_then(|s| Some((s.mean()?, s.min()?, s.max()?))) {
+                            Some((m, lo, hi)) => mean_range(m, lo, hi, metric.decimals()),
+                            None => "n/a".into(),
+                        },
+                    );
                 }
                 t.row(cells);
             }
@@ -274,6 +227,48 @@ pub fn render_combined(
         }
     }
     out
+}
+
+/// Renders Figs. 6 and 7 as SVG line charts with min–max whiskers, one
+/// chart per density, from the same cell outcomes as [`render_combined`].
+/// Returns `(file name, SVG text)` pairs, `fig6_n{N}.svg` then
+/// `fig7_n{N}.svg` for each density. A cell absent from `outcomes` drops
+/// its point from the curve.
+pub fn grid_svgs(
+    scale: &GridScale,
+    outcomes: &[(usize, f64, Scheme, RingOutcome)],
+) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for &n in &scale.densities {
+        for (fig, title, y_label, metric) in [
+            (
+                "fig6",
+                "Fig. 6",
+                "normalized throughput",
+                Metric::Throughput,
+            ),
+            ("fig7", "Fig. 7", "mean MAC delay (ms)", Metric::DelayMs),
+        ] {
+            let mut chart = LineChart::new(
+                format!("{title} — simulation, N = {n}"),
+                "beamwidth θ (degrees)",
+                y_label,
+            );
+            for scheme in Scheme::ALL {
+                let points = scale
+                    .beamwidths
+                    .iter()
+                    .filter_map(|&theta| {
+                        let s = metric.pick(find(outcomes, n, theta, scheme)?);
+                        Some(PlotPoint::with_range(theta, s.mean()?, s.min()?, s.max()?))
+                    })
+                    .collect();
+                chart.series(scheme.to_string(), points);
+            }
+            files.push((format!("{fig}_n{n}.svg"), chart.render_svg()));
+        }
+    }
+    files
 }
 
 #[cfg(test)]
@@ -294,12 +289,50 @@ mod tests {
         }
     }
 
+    /// One synthetic topology in every cell of `scale` except
+    /// (θ = 90°, DRTS-DCTS).
+    fn partial_outcomes(scale: &GridScale) -> Vec<(usize, f64, Scheme, RingOutcome)> {
+        let sample = crate::ringsim::TopologySample {
+            throughput: 0.5,
+            delay_ms: Some(20.0),
+            collision_ratio: Some(0.2),
+            jain: Some(0.9),
+        };
+        let cells = crate::runner::enumerate_cells(scale).into_iter();
+        let kept = cells.filter(|c| !(c.theta == 90.0 && c.scheme == Scheme::DrtsDcts));
+        let outcome = RingOutcome::from_samples(&[sample]);
+        kept.map(|c| (c.n, c.theta, c.scheme, outcome.clone()))
+            .collect()
+    }
+
     #[test]
-    fn grid_report_renders_all_schemes() {
-        let text = grid_report("test", Metric::Throughput, &tiny_scale());
-        assert!(text.contains("ORTS-OCTS"));
-        assert!(text.contains("N=3"));
-        assert!(text.contains('['), "range formatting missing");
+    fn grid_svgs_drop_the_point_of_a_missing_cell() {
+        let scale = GridScale {
+            beamwidths: vec![30.0, 90.0, 150.0],
+            ..tiny_scale()
+        };
+        let files = grid_svgs(&scale, &partial_outcomes(&scale));
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["fig6_n3.svg", "fig7_n3.svg"]);
+        for (name, svg) in &files {
+            assert!(svg.starts_with("<svg") && svg.ends_with("</svg>"), "{name}");
+            assert_eq!(svg.matches("<polyline").count(), 3, "{name}");
+            // Series colours follow `Scheme::ALL`: ORTS-OCTS, DRTS-DCTS,
+            // DRTS-OCTS. Only DRTS-DCTS lost a point, the one at 90°.
+            let markers = |color: &str| svg.matches(&format!(r#"r="3.5" fill="{color}""#)).count();
+            let per_scheme = ["#1f77b4", "#d62728", "#2ca02c"].map(markers);
+            assert_eq!(per_scheme, [3, 2, 3], "{name}");
+        }
+        assert!(files[1].1.contains("Fig. 7 — simulation, N = 3"));
+    }
+
+    #[test]
+    fn render_combined_reports_a_missing_cell_as_na() {
+        let scale = tiny_scale();
+        let text = render_combined(&scale, &partial_outcomes(&scale));
+        // One θ = 90° row per metric section, DRTS-DCTS missing from each.
+        assert_eq!(text.matches("n/a").count(), 4, "{text}");
+        assert!(text.contains("0.500 [0.500, 0.500]"), "{text}");
     }
 
     #[test]
@@ -391,12 +424,5 @@ mod tests {
         let err =
             crate::runner::RunnerConfig::try_from_flags(&flags).expect_err("zero threads accepted");
         assert_eq!((err.flag.as_str(), err.expected), ("threads", "at least 1"));
-    }
-
-    #[test]
-    fn metric_decimals_and_pick() {
-        let outcome = RingOutcome::default();
-        assert_eq!(Metric::DelayMs.decimals(), 1);
-        assert_eq!(Metric::Throughput.pick(&outcome).count(), 0);
     }
 }

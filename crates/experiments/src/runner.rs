@@ -26,7 +26,7 @@ use dirca_trace::wire::{self, kind, FrameDecoder, WireError};
 
 use crate::cli::{Flags, UsageError};
 use crate::report::GridScale;
-use crate::ringsim::{try_run_cell, CellFailure, CellGuards, TopologySample};
+use crate::ringsim::{try_run_cell, CellFailure, CellGuards, RingOutcome, TopologySample};
 use crate::wireio;
 
 /// One grid coordinate: density × beamwidth × scheme.
@@ -97,6 +97,25 @@ pub struct GridRun {
 }
 
 impl GridRun {
+    /// The cells that completed, in grid order, each as its
+    /// `(N, θ, scheme, outcome)` — the input of
+    /// [`render_combined`](crate::report::render_combined) and
+    /// [`grid_svgs`](crate::report::grid_svgs).
+    pub fn completed(&self) -> Vec<(usize, f64, Scheme, RingOutcome)> {
+        self.outcomes
+            .iter()
+            .filter_map(|o| {
+                let samples = o.result.as_ref().ok()?;
+                Some((
+                    o.cell.n,
+                    o.cell.theta,
+                    o.cell.scheme,
+                    RingOutcome::from_samples(samples),
+                ))
+            })
+            .collect()
+    }
+
     /// The outcomes that failed, in grid order.
     pub fn failures(&self) -> Vec<&CellOutcome> {
         self.outcomes.iter().filter(|o| o.result.is_err()).collect()

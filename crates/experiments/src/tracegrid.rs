@@ -19,7 +19,6 @@
 //! `trace_view` validates and folds the document. Everything here is
 //! deterministic: same scale and seed, same bytes.
 
-use dirca_mac::Scheme;
 use dirca_net::trace::{metrics_snapshot, run_traced};
 use dirca_trace::wire::{
     encode_frame_into, encode_scheme, kind, metrics_payload, record_payload, WireWriter,
@@ -27,6 +26,7 @@ use dirca_trace::wire::{
 
 use crate::report::GridScale;
 use crate::ringsim::topology_config;
+use crate::runner::{enumerate_cells, Cell};
 
 /// Ring-buffer capacity per traced cell run: 64 Ki records of 56 B
 /// (`size_of::<TraceRecord>()`, 3.5 MiB) keeps the full record stream of a
@@ -41,22 +41,13 @@ pub fn render_grid_trace(scale: &GridScale) -> Vec<u8> {
 }
 
 fn render_with_capacity(scale: &GridScale, capacity: usize) -> Vec<u8> {
-    let cells: Vec<(usize, f64, Scheme)> = scale
-        .densities
-        .iter()
-        .flat_map(|&n| {
-            scale
-                .beamwidths
-                .iter()
-                .flat_map(move |&theta| Scheme::ALL.into_iter().map(move |s| (n, theta, s)))
-        })
-        .collect();
+    let cells = enumerate_cells(scale);
     let mut out = Vec::new();
     let mut w = WireWriter::new();
     w.put_u64(scale.seed);
     w.put_u32(cells.len() as u32);
     encode_frame_into(kind::TRACE_HEADER, &w.into_bytes(), &mut out);
-    for (n, theta, scheme) in cells {
+    for Cell { n, theta, scheme } in cells {
         let mut w = WireWriter::new();
         w.put_u64(n as u64);
         w.put_f64(theta);

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use dirca_experiments::report::{render_combined, GridScale};
-use dirca_experiments::ringsim::{CellFailure, RingOutcome};
+use dirca_experiments::ringsim::CellFailure;
 use dirca_experiments::runner::{
     enumerate_cells, run_grid, Cell, CheckpointError, GridRun, RunnerConfig,
 };
@@ -40,21 +40,7 @@ fn ckpt_path(label: &str) -> PathBuf {
 }
 
 fn report_of(scale: &GridScale, run: &GridRun) -> String {
-    let completed: Vec<_> = run
-        .outcomes
-        .iter()
-        .filter_map(|o| {
-            o.result.as_ref().ok().map(|s| {
-                (
-                    o.cell.n,
-                    o.cell.theta,
-                    o.cell.scheme,
-                    RingOutcome::from_samples(s),
-                )
-            })
-        })
-        .collect();
-    render_combined(scale, &completed)
+    render_combined(scale, &run.completed())
 }
 
 #[test]

@@ -1,0 +1,39 @@
+//! `--svg DIR` on `paper_grid` and `fig5`: a directory that cannot be
+//! created is one error line naming the path and a non-zero exit, never a
+//! panic.
+
+use std::process::Command;
+
+#[test]
+fn a_file_as_the_svg_directory_is_refused_by_name() {
+    let cases = [
+        (
+            env!("CARGO_BIN_EXE_paper_grid"),
+            &["--quick", "--n", "3", "--theta", "90"][..],
+        ),
+        (env!("CARGO_BIN_EXE_fig5"), &["--n", "3"][..]),
+    ];
+    for (i, (bin, args)) in cases.into_iter().enumerate() {
+        // A regular file standing where the SVG directory should go.
+        let path = std::env::temp_dir().join(format!("dirca_svg_{}_{i}", std::process::id()));
+        std::fs::write(&path, "not a directory").expect("temp file writes");
+        let out = Command::new(bin)
+            .args(args)
+            .arg("--svg")
+            .arg(&path)
+            .output();
+        std::fs::remove_file(&path).ok();
+        let out = out.expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{bin}: exit {:?}: {stderr}",
+            out.status
+        );
+        assert!(
+            stderr.contains(path.to_str().expect("UTF-8 path")),
+            "{bin}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+}

@@ -9,6 +9,10 @@
 //!   `unexpected_cfgs` cannot see this: `sim` and `net` still declare an
 //!   empty `trace` feature for perfbench.
 //! * No exact comparison with a float zero, which `float_cmp` exempts.
+//! * The determinism bans stay in step: clippy reads only the nearest
+//!   `clippy.toml`, so `crates/sim/clippy.toml` and
+//!   `crates/bench/clippy.toml` repeat the root lists (bench minus its
+//!   wall clock, `std::time::Instant`).
 //!
 //! Matching runs on text with `//` comments and whitespace removed, so a
 //! call split over several lines is still caught.
@@ -186,4 +190,45 @@ fn no_exact_comparison_with_float_zero() {
         }
     }
     assert_none("exact comparison with a float zero", &offenders);
+}
+
+/// The `path = "…"` entries of the `key = [ … ]` list in a `clippy.toml`.
+fn clippy_list(toml: &str, key: &str) -> Vec<String> {
+    let Some((_, rest)) = toml.split_once(&format!("\n{key} = [\n")) else {
+        return Vec::new();
+    };
+    let body = rest.split("\n]").next().unwrap_or("");
+    let paths = body
+        .lines()
+        .filter_map(|line| line.split_once("path = \"")?.1.split_once('"'));
+    paths.map(|(path, _)| path.to_string()).collect()
+}
+
+#[test]
+fn clippy_determinism_lists_stay_in_step() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("readable clippy.toml");
+    let (workspace, sim, bench) = (
+        read("clippy.toml"),
+        read("crates/sim/clippy.toml"),
+        read("crates/bench/clippy.toml"),
+    );
+    let mut offenders = Vec::new();
+    for key in ["disallowed-types", "disallowed-methods"] {
+        let bans = clippy_list(&workspace, key);
+        assert!(!bans.is_empty(), "clippy.toml has no {key}");
+        let (sim_bans, bench_bans) = (clippy_list(&sim, key), clippy_list(&bench, key));
+        for ban in &bans {
+            if !sim_bans.contains(ban) {
+                offenders.push(format!("crates/sim/clippy.toml {key}: {ban}"));
+            }
+            if !ban.starts_with("std::time::Instant") && !bench_bans.contains(ban) {
+                offenders.push(format!("crates/bench/clippy.toml {key}: {ban}"));
+            }
+        }
+    }
+    assert_none(
+        "root clippy.toml ban missing from a crate's copy",
+        &offenders,
+    );
 }

@@ -14,7 +14,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 
 use dirca_experiments::report::render_combined;
-use dirca_experiments::ringsim::RingOutcome;
 use dirca_experiments::runner::{enumerate_cells, grid_fingerprint, run_grid_with, RunnerConfig};
 use dirca_net::Watchdog;
 use dirca_trace::wire::kind;
@@ -279,21 +278,7 @@ impl Server {
         if client_gone {
             return;
         }
-        let completed: Vec<_> = run
-            .outcomes
-            .iter()
-            .filter_map(|o| {
-                o.result.as_ref().ok().map(|s| {
-                    (
-                        o.cell.n,
-                        o.cell.theta,
-                        o.cell.scheme,
-                        RingOutcome::from_samples(s),
-                    )
-                })
-            })
-            .collect();
-        let report = render_combined(&scale, &completed);
+        let report = render_combined(&scale, &run.completed());
         if conn
             .write_frame(kind::REPORT, &encode_report(&report))
             .is_err()

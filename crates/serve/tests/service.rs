@@ -15,7 +15,6 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use dirca_experiments::report::render_combined;
-use dirca_experiments::ringsim::RingOutcome;
 use dirca_experiments::runner::{grid_fingerprint, run_grid, RunnerConfig};
 use dirca_serve::proto::{decode_busy, decode_reject, reject, FrameConn};
 use dirca_serve::{client, ClientConfig, ScenarioSpec, Served};
@@ -61,21 +60,7 @@ fn batch_report(spec: &ScenarioSpec) -> String {
         },
     )
     .unwrap();
-    let completed: Vec<_> = run
-        .outcomes
-        .iter()
-        .filter_map(|o| {
-            o.result.as_ref().ok().map(|s| {
-                (
-                    o.cell.n,
-                    o.cell.theta,
-                    o.cell.scheme,
-                    RingOutcome::from_samples(s),
-                )
-            })
-        })
-        .collect();
-    render_combined(&scale, &completed)
+    render_combined(&scale, &run.completed())
 }
 
 fn state_dir(label: &str) -> PathBuf {

@@ -1,8 +1,8 @@
 //! Deterministic mobility models: random waypoint and reference point
 //! group mobility (RPGM).
 //!
-//! The source paper's scenarios are static; ROADMAP item 2 calls mobility
-//! out as the axis it could not explore. A [`MobilityState`] owns the
+//! The source paper's scenarios are static; mobility is the axis it could
+//! not explore (EXPERIMENTS.md E17 sweeps it). A [`MobilityState`] owns the
 //! evolving node positions and advances them in fixed *epochs*: the
 //! simulation layer calls [`MobilityState::step`] once per position epoch
 //! and applies the returned move list to its spatial caches. All

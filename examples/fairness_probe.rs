@@ -40,7 +40,7 @@ fn main() {
     println!(
         "A Jain index near 1 means the inner nodes share the channel evenly; \
          values toward 1/n mean one node monopolized it. Averaged over many \
-         topologies (see the `fairness` experiment binary), wider beams \
+         topologies (see the fairness section of `paper_grid`), wider beams \
          score consistently lower."
     );
 }
