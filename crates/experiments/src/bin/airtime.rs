@@ -9,12 +9,11 @@
 //! Usage: `airtime [--quick] [--n 5] [--theta 30] [--topologies 8]`
 
 use dirca_experiments::cli::Flags;
+use dirca_experiments::ringsim::{run_topologies, CellGuards, RingExperiment};
 use dirca_experiments::table::Table;
 use dirca_mac::Scheme;
-use dirca_net::salts::{RUN_STREAM_SALT, TOPOLOGY_STREAM_SALT};
-use dirca_net::{run, SimConfig};
-use dirca_sim::{rng::derive_seed, rng::stream_rng, SimDuration};
-use dirca_topology::RingSpec;
+use dirca_net::SimConfig;
+use dirca_sim::SimDuration;
 
 fn main() {
     let flags = Flags::from_env();
@@ -36,39 +35,39 @@ fn main() {
         "goodput".into(),
     ]);
     for scheme in Scheme::ALL {
-        // Average fractions over topologies; airtime fractions are per
-        // measured node-second.
-        let mut frac = [0.0f64; 5];
-        let mut goodput = 0.0;
-        for index in 0..topologies {
-            let spec = RingSpec::paper(n, 1.0);
-            let mut topo_rng = stream_rng(derive_seed(seed, TOPOLOGY_STREAM_SALT), index as u64);
-            let topology = spec.generate(&mut topo_rng).expect("topology generation");
-            let config = SimConfig::new(scheme)
+        let experiment = RingExperiment {
+            n_avg: n,
+            topologies,
+            seed,
+            config: SimConfig::new(scheme)
                 .with_beamwidth_degrees(theta)
-                .with_seed(derive_seed(seed, RUN_STREAM_SALT + index as u64))
                 .with_warmup(SimDuration::from_millis(200))
-                .with_measure(measure);
-            let result = run(&topology, &config);
+                .with_measure(measure),
+        };
+        let node_seconds = measure.as_secs_f64() * n as f64;
+        let bit_rate = experiment.config.params.bit_rate_bps as f64;
+        // Per topology: the data, RTS, CTS and ACK airtime fractions per
+        // measured node-second, the idle/defer remainder, and the goodput.
+        let outcomes = run_topologies(&experiment, 1, &CellGuards::default(), |result| {
             let air = result.airtime_breakdown();
-            let node_seconds = measure.as_secs_f64() * n as f64;
-            frac[0] += air.data.as_secs_f64() / node_seconds;
-            frac[1] += air.rts.as_secs_f64() / node_seconds;
-            frac[2] += air.cts.as_secs_f64() / node_seconds;
-            frac[3] += air.ack.as_secs_f64() / node_seconds;
-            frac[4] += 1.0 - air.total().as_secs_f64() / node_seconds;
-            goodput += result.aggregate_throughput_bps() / 2e6;
+            let busy = [air.data, air.rts, air.cts, air.ack];
+            let [data, rts, cts, ack] = busy.map(|d| d.as_secs_f64() / node_seconds);
+            let idle = 1.0 - air.total().as_secs_f64() / node_seconds;
+            let goodput = result.aggregate_throughput_bps() / bit_rate;
+            [data, rts, cts, ack, idle, goodput]
+        });
+        let mut sums = [0.0f64; 6];
+        for outcome in outcomes {
+            let values = outcome.unwrap_or_else(|failure| panic!("{scheme}: {failure}"));
+            for (sum, value) in sums.iter_mut().zip(values) {
+                *sum += value;
+            }
         }
         let k = topologies as f64;
-        t.row(vec![
-            scheme.to_string(),
-            format!("{:.1}", 100.0 * frac[0] / k),
-            format!("{:.1}", 100.0 * frac[1] / k),
-            format!("{:.1}", 100.0 * frac[2] / k),
-            format!("{:.1}", 100.0 * frac[3] / k),
-            format!("{:.1}", 100.0 * frac[4] / k),
-            format!("{:.3}", goodput / k),
-        ]);
+        let mut row = vec![scheme.to_string()];
+        row.extend(sums[..5].iter().map(|f| format!("{:.1}", 100.0 * f / k)));
+        row.push(format!("{:.3}", sums[5] / k));
+        t.row(row);
     }
     println!(
         "Airtime breakdown per measured node (N = {n}, θ = {theta}°, {topologies} topologies)\n\

@@ -12,11 +12,9 @@ use dirca_mac::Scheme;
 fn main() {
     let flags = Flags::from_env();
     let quick = flags.has("quick");
-    let scheme: Scheme = flags
-        .get("scheme")
-        .unwrap_or("drts-dcts")
-        .parse()
-        .expect("valid scheme name");
+    let scheme = flags
+        .try_get_scheme("scheme", Scheme::DrtsDcts)
+        .unwrap_or_else(|e| e.exit());
     let n = flags.get_usize("n", 5);
     let theta = flags.get_f64("theta", 30.0);
     let topologies = flags.get_usize("topologies", if quick { 3 } else { 10 });

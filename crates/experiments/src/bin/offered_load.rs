@@ -40,12 +40,9 @@ fn main() {
     let mut failed = 0usize;
     for (scheme, points) in [("ORTS-OCTS", &omni), ("DRTS-DCTS", &dir)] {
         for p in points.iter() {
-            for (topology, message) in &p.failed_topologies {
+            for failure in &p.failed_topologies {
                 failed += 1;
-                eprintln!(
-                    "warning: {scheme} at {} pkt/s: topology {topology} panicked: {message}",
-                    p.offered_pps
-                );
+                eprintln!("warning: {scheme} at {} pkt/s: {failure}", p.offered_pps);
             }
         }
     }

@@ -44,6 +44,7 @@ fn main() {
     let scale = GridScale::from_flags(&flags);
     let runner = RunnerConfig::try_from_flags(&flags).unwrap_or_else(|e| e.exit());
     let svg_dir = flags.try_get_path("svg").unwrap_or_else(|e| e.exit());
+    let trace_path = flags.try_get_path("trace").unwrap_or_else(|e| e.exit());
     let write = |dir, files: &[(String, String)]| {
         write_svgs(dir, files).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -62,7 +63,7 @@ fn main() {
         scale.measure.as_nanos() / 1_000_000,
         runner.threads
     );
-    if let Some(path) = flags.get("trace") {
+    if let Some(path) = trace_path {
         eprintln!("exporting structured trace to {path}");
         export_grid_trace(&scale, path).unwrap_or_else(|e| {
             eprintln!("failed to write trace {path}: {e}");

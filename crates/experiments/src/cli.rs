@@ -9,6 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dirca_mac::Scheme;
+
 /// A flag value that could not be parsed: `--{flag}` expected a `{expected}`
 /// but got `{got}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +136,17 @@ impl Flags {
     /// [`UsageError`].
     pub fn try_get_f64(&self, name: &str, default: f64) -> Result<f64, UsageError> {
         self.try_parse(name, default, "a number")
+    }
+
+    /// `--name` parsed as a [`Scheme`] name (`orts-octs`, `drts-dcts`,
+    /// `drts-octs`, or an alias), or `default`; an unknown name is a
+    /// [`UsageError`].
+    pub fn try_get_scheme(&self, name: &str, default: Scheme) -> Result<Scheme, UsageError> {
+        self.try_parse(
+            name,
+            default,
+            "a scheme (orts-octs, drts-dcts or drts-octs)",
+        )
     }
 
     /// The value of `--name` taken as a path, or `None` when the flag is
@@ -264,6 +277,19 @@ mod tests {
         assert_eq!(flags(&[]).try_get_path("svg"), Ok(None));
         let err = flags(&["--svg"]).try_get_path("svg").unwrap_err();
         assert_eq!((err.flag.as_str(), err.expected), ("svg", "a path"));
+    }
+
+    #[test]
+    fn schemes_parse_by_name_and_alias() {
+        let f = flags(&["--scheme", "hybrid"]);
+        assert_eq!(
+            f.try_get_scheme("scheme", Scheme::OrtsOcts),
+            Ok(Scheme::DrtsOcts)
+        );
+        assert_eq!(
+            f.try_get_scheme("other", Scheme::OrtsOcts),
+            Ok(Scheme::OrtsOcts)
+        );
     }
 
     #[test]

@@ -29,13 +29,14 @@
 use std::f64::consts::TAU;
 
 use dirca_geometry::{Angle, Beamwidth};
-use dirca_net::salts::{CONNECTIVITY_STREAM_SALT, TOPOLOGY_STREAM_SALT};
+use dirca_net::salts::CONNECTIVITY_STREAM_SALT;
 use dirca_radio::{SpatialGrid, TxPattern};
 use dirca_sim::rng::{derive_seed, stream_rng};
 use dirca_stats::Summary;
 use dirca_topology::poisson_field;
 use rand::Rng;
 
+use crate::ringsim::topology_rng;
 use crate::table::Table;
 
 /// Configuration of the connectivity experiment.
@@ -123,8 +124,12 @@ struct Trial {
 fn sample_trials(config: &Connectivity, range: f64, interior_radius: f64) -> Vec<Trial> {
     (0..config.trials)
         .map(|t| {
-            let mut topo_rng = stream_rng(derive_seed(config.seed, TOPOLOGY_STREAM_SALT), t as u64);
-            let topo = poisson_field(&mut topo_rng, config.nodes, config.n_avg, range);
+            let topo = poisson_field(
+                &mut topology_rng(config.seed, t),
+                config.nodes,
+                config.n_avg,
+                range,
+            );
             let mut aim_rng =
                 stream_rng(derive_seed(config.seed, CONNECTIVITY_STREAM_SALT), t as u64);
             let boresights: Vec<Angle> = (0..config.nodes)

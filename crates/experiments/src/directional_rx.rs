@@ -9,7 +9,6 @@
 //! [`dirca_radio::ReceptionMode::Directional`] and compares against the
 //! paper's omni-reception baseline.
 
-use dirca_geometry::Beamwidth;
 use dirca_mac::Scheme;
 use dirca_radio::ReceptionMode;
 
@@ -39,15 +38,13 @@ pub fn compare(
     topologies: usize,
     threads: usize,
 ) -> RxComparison {
-    let beam = Beamwidth::from_degrees(beamwidth_degrees).expect("valid beamwidth");
     let mut base = RingExperiment::paper(scheme, n_avg, beamwidth_degrees);
     base.topologies = topologies;
     let omni_rx = run_cell(&base, threads);
-    let directional = RingExperiment {
-        reception: ReceptionMode::Directional { beamwidth: beam },
-        ..base
+    base.config.reception = ReceptionMode::Directional {
+        beamwidth: base.config.beamwidth,
     };
-    let directional_rx = run_cell(&directional, threads);
+    let directional_rx = run_cell(&base, threads);
     RxComparison {
         scheme,
         omni_rx,
@@ -58,6 +55,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dirca_geometry::Beamwidth;
     use dirca_sim::SimDuration;
 
     #[test]
@@ -68,17 +66,12 @@ mod tests {
         let scheme = Scheme::DrtsDcts;
         let mut base = RingExperiment::quick(scheme, 3, 30.0);
         base.topologies = 3;
-        base.measure = SimDuration::from_millis(500);
+        base.config.measure = SimDuration::from_millis(500);
         let omni = run_cell(&base, 2);
-        let dir = run_cell(
-            &RingExperiment {
-                reception: ReceptionMode::Directional {
-                    beamwidth: Beamwidth::from_degrees(30.0).unwrap(),
-                },
-                ..base
-            },
-            2,
-        );
+        base.config.reception = ReceptionMode::Directional {
+            beamwidth: Beamwidth::from_degrees(30.0).unwrap(),
+        };
+        let dir = run_cell(&base, 2);
         let omni_th = omni.throughput.mean().unwrap();
         let dir_th = dir.throughput.mean().unwrap();
         assert!(

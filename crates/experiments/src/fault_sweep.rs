@@ -9,7 +9,7 @@
 //! headroom shrinks as the channel degrades.
 
 use dirca_mac::Scheme;
-use dirca_net::FaultPlan;
+use dirca_net::{FaultPlan, SimConfig};
 use dirca_sim::SimDuration;
 
 use crate::ringsim::{try_run_cell, CellGuards, RingExperiment, RingOutcome};
@@ -60,13 +60,16 @@ pub fn quick() -> FaultSweep {
 }
 
 fn cell(sweep: &FaultSweep, scheme: Scheme, theta: f64, fer: f64) -> RingExperiment {
-    let mut exp = RingExperiment::paper(scheme, sweep.n_avg, theta);
-    exp.topologies = sweep.topologies;
-    exp.seed = sweep.seed;
-    exp.warmup = sweep.warmup;
-    exp.measure = sweep.measure;
-    exp.fault = FaultPlan::default().with_frame_error_rate(fer);
-    exp
+    RingExperiment {
+        n_avg: sweep.n_avg,
+        topologies: sweep.topologies,
+        seed: sweep.seed,
+        config: SimConfig::new(scheme)
+            .with_beamwidth_degrees(theta)
+            .with_warmup(sweep.warmup)
+            .with_measure(sweep.measure)
+            .with_fault(FaultPlan::default().with_frame_error_rate(fer)),
+    }
 }
 
 /// Runs the sweep and renders one table per beamwidth: rows are FERs,

@@ -65,7 +65,7 @@ pub fn run_variants(
         .map(|variant| {
             let mut exp = RingExperiment::paper(scheme, n_avg, theta);
             exp.topologies = topologies;
-            exp.mac = variant.config.clone();
+            exp.config.mac = variant.config.clone();
             (variant.label.clone(), run_cell(&exp, threads))
         })
         .collect()
@@ -95,8 +95,8 @@ mod tests {
         let run = |config: MacConfig| {
             let mut exp = RingExperiment::quick(Scheme::OrtsOcts, 5, 30.0);
             exp.topologies = 2;
-            exp.measure = SimDuration::from_millis(500);
-            exp.mac = config;
+            exp.config.measure = SimDuration::from_millis(500);
+            exp.config.mac = config;
             run_cell(&exp, 2)
         };
         let base = run(MacConfig::default());

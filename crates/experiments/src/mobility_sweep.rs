@@ -16,7 +16,7 @@
 //! experiment pipeline, not just the engine.
 
 use dirca_mac::Scheme;
-use dirca_net::{MobilityConfig, MobilityModel, SinrPhy};
+use dirca_net::{MobilityModel, SimConfig, SinrPhy};
 use dirca_sim::SimDuration;
 
 use crate::ringsim::{try_run_cell, CellGuards, RingExperiment, RingOutcome};
@@ -81,11 +81,6 @@ pub fn quick() -> MobilitySweep {
 /// moves); a side floor of 0 with margin 0 is the ideal binary-equivalent
 /// PHY.
 pub fn cell(sweep: &MobilitySweep, scheme: Scheme, speed: f64, side_floor: f64) -> RingExperiment {
-    let mut exp = RingExperiment::paper(scheme, sweep.n_avg, sweep.beamwidth_degrees);
-    exp.topologies = sweep.topologies;
-    exp.seed = sweep.seed;
-    exp.warmup = sweep.warmup;
-    exp.measure = sweep.measure;
     let model = if speed > 0.0 {
         MobilityModel::RandomWaypoint {
             speed_min: speed,
@@ -95,16 +90,21 @@ pub fn cell(sweep: &MobilitySweep, scheme: Scheme, speed: f64, side_floor: f64) 
     } else {
         MobilityModel::STATIC
     };
-    exp.mobility = Some(MobilityConfig {
-        model,
-        epoch: sweep.epoch,
-    });
-    exp.sinr = Some(
-        SinrPhy::ideal()
-            .with_side_floor(side_floor)
-            .with_margin(sweep.margin),
-    );
-    exp
+    RingExperiment {
+        n_avg: sweep.n_avg,
+        topologies: sweep.topologies,
+        seed: sweep.seed,
+        config: SimConfig::new(scheme)
+            .with_beamwidth_degrees(sweep.beamwidth_degrees)
+            .with_warmup(sweep.warmup)
+            .with_measure(sweep.measure)
+            .with_mobility(model, sweep.epoch)
+            .with_sinr(
+                SinrPhy::ideal()
+                    .with_side_floor(side_floor)
+                    .with_margin(sweep.margin),
+            ),
+    }
 }
 
 fn metric_text(samples: &[crate::ringsim::TopologySample], collision: bool) -> String {
@@ -197,8 +197,8 @@ mod tests {
         let mut plain = RingExperiment::paper(Scheme::DrtsDcts, sweep.n_avg, 60.0);
         plain.topologies = sweep.topologies;
         plain.seed = sweep.seed;
-        plain.warmup = sweep.warmup;
-        plain.measure = sweep.measure;
+        plain.config.warmup = sweep.warmup;
+        plain.config.measure = sweep.measure;
         let a = try_run_cell(&attached, 2, &CellGuards::default()).unwrap();
         let b = try_run_cell(&plain, 2, &CellGuards::default()).unwrap();
         assert_eq!(

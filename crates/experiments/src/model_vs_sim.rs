@@ -8,7 +8,7 @@
 //! differ by construction (the model's `p` abstraction has no BEB), so the
 //! comparison is about ordering and trend.
 
-use crate::pool::parallel_indexed;
+use crate::pool::parallel_indexed_catch;
 
 use dirca_analysis::optimize::max_throughput;
 use dirca_analysis::{ModelInput, ProtocolTimes};
@@ -67,7 +67,7 @@ fn simulate(
     seed: u64,
     threads: usize,
 ) -> Summary {
-    let samples = parallel_indexed(fields, threads, |f| {
+    let samples = parallel_indexed_catch(fields, threads, |f| {
         let mut rng = stream_rng(derive_seed(seed, MODEL_STREAM_SALT + f as u64), 0);
         let topology = poisson_core(&mut rng, n_avg, 1.0, 3.0, 1.0);
         if topology.measured == 0 || topology.len() < 2 {
@@ -84,8 +84,8 @@ fn simulate(
         Some(result.mean_node_throughput_bps() / 2e6)
     });
     let mut out = Summary::new();
-    for per_node in samples.into_iter().flatten() {
-        out.push(per_node);
+    for (f, outcome) in samples.into_iter().enumerate() {
+        out.extend(outcome.unwrap_or_else(|message| panic!("job {f} panicked: {message}")));
     }
     out
 }

@@ -7,14 +7,12 @@
 //! — with the directional schemes saturating later (their spatial-reuse
 //! advantage) and keeping delay lower on the way up.
 
-use crate::pool::parallel_indexed_catch;
+use crate::ringsim::{run_topologies, CellFailure, CellGuards, RingExperiment};
 
 use dirca_mac::Scheme;
-use dirca_net::salts::{RUN_STREAM_SALT, TOPOLOGY_STREAM_SALT};
-use dirca_net::{run, SimConfig, TrafficModel};
-use dirca_sim::{rng::derive_seed, rng::stream_rng, SimDuration};
+use dirca_net::{SimConfig, TrafficModel};
+use dirca_sim::SimDuration;
 use dirca_stats::Summary;
-use dirca_topology::RingSpec;
 
 /// One point of the load sweep for one scheme.
 #[derive(Debug, Clone)]
@@ -27,11 +25,11 @@ pub struct LoadPoint {
     pub e2e_delay_ms: Summary,
     /// Source-queue drops per topology.
     pub queue_drops: Summary,
-    /// Topologies whose simulation panicked, with the panic text. The
+    /// Every topology whose simulation failed, in index order. The
     /// summaries above aggregate only the surviving topologies; callers
     /// should surface these (and exit nonzero) rather than trust a
     /// silently thinner sample.
-    pub failed_topologies: Vec<(usize, String)>,
+    pub failed_topologies: Vec<CellFailure>,
 }
 
 /// Configuration of the offered-load sweep.
@@ -70,27 +68,31 @@ pub fn run_sweep(scheme: Scheme, sweep: &LoadSweep, threads: usize) -> Vec<LoadP
     sweep
         .rates_pps
         .iter()
-        .map(|&rate| run_point(scheme, sweep, rate, threads.max(1)))
+        .map(|&rate| {
+            let config = SimConfig::new(scheme)
+                .with_beamwidth_degrees(sweep.beamwidth_degrees)
+                .with_traffic(TrafficModel::Poisson {
+                    packets_per_sec: rate,
+                    max_queue: 32,
+                })
+                .with_warmup(SimDuration::from_millis(200))
+                .with_measure(sweep.measure);
+            let experiment = RingExperiment {
+                n_avg: sweep.n_avg,
+                topologies: sweep.topologies,
+                seed: sweep.seed,
+                config,
+            };
+            run_point(&experiment, rate, threads)
+        })
         .collect()
 }
 
-fn run_point(scheme: Scheme, sweep: &LoadSweep, rate: f64, threads: usize) -> LoadPoint {
-    let samples = parallel_indexed_catch(sweep.topologies, threads, |t| {
-        let spec = RingSpec::paper(sweep.n_avg, 1.0);
-        let mut topo_rng = stream_rng(derive_seed(sweep.seed, TOPOLOGY_STREAM_SALT), t as u64);
-        let topology = spec.generate(&mut topo_rng).expect("topology generation");
-        let config = SimConfig::new(scheme)
-            .with_beamwidth_degrees(sweep.beamwidth_degrees)
-            .with_seed(derive_seed(sweep.seed, RUN_STREAM_SALT + t as u64))
-            .with_traffic(TrafficModel::Poisson {
-                packets_per_sec: rate,
-                max_queue: 32,
-            })
-            .with_warmup(SimDuration::from_millis(200))
-            .with_measure(sweep.measure);
-        let result = run(&topology, &config);
+fn run_point(experiment: &RingExperiment, rate: f64, threads: usize) -> LoadPoint {
+    let bit_rate = experiment.config.params.bit_rate_bps as f64;
+    let outcomes = run_topologies(experiment, threads, &CellGuards::default(), |result| {
         (
-            result.aggregate_throughput_bps() / config.params.bit_rate_bps as f64,
+            result.aggregate_throughput_bps() / bit_rate,
             result.mean_e2e_delay(),
             result.queue_drops() as f64,
         )
@@ -102,7 +104,7 @@ fn run_point(scheme: Scheme, sweep: &LoadSweep, rate: f64, threads: usize) -> Lo
         queue_drops: Summary::new(),
         failed_topologies: Vec::new(),
     };
-    for outcome in samples {
+    for outcome in outcomes {
         match outcome {
             Ok((throughput, delay, drops)) => {
                 point.throughput.push(throughput);
@@ -111,7 +113,7 @@ fn run_point(scheme: Scheme, sweep: &LoadSweep, rate: f64, threads: usize) -> Lo
                 }
                 point.queue_drops.push(drops);
             }
-            Err(panic) => point.failed_topologies.push((panic.index, panic.message)),
+            Err(failure) => point.failed_topologies.push(failure),
         }
     }
     point
@@ -146,6 +148,32 @@ mod tests {
         let light = points[0].throughput.mean().unwrap();
         let heavy = points[1].throughput.mean().unwrap();
         assert!(heavy > light, "carried load must rise: {heavy} <= {light}");
+    }
+
+    #[test]
+    fn every_failed_topology_is_listed() {
+        // A link fault on a node no ring has fails the world build of every
+        // topology: the point must name each one, not only the first.
+        let unknown = dirca_radio::NodeId(10_000);
+        let fault = dirca_net::FaultPlan::default().with_link_fault(unknown, unknown, 0.5);
+        let experiment = RingExperiment {
+            n_avg: 3,
+            topologies: 3,
+            seed: 1,
+            config: SimConfig::new(Scheme::OrtsOcts).with_fault(fault),
+        };
+        let point = run_point(&experiment, 5.0, 2);
+        let failed: Vec<String> = point
+            .failed_topologies
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(failed.len(), 3, "{failed:?}");
+        for (t, failure) in failed.iter().enumerate() {
+            let want = format!("panicked in topology {t}: invalid fault plan");
+            assert!(failure.starts_with(&want), "{failure}");
+        }
+        assert_eq!(point.throughput.count(), 0);
     }
 
     #[test]

@@ -16,16 +16,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One indexed job panicked; the panic payload is captured as text so the
-/// caller can report or retry the index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct JobPanic {
-    /// Which work index failed.
-    pub index: usize,
-    /// The stringified panic payload.
-    pub message: String,
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -38,8 +28,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs `job(i)` for every `i in 0..count` across up to `threads` workers
 /// and returns per-index outcomes in index order, independent of thread
-/// scheduling. A panicking job yields `Err(JobPanic)` for its index; the
-/// remaining indices still run to completion.
+/// scheduling. A panicking job yields `Err` with its panic payload as
+/// text; the remaining indices still run to completion.
 ///
 /// Jobs must not leave shared state half-mutated when they panic: the
 /// callers here hand each job read-only experiment parameters and collect
@@ -48,7 +38,7 @@ pub(crate) fn parallel_indexed_catch<T, F>(
     count: usize,
     threads: usize,
     job: F,
-) -> Vec<Result<T, JobPanic>>
+) -> Vec<Result<T, String>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -57,7 +47,7 @@ where
     let next = AtomicUsize::new(0);
     // One slot per index: each is written exactly once, by whichever worker
     // claimed that index, so the per-slot locks are uncontended.
-    let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> =
+    let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -66,11 +56,7 @@ where
                 if i >= count {
                     break;
                 }
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|payload| JobPanic {
-                        index: i,
-                        message: panic_message(payload),
-                    });
+                let outcome = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_message);
                 // The store itself cannot panic (the job already ran), so
                 // the slot lock is never poisoned.
                 *slots[i].lock().expect("slot writer never panics mid-store") = Some(outcome);
@@ -87,37 +73,22 @@ where
         .collect()
 }
 
-/// Runs `job(i)` for every `i in 0..count` and returns the results in
-/// index order, independent of thread scheduling.
-///
-/// # Panics
-///
-/// Re-raises the first (lowest-index) job panic, with the index attached.
-/// Callers that need to survive failures use
-/// [`parallel_indexed_catch`] instead.
-pub(crate) fn parallel_indexed<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_indexed_catch(count, threads, job)
-        .into_iter()
-        .map(|outcome| {
-            outcome.unwrap_or_else(|failure| {
-                panic!("job {} panicked: {}", failure.index, failure.message)
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{parallel_indexed, parallel_indexed_catch};
+    use super::parallel_indexed_catch;
+
+    /// The values of a run in which no job panicked.
+    fn values<T>(outcomes: Vec<Result<T, String>>) -> Vec<T> {
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("no job panics"))
+            .collect()
+    }
 
     #[test]
     fn results_come_back_in_index_order() {
         for threads in [1, 2, 8] {
-            let got = parallel_indexed(100, threads, |i| i * i);
+            let got = values(parallel_indexed_catch(100, threads, |i| i * i));
             let want: Vec<usize> = (0..100).map(|i| i * i).collect();
             assert_eq!(got, want, "threads = {threads}");
         }
@@ -125,13 +96,13 @@ mod tests {
 
     #[test]
     fn zero_count_yields_empty() {
-        let got: Vec<u32> = parallel_indexed(0, 4, |_| unreachable!("no work"));
+        let got: Vec<Result<u32, _>> = parallel_indexed_catch(0, 4, |_| unreachable!("no work"));
         assert!(got.is_empty());
     }
 
     #[test]
     fn large_fanout_fills_every_slot_in_order() {
-        let got = parallel_indexed(1000, 8, |i| i);
+        let got = values(parallel_indexed_catch(1000, 8, |i| i));
         assert_eq!(got.len(), 1000);
         assert!(got.iter().enumerate().all(|(want, &i)| i == want));
     }
@@ -140,7 +111,7 @@ mod tests {
     fn non_clone_results_are_moved_through_slots() {
         // Results only need `Send`: the slots move values, never clone them.
         struct NotClone(usize);
-        let got = parallel_indexed(10, 3, NotClone);
+        let got = values(parallel_indexed_catch(10, 3, NotClone));
         assert!(got.iter().enumerate().all(|(want, v)| v.0 == want));
     }
 
@@ -154,9 +125,8 @@ mod tests {
             assert_eq!(got.len(), 10);
             for (i, outcome) in got.iter().enumerate() {
                 if i == 4 {
-                    let failure = outcome.as_ref().expect_err("index 4 must fail");
-                    assert_eq!(failure.index, 4);
-                    assert!(failure.message.contains("cursed"), "{}", failure.message);
+                    let message = outcome.as_ref().expect_err("index 4 must fail");
+                    assert!(message.contains("cursed"), "{message}");
                 } else {
                     assert_eq!(*outcome.as_ref().expect("healthy index"), i * 10);
                 }
@@ -167,24 +137,16 @@ mod tests {
     #[test]
     fn all_indices_can_fail_without_crashing() {
         let got: Vec<Result<(), _>> = parallel_indexed_catch(5, 2, |i| panic!("boom {i}"));
-        assert!(got.iter().enumerate().all(|(i, r)| {
-            r.as_ref()
-                .is_err_and(|f| f.index == i && f.message == format!("boom {i}"))
-        }));
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.as_ref().is_err_and(|m| *m == format!("boom {i}"))));
     }
 
     #[test]
     fn string_panic_payloads_are_captured() {
         let got: Vec<Result<(), _>> =
             parallel_indexed_catch(1, 1, |_| std::panic::panic_any("plain str".to_owned()));
-        assert_eq!(got[0].as_ref().unwrap_err().message, "plain str");
-    }
-
-    #[test]
-    #[should_panic(expected = "job 3 panicked: deliberate")]
-    fn legacy_wrapper_reraises_lowest_failed_index() {
-        parallel_indexed(8, 2, |i| {
-            assert!(i < 3, "deliberate");
-        });
+        assert_eq!(got[0].as_ref().unwrap_err(), "plain str");
     }
 }

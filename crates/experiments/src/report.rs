@@ -2,6 +2,7 @@
 //! text tables and SVG charts rendered from its cells.
 
 use dirca_mac::Scheme;
+use dirca_net::{FaultPlan, SimConfig};
 use dirca_sim::SimDuration;
 use dirca_stats::Summary;
 
@@ -139,21 +140,18 @@ impl GridScale {
     /// Instantiates one cell at this scale.
     pub fn cell(&self, scheme: Scheme, n_avg: usize, theta: f64) -> RingExperiment {
         RingExperiment {
-            scheme,
             n_avg,
-            beamwidth_degrees: theta,
             topologies: self.topologies,
             seed: self.seed,
-            warmup: self.warmup,
-            measure: self.measure,
-            reception: dirca_radio::ReceptionMode::Omni,
-            mac: dirca_mac::MacConfig::default(),
-            // At fer = 0 the plan is trivial: the fault layer consumes no
-            // RNG draws and the cell stays byte-identical to a plan-free
-            // run (the golden-hash battery in dirca-net pins this).
-            fault: dirca_net::FaultPlan::default().with_frame_error_rate(self.fer),
-            mobility: None,
-            sinr: None,
+            config: SimConfig::new(scheme)
+                .with_beamwidth_degrees(theta)
+                .with_warmup(self.warmup)
+                .with_measure(self.measure)
+                // At fer = 0 the plan is trivial: the fault layer consumes
+                // no RNG draws and the cell stays byte-identical to a
+                // plan-free run (the golden-hash battery in dirca-net pins
+                // this).
+                .with_fault(FaultPlan::default().with_frame_error_rate(self.fer)),
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The shared ring-topology simulation experiment (E3–E6).
+//! The shared ring-topology simulation experiment (E3–E6, and every
+//! extension that runs "on the paper's rings").
 //!
 //! One *cell* of the paper's Figs. 6/7 is: a scheme, a neighbourhood size
 //! `N`, and a beamwidth θ, evaluated over many random ring topologies. For
@@ -6,78 +7,65 @@
 //! aggregate throughput, mean delay, collision ratio, and Jain fairness of
 //! the innermost `N` nodes; the cell's outcome is the distribution of
 //! those per-topology values (the paper plots mean plus min–max range).
+//!
+//! This is the only code that turns a ring experiment into simulations:
+//! [`topology_config`] derives topology `t`'s layout and run seed, and
+//! [`run_topologies`] hands each run's result to a caller's extractor. The
+//! grid ([`try_run_cell`]) and the ring extensions differ only in the
+//! [`SimConfig`] they carry and what they extract.
 
 use std::fmt;
 
 use crate::pool::parallel_indexed_catch;
-use dirca_mac::{MacConfig, Scheme};
+use dirca_mac::Scheme;
 use dirca_net::salts::{RUN_STREAM_SALT, TOPOLOGY_STREAM_SALT};
-use dirca_net::{
-    run, run_guarded, FaultPlan, MobilityConfig, RunAborted, RunResult, SimConfig, Watchdog,
-};
-use dirca_radio::{ReceptionMode, SinrPhy};
+use dirca_net::{run, run_guarded, RunAborted, RunResult, SimConfig, Watchdog};
 use dirca_sim::{rng::derive_seed, rng::stream_rng, SimDuration};
 use dirca_stats::{jain_index, Summary};
 use dirca_topology::RingSpec;
+use rand::rngs::SmallRng;
 
 /// One experiment cell: `topologies` random ring layouts simulated under a
 /// single protocol configuration.
 #[derive(Debug, Clone)]
 pub struct RingExperiment {
-    /// Collision-avoidance scheme under test.
-    pub scheme: Scheme,
     /// Average neighbourhood size `N` (3, 5, or 8 in the paper).
     pub n_avg: usize,
-    /// Beamwidth in degrees (30, 90, or 150 in the paper).
-    pub beamwidth_degrees: f64,
     /// Number of random topologies (50 in the paper).
     pub topologies: usize,
-    /// Master seed.
+    /// Master seed: topology `t`'s layout and run streams derive from it
+    /// and `t` only.
     pub seed: u64,
-    /// Warm-up excluded from measurement.
-    pub warmup: SimDuration,
-    /// Measurement window per topology.
-    pub measure: SimDuration,
-    /// Receive-chain model.
-    pub reception: ReceptionMode,
-    /// MAC behaviour knobs (retry limits, EIFS, NAV handling).
-    pub mac: MacConfig,
-    /// Deterministic channel faults to inject (trivial = perfect channel).
-    pub fault: FaultPlan,
-    /// Optional mobility attachment (`None` = the paper's static layouts).
-    pub mobility: Option<MobilityConfig>,
-    /// Optional SINR-capture PHY (`None` = the binary collide rule).
-    pub sinr: Option<SinrPhy>,
+    /// The run configuration every topology shares (scheme, beamwidth,
+    /// reception, MAC, traffic, windows, faults, mobility, SINR). Its own
+    /// `seed` is ignored: each topology runs under the seed
+    /// [`topology_config`] derives.
+    pub config: SimConfig,
 }
 
 impl RingExperiment {
     /// The paper's configuration for one (scheme, N, θ) cell: 50
     /// topologies, 0.5 s warm-up, 10 s measurement, omni reception.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `beamwidth_degrees` is outside `(0, 360]`.
     pub fn paper(scheme: Scheme, n_avg: usize, beamwidth_degrees: f64) -> Self {
         RingExperiment {
-            scheme,
             n_avg,
-            beamwidth_degrees,
             topologies: 50,
             seed: 0xD1CA,
-            warmup: SimDuration::from_millis(500),
-            measure: SimDuration::from_secs(10),
-            reception: ReceptionMode::Omni,
-            mac: MacConfig::default(),
-            fault: FaultPlan::default(),
-            mobility: None,
-            sinr: None,
+            config: SimConfig::new(scheme).with_beamwidth_degrees(beamwidth_degrees),
         }
     }
 
     /// A scaled-down configuration for smoke tests and benches.
     pub fn quick(scheme: Scheme, n_avg: usize, beamwidth_degrees: f64) -> Self {
-        RingExperiment {
-            topologies: 4,
-            warmup: SimDuration::from_millis(100),
-            measure: SimDuration::from_secs(1),
-            ..Self::paper(scheme, n_avg, beamwidth_degrees)
-        }
+        let mut experiment = Self::paper(scheme, n_avg, beamwidth_degrees);
+        experiment.topologies = 4;
+        experiment.config.warmup = SimDuration::from_millis(100);
+        experiment.config.measure = SimDuration::from_secs(1);
+        experiment
     }
 }
 
@@ -192,31 +180,51 @@ pub fn try_run_cell(
     threads: usize,
     guards: &CellGuards,
 ) -> Result<Vec<TopologySample>, CellFailure> {
+    let bit_rate = experiment.config.params.bit_rate_bps as f64;
+    run_topologies(experiment, threads, guards, |result| TopologySample {
+        throughput: result.aggregate_throughput_bps() / bit_rate,
+        delay_ms: result.mean_delay().map(|d| d.as_secs_f64() * 1e3),
+        collision_ratio: result.collision_ratio(),
+        jain: jain_index(&result.node_throughputs_bps()),
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs every topology of `experiment` ([`topology_config`], then the
+/// simulation, under `guards`) across up to `threads` workers and hands
+/// each [`RunResult`] to `extract`. Returns one outcome per topology in
+/// index order, whatever the thread count: a panicking or timed-out
+/// topology yields its [`CellFailure`] and the others still run.
+pub fn run_topologies<T, F>(
+    experiment: &RingExperiment,
+    threads: usize,
+    guards: &CellGuards,
+    extract: F,
+) -> Vec<Result<T, CellFailure>>
+where
+    T: Send,
+    F: Fn(&RunResult) -> T + Sync,
+{
     let outcomes = parallel_indexed_catch(experiment.topologies, threads, |t| {
         if guards.drill_panic && t == 0 {
             panic!("drill: injected cell panic");
         }
-        run_one_topology(experiment, t, guards.watchdog)
-    });
-    let mut samples = Vec::with_capacity(outcomes.len());
-    for (t, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(Ok(sample)) => samples.push(sample),
-            Ok(Err(aborted)) => {
-                return Err(CellFailure::TimedOut {
-                    topology: t,
-                    aborted,
-                })
-            }
-            Err(panic) => {
-                return Err(CellFailure::Panicked {
-                    topology: t,
-                    message: panic.message,
-                })
-            }
+        let (topology, config) = topology_config(experiment, t);
+        match guards.watchdog {
+            None => Ok(extract(&run(&topology, &config))),
+            Some(w) => run_guarded(&topology, &config, w).map(|result| extract(&result)),
         }
-    }
-    Ok(samples)
+    });
+    outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(topology, outcome)| match outcome {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(aborted)) => Err(CellFailure::TimedOut { topology, aborted }),
+            Err(message) => Err(CellFailure::Panicked { topology, message }),
+        })
+        .collect()
 }
 
 /// Per-topology metric sample — the raw material of a [`RingOutcome`] and
@@ -234,9 +242,10 @@ pub struct TopologySample {
 }
 
 /// Materializes topology `index` of an experiment cell: the generated ring
-/// layout plus the fully-derived simulation config, exactly as
-/// [`try_run_cell`] would run it. Exposed so external tooling (the trace
-/// exporter, replay debuggers) can re-run any cell coordinate standalone.
+/// layout plus the experiment's config under the topology's derived seed,
+/// exactly as [`run_topologies`] runs it. Exposed so external tooling (the
+/// trace exporter, replay debuggers) can re-run any cell coordinate
+/// standalone.
 ///
 /// # Panics
 ///
@@ -245,48 +254,19 @@ pub fn topology_config(
     experiment: &RingExperiment,
     index: usize,
 ) -> (dirca_topology::Topology, SimConfig) {
-    let spec = RingSpec::paper(experiment.n_avg, 1.0);
-    let mut topo_rng = stream_rng(
-        derive_seed(experiment.seed, TOPOLOGY_STREAM_SALT),
-        index as u64,
-    );
-    let topology = spec
-        .generate(&mut topo_rng)
+    let topology = RingSpec::paper(experiment.n_avg, 1.0)
+        .generate(&mut topology_rng(experiment.seed, index))
         .expect("degree-constrained topology generation failed");
-    let mut config = SimConfig::new(experiment.scheme)
-        .with_beamwidth_degrees(experiment.beamwidth_degrees)
-        .with_reception(experiment.reception)
-        .with_seed(derive_seed(experiment.seed, RUN_STREAM_SALT + index as u64))
-        .with_warmup(experiment.warmup)
-        .with_measure(experiment.measure)
-        .with_fault(experiment.fault.clone());
-    if let Some(mobility) = experiment.mobility {
-        config = config.with_mobility(mobility.model, mobility.epoch);
-    }
-    if let Some(sinr) = experiment.sinr {
-        config = config.with_sinr(sinr);
-    }
-    config.mac = experiment.mac.clone();
+    let mut config = experiment.config.clone();
+    config.seed = derive_seed(experiment.seed, RUN_STREAM_SALT + index as u64);
     (topology, config)
 }
 
-fn run_one_topology(
-    experiment: &RingExperiment,
-    index: usize,
-    watchdog: Option<Watchdog>,
-) -> Result<TopologySample, RunAborted> {
-    let (topology, config) = topology_config(experiment, index);
-    let result: RunResult = match watchdog {
-        None => run(&topology, &config),
-        Some(w) => run_guarded(&topology, &config, w)?,
-    };
-    let bit_rate = config.params.bit_rate_bps as f64;
-    Ok(TopologySample {
-        throughput: result.aggregate_throughput_bps() / bit_rate,
-        delay_ms: result.mean_delay().map(|d| d.as_secs_f64() * 1e3),
-        collision_ratio: result.collision_ratio(),
-        jain: jain_index(&result.node_throughputs_bps()),
-    })
+/// The layout stream of random topology `index` under master `seed`. Every
+/// experiment that draws numbered random layouts (the rings here, the
+/// Poisson fields of E18) draws topology `index` from this stream.
+pub(crate) fn topology_rng(seed: u64, index: usize) -> SmallRng {
+    stream_rng(derive_seed(seed, TOPOLOGY_STREAM_SALT), index as u64)
 }
 
 /// The paper's Figs. 6/7 grid: `N ∈ {3, 5, 8}` × `θ ∈ {30°, 90°, 150°}` ×
@@ -307,14 +287,14 @@ pub fn paper_grid() -> Vec<(usize, f64, Scheme)> {
 #[expect(clippy::float_cmp, reason = "exact results are what these tests pin")]
 mod tests {
     use super::*;
+    use dirca_net::FaultPlan;
 
     fn tiny(scheme: Scheme, n: usize, theta: f64) -> RingExperiment {
-        RingExperiment {
-            topologies: 2,
-            warmup: SimDuration::from_millis(50),
-            measure: SimDuration::from_millis(400),
-            ..RingExperiment::paper(scheme, n, theta)
-        }
+        let mut exp = RingExperiment::paper(scheme, n, theta);
+        exp.topologies = 2;
+        exp.config.warmup = SimDuration::from_millis(50);
+        exp.config.measure = SimDuration::from_millis(400);
+        exp
     }
 
     #[test]
@@ -322,20 +302,6 @@ mod tests {
         let out = run_cell(&tiny(Scheme::OrtsOcts, 3, 90.0), 2);
         assert_eq!(out.throughput.count(), 2);
         assert!(out.throughput.mean().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn cell_is_deterministic_across_thread_counts() {
-        let exp = tiny(Scheme::DrtsDcts, 3, 30.0);
-        let a = run_cell(&exp, 1);
-        let b = run_cell(&exp, 4);
-        // Per-topology samples are identical; only their aggregation order
-        // differs, and Summary means of two values are order-insensitive up
-        // to floating-point associativity.
-        assert_eq!(a.throughput.count(), b.throughput.count());
-        assert!((a.throughput.mean().unwrap() - b.throughput.mean().unwrap()).abs() < 1e-12);
-        assert_eq!(a.throughput.min(), b.throughput.min());
-        assert_eq!(a.throughput.max(), b.throughput.max());
     }
 
     #[test]
@@ -359,11 +325,17 @@ mod tests {
     }
 
     #[test]
-    fn try_run_cell_samples_identical_across_thread_counts() {
+    fn results_are_identical_across_thread_counts() {
         let exp = tiny(Scheme::DrtsOcts, 3, 90.0);
-        let a = try_run_cell(&exp, 1, &CellGuards::default()).unwrap();
-        let b = try_run_cell(&exp, 4, &CellGuards::default()).unwrap();
+        let guards = CellGuards::default();
+        let a = try_run_cell(&exp, 1, &guards).unwrap();
+        let b = try_run_cell(&exp, 4, &guards).unwrap();
         assert_eq!(a, b, "samples must not depend on the thread count");
+        let extract =
+            |result: &RunResult| (result.airtime_breakdown().total(), result.queue_drops());
+        let a = run_topologies(&exp, 1, &guards, extract);
+        assert!(a.iter().all(Result::is_ok), "{a:?}");
+        assert_eq!(a, run_topologies(&exp, 4, &guards, extract));
     }
 
     #[test]
@@ -416,10 +388,8 @@ mod tests {
     #[test]
     fn faulted_cell_is_deterministic_and_degraded() {
         let clean = tiny(Scheme::OrtsOcts, 3, 90.0);
-        let noisy = RingExperiment {
-            fault: FaultPlan::default().with_frame_error_rate(0.3),
-            ..clean.clone()
-        };
+        let mut noisy = clean.clone();
+        noisy.config.fault = FaultPlan::default().with_frame_error_rate(0.3);
         let a = try_run_cell(&noisy, 1, &CellGuards::default()).unwrap();
         let b = try_run_cell(&noisy, 4, &CellGuards::default()).unwrap();
         assert_eq!(a, b, "faulted samples must be thread-count independent");

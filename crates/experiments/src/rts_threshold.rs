@@ -6,14 +6,12 @@
 //! [`dirca_analysis::basic`] model. With long frames and hidden terminals
 //! the handshake wins; with short frames its four-packet overhead loses.
 
-use crate::pool::parallel_indexed;
+use crate::ringsim::{run_cell, RingExperiment};
 
-use dirca_mac::{MacConfig, Scheme};
-use dirca_net::salts::{RUN_STREAM_SALT, TOPOLOGY_STREAM_SALT};
-use dirca_net::{run, SimConfig};
-use dirca_sim::{rng::derive_seed, rng::stream_rng, SimDuration};
+use dirca_mac::Scheme;
+use dirca_net::SimConfig;
+use dirca_sim::SimDuration;
 use dirca_stats::Summary;
-use dirca_topology::RingSpec;
 
 /// One row of the comparison: a data size, simulated both ways.
 #[derive(Debug, Clone)]
@@ -63,9 +61,8 @@ pub fn run_study(study: &ThresholdStudy, threads: usize) -> Vec<ThresholdRow> {
         .data_sizes
         .iter()
         .map(|&bytes| {
-            let (with_handshake, handshake_collisions) =
-                run_mode(study, bytes, false, threads.max(1));
-            let (basic_access, basic_collisions) = run_mode(study, bytes, true, threads.max(1));
+            let (with_handshake, handshake_collisions) = run_mode(study, bytes, false, threads);
+            let (basic_access, basic_collisions) = run_mode(study, bytes, true, threads);
             ThresholdRow {
                 data_bytes: bytes,
                 with_handshake,
@@ -78,34 +75,19 @@ pub fn run_study(study: &ThresholdStudy, threads: usize) -> Vec<ThresholdRow> {
 }
 
 fn run_mode(study: &ThresholdStudy, bytes: u32, basic: bool, threads: usize) -> (Summary, Summary) {
-    let samples = parallel_indexed(study.topologies, threads, |t| {
-        let spec = RingSpec::paper(study.n_avg, 1.0);
-        let mut topo_rng = stream_rng(derive_seed(study.seed, TOPOLOGY_STREAM_SALT), t as u64);
-        let topology = spec.generate(&mut topo_rng).expect("topology generation");
-        let mut config = SimConfig::new(Scheme::OrtsOcts)
-            .with_seed(derive_seed(study.seed, RUN_STREAM_SALT + t as u64))
-            .with_data_bytes(bytes)
-            .with_warmup(SimDuration::from_millis(200))
-            .with_measure(study.measure);
-        config.mac = MacConfig {
-            rts_threshold_bytes: if basic { u32::MAX } else { 0 },
-            ..MacConfig::default()
-        };
-        let result = run(&topology, &config);
-        (
-            result.aggregate_throughput_bps() / 2e6,
-            result.collision_ratio(),
-        )
-    });
-    let mut throughput = Summary::new();
-    let mut collisions = Summary::new();
-    for (tp, collision) in samples {
-        throughput.push(tp);
-        if let Some(c) = collision {
-            collisions.push(c);
-        }
-    }
-    (throughput, collisions)
+    let mut config = SimConfig::new(Scheme::OrtsOcts)
+        .with_data_bytes(bytes)
+        .with_warmup(SimDuration::from_millis(200))
+        .with_measure(study.measure);
+    config.mac.rts_threshold_bytes = if basic { u32::MAX } else { 0 };
+    let experiment = RingExperiment {
+        n_avg: study.n_avg,
+        topologies: study.topologies,
+        seed: study.seed,
+        config,
+    };
+    let outcome = run_cell(&experiment, threads);
+    (outcome.throughput, outcome.collision_ratio)
 }
 
 #[cfg(test)]

@@ -204,7 +204,7 @@ impl RunnerConfig {
             threads: flags.try_get_threads()?,
             retries: u32::try_from(flags.try_get_usize("retries", 1)?).unwrap_or(u32::MAX),
             watchdog: (events_budget > 0).then(|| Watchdog::max_events(events_budget)),
-            checkpoint: flags.get("checkpoint").map(PathBuf::from),
+            checkpoint: flags.try_get_path("checkpoint")?.map(PathBuf::from),
             resume: flags.has("resume"),
             max_cells: match flags.try_get_usize("max-cells", 0)? {
                 0 => None,

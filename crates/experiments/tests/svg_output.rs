@@ -1,6 +1,7 @@
-//! `--svg DIR` on `paper_grid` and `fig5`: a directory that cannot be
-//! created is one error line naming the path and a non-zero exit, never a
-//! panic.
+//! Output paths and flag values the binaries refuse. `--svg DIR` on
+//! `paper_grid` and `fig5`: a directory that cannot be created is one
+//! error line naming the path and a non-zero exit, never a panic. A bare
+//! path flag or an unknown scheme name is a usage error (exit 2).
 
 use std::process::Command;
 
@@ -36,4 +37,42 @@ fn a_file_as_the_svg_directory_is_refused_by_name() {
         );
         assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
     }
+}
+
+/// Runs `bin` with `args` and returns its exit code and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_bare_output_path_flag_is_a_usage_error() {
+    for flag in ["--checkpoint", "--trace"] {
+        let (code, stderr) = run(
+            env!("CARGO_BIN_EXE_paper_grid"),
+            &["--quick", "--n", "3", "--theta", "90", flag],
+        );
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("usage error: {flag} expects a path")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn mac_ablation_refuses_an_unknown_scheme() {
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_mac_ablation"),
+        &["--quick", "--scheme", "foo"],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("usage error: --scheme expects a scheme"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -31,12 +31,10 @@ fn main() {
         let a_dir = optimize::max_throughput(Scheme::DrtsDcts, &input).throughput;
 
         let sim = |scheme| {
-            let exp = RingExperiment {
-                topologies: 4,
-                warmup: SimDuration::from_millis(200),
-                measure: SimDuration::from_secs(3),
-                ..RingExperiment::paper(scheme, n, theta)
-            };
+            let mut exp = RingExperiment::paper(scheme, n, theta);
+            exp.topologies = 4;
+            exp.config.warmup = SimDuration::from_millis(200);
+            exp.config.measure = SimDuration::from_secs(3);
             run_cell(&exp, 4).throughput.mean().unwrap_or(0.0)
         };
         let s_omni = sim(Scheme::OrtsOcts);

@@ -22,12 +22,10 @@ fn main() {
     for theta in thetas {
         let mut cells = Vec::new();
         for scheme in Scheme::ALL {
-            let exp = RingExperiment {
-                topologies: 6,
-                warmup: SimDuration::from_millis(200),
-                measure: SimDuration::from_secs(3),
-                ..RingExperiment::paper(scheme, 5, theta)
-            };
+            let mut exp = RingExperiment::paper(scheme, 5, theta);
+            exp.topologies = 6;
+            exp.config.warmup = SimDuration::from_millis(200);
+            exp.config.measure = SimDuration::from_secs(3);
             let outcome = run_cell(&exp, 4);
             cells.push(outcome.throughput.mean().unwrap_or(0.0));
         }

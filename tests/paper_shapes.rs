@@ -14,12 +14,11 @@ fn cell(scheme: Scheme, n: usize, theta: f64) -> RingExperiment {
     // so the sample must be big enough for the orderings to be stable: 14
     // topologies keeps each cell under a few seconds while separating the
     // scheme means well beyond their standard errors.
-    RingExperiment {
-        topologies: 14,
-        warmup: SimDuration::from_millis(200),
-        measure: SimDuration::from_secs(3),
-        ..RingExperiment::paper(scheme, n, theta)
-    }
+    let mut exp = RingExperiment::paper(scheme, n, theta);
+    exp.topologies = 14;
+    exp.config.warmup = SimDuration::from_millis(200);
+    exp.config.measure = SimDuration::from_secs(3);
+    exp
 }
 
 fn mean_throughput(scheme: Scheme, n: usize, theta: f64) -> f64 {
