@@ -18,12 +18,20 @@ use dirca_sim::SimDuration;
 fn main() {
     let flags = Flags::from_env();
     let quick = flags.has("quick");
-    let n = flags.get_usize("n", 5);
-    let theta = flags.get_f64("theta", 30.0);
-    let topologies = flags.get_usize("topologies", if quick { 3 } else { 8 });
-    let measure =
-        SimDuration::from_millis(flags.get_u64("measure-ms", if quick { 1000 } else { 5000 }));
-    let seed = flags.get_u64("seed", 0xA127);
+    let theta = flags.get_beamwidth("theta", 30.0);
+    let mut experiment = RingExperiment {
+        n_avg: 5,
+        topologies: if quick { 3 } else { 8 },
+        seed: 0xA127,
+        config: SimConfig::new(Scheme::OrtsOcts)
+            .with_beamwidth_degrees(theta)
+            .with_warmup(SimDuration::from_millis(200))
+            .with_measure(SimDuration::from_millis(if quick { 1000 } else { 5000 })),
+    };
+    flags.read_ring_cell(&mut experiment);
+    let (n, topologies) = (experiment.n_avg, experiment.topologies);
+    let node_seconds = experiment.config.measure.as_secs_f64() * n as f64;
+    let bit_rate = experiment.config.params.bit_rate_bps as f64;
 
     let mut t = Table::new(vec![
         "scheme".into(),
@@ -35,17 +43,7 @@ fn main() {
         "goodput".into(),
     ]);
     for scheme in Scheme::ALL {
-        let experiment = RingExperiment {
-            n_avg: n,
-            topologies,
-            seed,
-            config: SimConfig::new(scheme)
-                .with_beamwidth_degrees(theta)
-                .with_warmup(SimDuration::from_millis(200))
-                .with_measure(measure),
-        };
-        let node_seconds = measure.as_secs_f64() * n as f64;
-        let bit_rate = experiment.config.params.bit_rate_bps as f64;
+        experiment.config.scheme = scheme;
         // Per topology: the data, RTS, CTS and ACK airtime fractions per
         // measured node-second, the idle/defer remainder, and the goodput.
         let outcomes = run_topologies(&experiment, 1, &CellGuards::default(), |result| {

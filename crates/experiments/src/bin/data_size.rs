@@ -10,20 +10,15 @@
 use dirca_analysis::sweep::data_length_sweep;
 use dirca_analysis::ProtocolTimes;
 use dirca_experiments::cli::Flags;
-use dirca_experiments::table::Table;
+use dirca_experiments::table::scheme_table;
 
 fn main() {
     let flags = Flags::from_env();
     let n = flags.get_f64("n", 5.0);
-    let theta = flags.get_f64("theta", 30.0);
+    let theta = flags.get_beamwidth("theta", 30.0);
     let lengths = [5u32, 10, 25, 50, 100, 200, 400, 800];
     let rows = data_length_sweep(ProtocolTimes::paper(), n, theta.to_radians(), &lengths);
-    let mut t = Table::new(vec![
-        "l_data (slots)".into(),
-        "ORTS-OCTS".into(),
-        "DRTS-DCTS".into(),
-        "DRTS-OCTS".into(),
-    ]);
+    let mut t = scheme_table("l_data (slots)".into());
     for row in &rows {
         t.row(vec![
             format!("{}", row.l_data),

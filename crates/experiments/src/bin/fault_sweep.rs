@@ -6,7 +6,6 @@
 
 use dirca_experiments::cli::Flags;
 use dirca_experiments::fault_sweep::{quick, render, FaultSweep};
-use dirca_sim::SimDuration;
 
 fn main() {
     let flags = Flags::from_env();
@@ -15,12 +14,7 @@ fn main() {
     } else {
         FaultSweep::default()
     };
-    sweep.n_avg = flags.get_usize("n", sweep.n_avg);
-    sweep.topologies = flags.get_usize("topologies", sweep.topologies);
-    sweep.seed = flags.get_u64("seed", sweep.seed);
-    if flags.get("measure-ms").is_some() {
-        sweep.measure = SimDuration::from_millis(flags.get_u64("measure-ms", 0));
-    }
+    flags.read_ring_cell(&mut sweep.base);
     let threads = flags.get_threads();
     println!("{}", render(&sweep, threads));
 }

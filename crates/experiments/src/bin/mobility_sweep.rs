@@ -6,8 +6,7 @@
 //!                        [--measure-ms MS]`
 
 use dirca_experiments::cli::Flags;
-use dirca_experiments::mobility_sweep::{quick, render, MobilitySweep};
-use dirca_sim::SimDuration;
+use dirca_experiments::mobility_sweep::{quick, render, MobilitySweep, DEFAULT_BEAMWIDTH};
 
 fn main() {
     let flags = Flags::from_env();
@@ -16,14 +15,10 @@ fn main() {
     } else {
         MobilitySweep::default()
     };
-    sweep.n_avg = flags.get_usize("n", sweep.n_avg);
-    sweep.beamwidth_degrees = flags.get_f64("beamwidth", sweep.beamwidth_degrees);
-    sweep.margin = flags.get_f64("margin", sweep.margin);
-    sweep.topologies = flags.get_usize("topologies", sweep.topologies);
-    sweep.seed = flags.get_u64("seed", sweep.seed);
-    if flags.get("measure-ms").is_some() {
-        sweep.measure = SimDuration::from_millis(flags.get_u64("measure-ms", 0));
-    }
+    let theta = flags.get_beamwidth("beamwidth", DEFAULT_BEAMWIDTH);
+    sweep.margin = flags.get_margin("margin", sweep.margin);
+    flags.read_ring_cell(&mut sweep.base);
+    sweep.base.config = sweep.base.config.with_beamwidth_degrees(theta);
     let threads = flags.get_threads();
-    println!("{}", render(&sweep, threads));
+    println!("{}", render(&sweep, theta, threads));
 }

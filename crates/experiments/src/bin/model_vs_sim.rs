@@ -13,9 +13,9 @@ fn main() {
     let flags = Flags::from_env();
     let quick = flags.has("quick");
     let n = flags.get_f64("n", 5.0);
-    let fields = flags.get_usize("fields", if quick { 4 } else { 12 });
-    let measure =
-        SimDuration::from_millis(flags.get_u64("measure-ms", if quick { 1000 } else { 5000 }));
+    let fields = flags.get_count("fields", if quick { 4 } else { 12 });
+    let measure = SimDuration::from_millis(if quick { 1000 } else { 5000 });
+    let measure = flags.get_window("measure-ms", measure);
     let threads = flags.get_threads();
     let cells = compare(n, &[30.0, 90.0, 150.0], fields, measure, 0x0E14, threads);
     let mut t = Table::new(vec![

@@ -5,28 +5,25 @@
 //!                      [--threads K] [--seed S]`
 
 use dirca_experiments::cli::Flags;
-use dirca_experiments::offered_load::{run_sweep, LoadSweep};
+use dirca_experiments::offered_load::{run_sweep, LoadSweep, DEFAULT_THETA};
 use dirca_experiments::table::Table;
 use dirca_mac::Scheme;
 use dirca_sim::SimDuration;
 
 fn main() {
     let flags = Flags::from_env();
-    let quick = flags.has("quick");
-    let sweep = LoadSweep {
-        n_avg: flags.get_usize("n", 5),
-        beamwidth_degrees: flags.get_f64("theta", 30.0),
-        topologies: flags.get_usize("topologies", if quick { 3 } else { 8 }),
-        seed: flags.get_u64("seed", 0x10AD),
-        measure: SimDuration::from_millis(
-            flags.get_u64("measure-ms", if quick { 1000 } else { 5000 }),
-        ),
-        ..LoadSweep::default()
-    };
+    let mut sweep = LoadSweep::default();
+    if flags.has("quick") {
+        sweep.base.topologies = 3;
+        sweep.base.config.measure = SimDuration::from_secs(1);
+    }
+    let theta = flags.get_beamwidth("theta", DEFAULT_THETA);
+    flags.read_ring_cell(&mut sweep.base);
+    sweep.base.config = sweep.base.config.with_beamwidth_degrees(theta);
     let threads = flags.get_threads();
     println!(
-        "Offered load sweep — N = {}, θ = {}°, Poisson arrivals, {} topologies/point\n",
-        sweep.n_avg, sweep.beamwidth_degrees, sweep.topologies
+        "Offered load sweep — N = {}, θ = {theta}°, Poisson arrivals, {} topologies/point\n",
+        sweep.base.n_avg, sweep.base.topologies
     );
     let mut t = Table::new(vec![
         "offered (pkt/s/node)".into(),

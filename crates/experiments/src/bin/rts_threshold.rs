@@ -10,15 +10,14 @@ use dirca_sim::SimDuration;
 
 fn main() {
     let flags = Flags::from_env();
-    let quick = flags.has("quick");
-    let study = ThresholdStudy {
-        n_avg: flags.get_usize("n", 5),
-        topologies: flags.get_usize("topologies", if quick { 3 } else { 8 }),
-        measure: SimDuration::from_millis(
-            flags.get_u64("measure-ms", if quick { 1000 } else { 5000 }),
-        ),
-        ..ThresholdStudy::default()
-    };
+    let mut study = ThresholdStudy::default();
+    if flags.has("quick") {
+        study.base.topologies = 3;
+        study.base.config.measure = SimDuration::from_secs(1);
+    }
+    study.base.n_avg = flags.get_count("n", study.base.n_avg);
+    study.base.topologies = flags.get_count("topologies", study.base.topologies);
+    study.base.config.measure = flags.get_window("measure-ms", study.base.config.measure);
     let threads = flags.get_threads();
     let rows = run_study(&study, threads);
     let mut t = Table::new(vec![
@@ -29,21 +28,19 @@ fn main() {
         "basic coll".into(),
     ]);
     for row in &rows {
-        let m = |s: &dirca_stats::Summary, d: usize| {
-            s.mean().map_or("n/a".into(), |v| format!("{v:.0$}", d))
-        };
+        let m = |s: &dirca_stats::Summary| s.mean().map_or("n/a".into(), |v| format!("{v:.3}"));
         t.row(vec![
             format!("{}", row.data_bytes),
-            m(&row.with_handshake, 3),
-            m(&row.basic_access, 3),
-            m(&row.handshake_collisions, 3),
-            m(&row.basic_collisions, 3),
+            m(&row.with_handshake),
+            m(&row.basic_access),
+            m(&row.handshake_collisions),
+            m(&row.basic_collisions),
         ]);
     }
     println!(
         "RTS-threshold study — ORTS-OCTS, N = {}, {} topologies\n\n{}",
-        study.n_avg,
-        study.topologies,
+        study.base.n_avg,
+        study.base.topologies,
         t.render()
     );
 }

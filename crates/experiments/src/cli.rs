@@ -9,7 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dirca_geometry::Beamwidth;
 use dirca_mac::Scheme;
+use dirca_net::SinrPhy;
+use dirca_sim::SimDuration;
+
+use crate::ringsim::RingExperiment;
 
 /// A flag value that could not be parsed: `--{flag}` expected a `{expected}`
 /// but got `{got}`.
@@ -120,6 +125,29 @@ impl Flags {
         }
     }
 
+    /// `--name` parsed as a `T`, or `default`. A value that does not parse
+    /// is a [`UsageError`] expecting `kind`; one that `valid` refuses is a
+    /// [`UsageError`] expecting `range`. The checked readers below are this
+    /// with the range of the value they read.
+    pub(crate) fn try_get_checked<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+        kind: &'static str,
+        range: &'static str,
+        valid: impl FnOnce(&T) -> bool,
+    ) -> Result<T, UsageError> {
+        let value = self.try_parse(name, default, kind)?;
+        match self.get(name) {
+            Some(got) if !valid(&value) => Err(UsageError {
+                flag: name.to_string(),
+                expected: range,
+                got: got.to_string(),
+            }),
+            _ => Ok(value),
+        }
+    }
+
     /// `--name` parsed as `usize`, or `default`; a malformed value is a
     /// [`UsageError`].
     pub fn try_get_usize(&self, name: &str, default: usize) -> Result<usize, UsageError> {
@@ -162,25 +190,98 @@ impl Flags {
         Ok(self.get(name))
     }
 
+    /// `--name` as a count of at least 1 (`--n`, `--topologies`), or
+    /// `default`; a malformed value or 0 is a [`UsageError`].
+    pub fn try_get_count(&self, name: &str, default: usize) -> Result<usize, UsageError> {
+        self.try_get_checked(name, default, "an integer", "at least 1", |&n| n >= 1)
+    }
+
+    /// `--name` as a window of whole milliseconds, at least 1
+    /// (`--measure-ms`), or `default`; a malformed value or 0 is a
+    /// [`UsageError`].
+    pub fn try_get_window(
+        &self,
+        name: &str,
+        default: SimDuration,
+    ) -> Result<SimDuration, UsageError> {
+        let ms = self.try_get_checked(name, 0, "an integer", "at least 1", |&ms: &u64| ms >= 1)?;
+        Ok(self
+            .get(name)
+            .map_or(default, |_| SimDuration::from_millis(ms)))
+    }
+
+    /// `--name` as a beamwidth in degrees, or `default`, returned as given
+    /// (print this value, not [`Beamwidth::degrees`], which need not
+    /// read back the same). A value [`Beamwidth::from_degrees`] refuses is
+    /// a [`UsageError`].
+    pub fn try_get_beamwidth(&self, name: &str, default: f64) -> Result<f64, UsageError> {
+        self.try_get_checked(
+            name,
+            default,
+            "a number",
+            "a beamwidth in (0, 360] degrees",
+            |&degrees| Beamwidth::from_degrees(degrees).is_ok(),
+        )
+    }
+
+    /// `--name` as a SINR capture margin, or `default`. A value
+    /// [`SinrPhy::validate`] refuses is a [`UsageError`].
+    pub fn try_get_margin(&self, name: &str, default: f64) -> Result<f64, UsageError> {
+        self.try_get_checked(
+            name,
+            default,
+            "a number",
+            "a finite, non-negative capture margin",
+            |&margin| SinrPhy::ideal().with_margin(margin).validate().is_ok(),
+        )
+    }
+
     /// `--threads`, or the host's available parallelism (4 when unknown).
     /// A malformed value or 0 is a [`UsageError`]: a worker pool needs at
     /// least one thread.
     pub fn try_get_threads(&self) -> Result<usize, UsageError> {
         let default = std::thread::available_parallelism().map_or(4, |n| n.get());
-        match self.try_get_usize("threads", default)? {
-            0 => Err(UsageError {
-                flag: "threads".to_string(),
-                expected: "at least 1",
-                got: "0".to_string(),
-            }),
-            n => Ok(n),
-        }
+        self.try_get_count("threads", default)
     }
 
     /// Like [`Flags::try_get_threads`], but a malformed or zero value
     /// prints a usage error to stderr and exits with status 2.
     pub fn get_threads(&self) -> usize {
         self.try_get_threads().unwrap_or_else(|e| e.exit())
+    }
+
+    /// [`Flags::try_get_count`], exiting with status 2 on a usage error.
+    pub fn get_count(&self, name: &str, default: usize) -> usize {
+        self.try_get_count(name, default)
+            .unwrap_or_else(|e| e.exit())
+    }
+
+    /// [`Flags::try_get_window`], exiting with status 2 on a usage error.
+    pub fn get_window(&self, name: &str, default: SimDuration) -> SimDuration {
+        self.try_get_window(name, default)
+            .unwrap_or_else(|e| e.exit())
+    }
+
+    /// [`Flags::try_get_beamwidth`], exiting with status 2 on a usage error.
+    pub fn get_beamwidth(&self, name: &str, default: f64) -> f64 {
+        self.try_get_beamwidth(name, default)
+            .unwrap_or_else(|e| e.exit())
+    }
+
+    /// [`Flags::try_get_margin`], exiting with status 2 on a usage error.
+    pub fn get_margin(&self, name: &str, default: f64) -> f64 {
+        self.try_get_margin(name, default)
+            .unwrap_or_else(|e| e.exit())
+    }
+
+    /// Reads `--n`, `--topologies`, `--seed` and `--measure-ms` into
+    /// `cell` through the checked readers, keeping its value for each flag
+    /// not given; exits with status 2 on a usage error.
+    pub fn read_ring_cell(&self, cell: &mut RingExperiment) {
+        cell.n_avg = self.get_count("n", cell.n_avg);
+        cell.topologies = self.get_count("topologies", cell.topologies);
+        cell.seed = self.get_u64("seed", cell.seed);
+        cell.config.measure = self.get_window("measure-ms", cell.config.measure);
     }
 
     /// `--name` parsed as `usize`, or `default`. A malformed value prints a

@@ -13,63 +13,57 @@ use dirca_net::{FaultPlan, SimConfig};
 use dirca_sim::SimDuration;
 
 use crate::ringsim::{try_run_cell, CellGuards, RingExperiment, RingOutcome};
-use crate::table::{mean_range, Table};
+use crate::table::{mean_range, scheme_table};
 
 /// Configuration of the fault sweep.
 #[derive(Debug, Clone)]
 pub struct FaultSweep {
-    /// Neighbourhood size `N` of the ring topologies.
-    pub n_avg: usize,
+    /// The ring cell every point runs: N, topologies, seed and windows;
+    /// each point sets the scheme, the beamwidth and the frame error rate.
+    pub base: RingExperiment,
     /// Beamwidths to evaluate, degrees (360 = omnidirectional limit).
     pub beamwidths: Vec<f64>,
     /// Frame error rates to sweep.
     pub fers: Vec<f64>,
-    /// Random topologies per cell.
-    pub topologies: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Warm-up excluded from measurement.
-    pub warmup: SimDuration,
-    /// Measurement window per topology.
-    pub measure: SimDuration,
 }
 
 impl Default for FaultSweep {
     fn default() -> Self {
         FaultSweep {
-            n_avg: 5,
+            base: RingExperiment {
+                n_avg: 5,
+                topologies: 5,
+                seed: 0xFA17,
+                config: SimConfig::new(Scheme::OrtsOcts)
+                    .with_warmup(SimDuration::from_millis(200))
+                    .with_measure(SimDuration::from_secs(2)),
+            },
             beamwidths: vec![60.0, 360.0],
             fers: vec![0.0, 0.02, 0.05, 0.1, 0.2, 0.4],
-            topologies: 5,
-            seed: 0xFA17,
-            warmup: SimDuration::from_millis(200),
-            measure: SimDuration::from_secs(2),
         }
     }
 }
 
 /// A scaled-down sweep for smoke tests.
 pub fn quick() -> FaultSweep {
-    FaultSweep {
+    let mut sweep = FaultSweep {
         fers: vec![0.0, 0.1, 0.4],
-        topologies: 2,
-        measure: SimDuration::from_millis(500),
-        warmup: SimDuration::from_millis(50),
         ..FaultSweep::default()
-    }
+    };
+    sweep.base.topologies = 2;
+    sweep.base.config.warmup = SimDuration::from_millis(50);
+    sweep.base.config.measure = SimDuration::from_millis(500);
+    sweep
 }
 
 fn cell(sweep: &FaultSweep, scheme: Scheme, theta: f64, fer: f64) -> RingExperiment {
-    RingExperiment {
-        n_avg: sweep.n_avg,
-        topologies: sweep.topologies,
-        seed: sweep.seed,
-        config: SimConfig::new(scheme)
-            .with_beamwidth_degrees(theta)
-            .with_warmup(sweep.warmup)
-            .with_measure(sweep.measure)
-            .with_fault(FaultPlan::default().with_frame_error_rate(fer)),
-    }
+    let mut experiment = sweep.base.clone();
+    experiment.config.scheme = scheme;
+    experiment.config = experiment
+        .config
+        .with_beamwidth_degrees(theta)
+        .with_fault(FaultPlan::default().with_frame_error_rate(fer));
+    experiment
 }
 
 /// Runs the sweep and renders one table per beamwidth: rows are FERs,
@@ -80,31 +74,18 @@ pub fn render(sweep: &FaultSweep, threads: usize) -> String {
     out.push_str(&format!(
         "Throughput vs injected frame error rate — N = {}, {} topologies/cell\n\
          (normalized aggregate throughput of the inner nodes, mean [min, max])\n\n",
-        sweep.n_avg, sweep.topologies
+        sweep.base.n_avg, sweep.base.topologies
     ));
     for &theta in &sweep.beamwidths {
-        let mut t = Table::new(vec![
-            format!("θ={theta:.0}°, FER"),
-            "ORTS-OCTS".into(),
-            "DRTS-DCTS".into(),
-            "DRTS-OCTS".into(),
-        ]);
+        let mut t = scheme_table(format!("θ={theta:.0}°, FER"));
         for &fer in &sweep.fers {
             let mut cells = vec![format!("{fer:.2}")];
             for scheme in Scheme::ALL {
                 let exp = cell(sweep, scheme, theta, fer);
-                let text = match try_run_cell(&exp, threads, &CellGuards::default()) {
-                    Ok(samples) => {
-                        let outcome = RingOutcome::from_samples(&samples);
-                        let s = &outcome.throughput;
-                        match (s.mean(), s.min(), s.max()) {
-                            (Some(m), Some(lo), Some(hi)) => mean_range(m, lo, hi, 3),
-                            _ => "n/a".into(),
-                        }
-                    }
-                    Err(_) => "failed".into(),
-                };
-                cells.push(text);
+                let samples = try_run_cell(&exp, threads, &CellGuards::default());
+                cells.push(samples.map_or("failed".into(), |s| {
+                    mean_range(&RingOutcome::from_samples(&s).throughput, 3)
+                }));
             }
             t.row(cells);
         }
@@ -117,6 +98,7 @@ pub fn render(sweep: &FaultSweep, threads: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ringsim::run_cell;
 
     #[test]
     fn quick_sweep_renders_all_rows() {
@@ -132,12 +114,8 @@ mod tests {
         // Pin the physics the sweep exists to show: heavy FER costs real
         // throughput for the omni scheme at a narrow beam.
         let sweep = quick();
-        let clean = cell(&sweep, Scheme::OrtsOcts, 60.0, 0.0);
-        let dirty = cell(&sweep, Scheme::OrtsOcts, 60.0, 0.4);
-        let a =
-            RingOutcome::from_samples(&try_run_cell(&clean, 2, &CellGuards::default()).unwrap());
-        let b =
-            RingOutcome::from_samples(&try_run_cell(&dirty, 2, &CellGuards::default()).unwrap());
+        let a = run_cell(&cell(&sweep, Scheme::OrtsOcts, 60.0, 0.0), 2);
+        let b = run_cell(&cell(&sweep, Scheme::OrtsOcts, 60.0, 0.4), 2);
         assert!(
             b.throughput.mean().unwrap() < a.throughput.mean().unwrap(),
             "40% FER must cost throughput"

@@ -6,7 +6,7 @@ use dirca_analysis::{ModelInput, ProtocolTimes};
 use dirca_mac::Scheme;
 
 use crate::plot::{LineChart, PlotPoint};
-use crate::table::Table;
+use crate::table::{scheme_table, Table};
 
 /// Computes the Fig. 5 series for density `n_avg` on the paper's 15°–180°
 /// grid.
@@ -16,12 +16,7 @@ pub fn compute(n_avg: f64) -> Vec<Fig5Row> {
 
 /// Renders a Fig. 5 series as a markdown table.
 pub fn render(n_avg: f64, rows: &[Fig5Row]) -> String {
-    let mut t = Table::new(vec![
-        "θ (deg)".into(),
-        "ORTS-OCTS".into(),
-        "DRTS-DCTS".into(),
-        "DRTS-OCTS".into(),
-    ]);
+    let mut t = scheme_table("θ (deg)".into());
     for row in rows {
         t.row(vec![
             format!("{:.0}", row.theta_degrees),

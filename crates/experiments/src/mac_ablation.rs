@@ -6,7 +6,7 @@
 //! RTS retries vs Ko-style omni fallback. This experiment toggles each on
 //! the ring simulation and reports its effect.
 
-use dirca_mac::{MacConfig, Scheme};
+use dirca_mac::MacConfig;
 
 use crate::ringsim::{run_cell, RingExperiment, RingOutcome};
 
@@ -51,20 +51,17 @@ pub fn standard_variants() -> Vec<MacVariant> {
     ]
 }
 
-/// Runs every variant on one (scheme, N, θ) cell.
+/// Runs every variant on the `base` cell, which keeps all but its MAC
+/// configuration.
 pub fn run_variants(
-    scheme: Scheme,
-    n_avg: usize,
-    theta: f64,
-    topologies: usize,
+    base: &RingExperiment,
     threads: usize,
     variants: &[MacVariant],
 ) -> Vec<(String, RingOutcome)> {
     variants
         .iter()
         .map(|variant| {
-            let mut exp = RingExperiment::paper(scheme, n_avg, theta);
-            exp.topologies = topologies;
+            let mut exp = base.clone();
             exp.config.mac = variant.config.clone();
             (variant.label.clone(), run_cell(&exp, threads))
         })
@@ -74,6 +71,7 @@ pub fn run_variants(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dirca_mac::Scheme;
     use dirca_sim::SimDuration;
 
     #[test]
@@ -92,21 +90,16 @@ mod tests {
         // (event counts and throughput will differ). Omni RTS/CTS maximizes
         // how often a receiver's NAV is busy when an RTS addressed to it
         // arrives, which is the condition the toggle controls.
-        let run = |config: MacConfig| {
-            let mut exp = RingExperiment::quick(Scheme::OrtsOcts, 5, 30.0);
-            exp.topologies = 2;
-            exp.config.measure = SimDuration::from_millis(500);
-            exp.config.mac = config;
-            run_cell(&exp, 2)
-        };
-        let base = run(MacConfig::default());
-        let no_nav = run(MacConfig {
-            respect_nav_on_rts: false,
-            ..MacConfig::default()
-        });
+        let mut base = RingExperiment::quick(Scheme::OrtsOcts, 5, 30.0);
+        base.topologies = 2;
+        base.config.measure = SimDuration::from_millis(500);
+        let variants = standard_variants();
+        let ignore_nav = &variants[2];
+        assert_eq!(ignore_nav.label, "ignore NAV on RTS");
+        let outcomes = run_variants(&base, 2, &[variants[0].clone(), ignore_nav.clone()]);
         assert_ne!(
-            base.throughput.mean(),
-            no_nav.throughput.mean(),
+            outcomes[0].1.throughput.mean(),
+            outcomes[1].1.throughput.mean(),
             "NAV toggle had no observable effect"
         );
     }

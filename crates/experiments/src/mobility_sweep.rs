@@ -20,15 +20,17 @@ use dirca_net::{MobilityModel, SimConfig, SinrPhy};
 use dirca_sim::SimDuration;
 
 use crate::ringsim::{try_run_cell, CellGuards, RingExperiment, RingOutcome};
-use crate::table::{mean_range, Table};
+use crate::table::{mean_range, scheme_table};
+
+/// The beamwidth θ of [`MobilitySweep::default`], in degrees.
+pub const DEFAULT_BEAMWIDTH: f64 = 60.0;
 
 /// Configuration of the mobility sweep.
 #[derive(Debug, Clone)]
 pub struct MobilitySweep {
-    /// Neighbourhood size `N` of the ring topologies.
-    pub n_avg: usize,
-    /// Beamwidth in degrees.
-    pub beamwidth_degrees: f64,
+    /// The ring cell every point runs: N, θ, topologies, seed and
+    /// windows; each point sets the scheme, the speed and the side floor.
+    pub base: RingExperiment,
     /// Node speeds to sweep, in coverage radii per second (0 = static).
     pub speeds: Vec<f64>,
     /// Side-lobe floors to sweep (0 = ideal sector, 1 = isotropic).
@@ -37,43 +39,39 @@ pub struct MobilitySweep {
     pub margin: f64,
     /// Position-epoch period.
     pub epoch: SimDuration,
-    /// Random topologies per cell.
-    pub topologies: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Warm-up excluded from measurement.
-    pub warmup: SimDuration,
-    /// Measurement window per topology.
-    pub measure: SimDuration,
 }
 
 impl Default for MobilitySweep {
     fn default() -> Self {
         MobilitySweep {
-            n_avg: 5,
-            beamwidth_degrees: 60.0,
+            base: RingExperiment {
+                n_avg: 5,
+                topologies: 5,
+                seed: 0x30B1,
+                config: SimConfig::new(Scheme::OrtsOcts)
+                    .with_beamwidth_degrees(DEFAULT_BEAMWIDTH)
+                    .with_warmup(SimDuration::from_millis(200))
+                    .with_measure(SimDuration::from_secs(2)),
+            },
             speeds: vec![0.0, 0.5, 1.0, 2.0, 5.0],
             side_floors: vec![0.0, 0.05, 0.2],
             margin: 0.1,
             epoch: SimDuration::from_millis(20),
-            topologies: 5,
-            seed: 0x30B1,
-            warmup: SimDuration::from_millis(200),
-            measure: SimDuration::from_secs(2),
         }
     }
 }
 
 /// A scaled-down sweep for smoke tests.
 pub fn quick() -> MobilitySweep {
-    MobilitySweep {
+    let mut sweep = MobilitySweep {
         speeds: vec![0.0, 2.0, 5.0],
         side_floors: vec![0.0, 0.2],
-        topologies: 2,
-        warmup: SimDuration::from_millis(50),
-        measure: SimDuration::from_millis(500),
         ..MobilitySweep::default()
-    }
+    };
+    sweep.base.topologies = 2;
+    sweep.base.config.warmup = SimDuration::from_millis(50);
+    sweep.base.config.measure = SimDuration::from_millis(500);
+    sweep
 }
 
 /// Builds the experiment cell for one (scheme, speed, side floor)
@@ -90,77 +88,59 @@ pub fn cell(sweep: &MobilitySweep, scheme: Scheme, speed: f64, side_floor: f64) 
     } else {
         MobilityModel::STATIC
     };
-    RingExperiment {
-        n_avg: sweep.n_avg,
-        topologies: sweep.topologies,
-        seed: sweep.seed,
-        config: SimConfig::new(scheme)
-            .with_beamwidth_degrees(sweep.beamwidth_degrees)
-            .with_warmup(sweep.warmup)
-            .with_measure(sweep.measure)
-            .with_mobility(model, sweep.epoch)
-            .with_sinr(
-                SinrPhy::ideal()
-                    .with_side_floor(side_floor)
-                    .with_margin(sweep.margin),
-            ),
-    }
-}
-
-fn metric_text(samples: &[crate::ringsim::TopologySample], collision: bool) -> String {
-    let outcome = RingOutcome::from_samples(samples);
-    let s = if collision {
-        &outcome.collision_ratio
-    } else {
-        &outcome.throughput
-    };
-    match (s.mean(), s.min(), s.max()) {
-        (Some(m), Some(lo), Some(hi)) => mean_range(m, lo, hi, 3),
-        _ => "n/a".into(),
-    }
+    let mut experiment = sweep.base.clone();
+    experiment.config.scheme = scheme;
+    experiment.config = experiment
+        .config
+        .with_mobility(model, sweep.epoch)
+        .with_sinr(
+            SinrPhy::ideal()
+                .with_side_floor(side_floor)
+                .with_margin(sweep.margin),
+        );
+    experiment
 }
 
 /// Runs the sweep and renders, per side-lobe floor, a throughput table and
 /// a handshake-failure (collision ratio) table: rows are node speeds,
-/// columns the three schemes (mean [min, max] over topologies). Mobile and
-/// SINR cells run on the classic engine, so `threads` parallelizes over
-/// topologies only.
-pub fn render(sweep: &MobilitySweep, threads: usize) -> String {
+/// columns the three schemes (mean [min, max] over topologies). The
+/// header prints `theta`, the base cell's beamwidth in degrees as given.
+/// Mobile and SINR cells run on the classic engine, so `threads`
+/// parallelizes over topologies only.
+pub fn render(sweep: &MobilitySweep, theta: f64, threads: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Mobility + side-lobe sweep — N = {}, θ = {:.0}°, margin = {:.2}, \
+        "Mobility + side-lobe sweep — N = {}, θ = {theta:.0}°, margin = {:.2}, \
          epoch = {} ms, {} topologies/cell\n\
          (normalized aggregate throughput and collision ratio of the inner nodes, \
          mean [min, max])\n\n",
-        sweep.n_avg,
-        sweep.beamwidth_degrees,
+        sweep.base.n_avg,
         sweep.margin,
         sweep.epoch.as_secs_f64() * 1e3,
-        sweep.topologies
+        sweep.base.topologies
     ));
     for &floor in &sweep.side_floors {
-        for collision in [false, true] {
-            let metric = if collision {
-                "collision ratio"
-            } else {
-                "throughput"
-            };
-            let mut t = Table::new(vec![
-                format!("floor={floor:.2} {metric}, speed"),
-                "ORTS-OCTS".into(),
-                "DRTS-DCTS".into(),
-                "DRTS-OCTS".into(),
-            ]);
-            for &speed in &sweep.speeds {
-                let mut cells = vec![format!("{speed:.1}")];
-                for scheme in Scheme::ALL {
+        // Each cell runs once and fills its row of both tables.
+        let rows: Vec<[Option<RingOutcome>; 3]> = sweep
+            .speeds
+            .iter()
+            .map(|&speed| {
+                Scheme::ALL.map(|scheme| {
                     let exp = cell(sweep, scheme, speed, floor);
-                    let text = match try_run_cell(&exp, threads, &CellGuards::default()) {
-                        Ok(samples) => metric_text(&samples, collision),
-                        Err(_) => "failed".into(),
-                    };
-                    cells.push(text);
-                }
+                    let samples = try_run_cell(&exp, threads, &CellGuards::default());
+                    samples.ok().map(|s| RingOutcome::from_samples(&s))
+                })
+            })
+            .collect();
+        for (metric, collision) in [("throughput", false), ("collision ratio", true)] {
+            let mut t = scheme_table(format!("floor={floor:.2} {metric}, speed"));
+            for (speed, outcomes) in sweep.speeds.iter().zip(&rows) {
+                let mut cells = vec![format!("{speed:.1}")];
+                cells.extend(outcomes.iter().map(|outcome| match outcome {
+                    Some(o) if collision => mean_range(&o.collision_ratio, 3),
+                    Some(o) => mean_range(&o.throughput, 3),
+                    None => "failed".into(),
+                }));
                 t.row(cells);
             }
             out.push_str(&t.render());
@@ -176,7 +156,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_renders_all_rows() {
-        let text = render(&quick(), 2);
+        let text = render(&quick(), DEFAULT_BEAMWIDTH, 2);
         assert!(text.contains("floor=0.00 throughput"));
         assert!(text.contains("floor=0.20 collision ratio"));
         assert!(text.contains("5.0"));
@@ -194,11 +174,8 @@ mod tests {
             ..quick()
         };
         let attached = cell(&sweep, Scheme::DrtsDcts, 0.0, 0.0);
-        let mut plain = RingExperiment::paper(Scheme::DrtsDcts, sweep.n_avg, 60.0);
-        plain.topologies = sweep.topologies;
-        plain.seed = sweep.seed;
-        plain.config.warmup = sweep.warmup;
-        plain.config.measure = sweep.measure;
+        let mut plain = sweep.base.clone();
+        plain.config.scheme = Scheme::DrtsDcts;
         let a = try_run_cell(&attached, 2, &CellGuards::default()).unwrap();
         let b = try_run_cell(&plain, 2, &CellGuards::default()).unwrap();
         assert_eq!(

@@ -14,8 +14,11 @@ use dirca_net::{SimConfig, TrafficModel};
 use dirca_sim::SimDuration;
 use dirca_stats::Summary;
 
+/// The beamwidth θ of [`LoadSweep::default`], in degrees.
+pub const DEFAULT_THETA: f64 = 30.0;
+
 /// One point of the load sweep for one scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadPoint {
     /// Offered load per node, packets per second.
     pub offered_pps: f64,
@@ -35,29 +38,26 @@ pub struct LoadPoint {
 /// Configuration of the offered-load sweep.
 #[derive(Debug, Clone)]
 pub struct LoadSweep {
-    /// Neighbourhood size `N` of the ring topologies.
-    pub n_avg: usize,
-    /// Beamwidth for the directional schemes, degrees.
-    pub beamwidth_degrees: f64,
+    /// The ring cell every point runs: N, θ, topologies, seed and
+    /// windows; each point sets the scheme and the Poisson rate.
+    pub base: RingExperiment,
     /// Offered loads to evaluate, packets per second per node.
     pub rates_pps: Vec<f64>,
-    /// Random topologies per point.
-    pub topologies: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Measurement window per topology.
-    pub measure: SimDuration,
 }
 
 impl Default for LoadSweep {
     fn default() -> Self {
         LoadSweep {
-            n_avg: 5,
-            beamwidth_degrees: 30.0,
+            base: RingExperiment {
+                n_avg: 5,
+                topologies: 8,
+                seed: 0x10AD,
+                config: SimConfig::new(Scheme::OrtsOcts)
+                    .with_beamwidth_degrees(DEFAULT_THETA)
+                    .with_warmup(SimDuration::from_millis(200))
+                    .with_measure(SimDuration::from_secs(5)),
+            },
             rates_pps: vec![2.0, 5.0, 10.0, 20.0, 40.0, 80.0],
-            topologies: 8,
-            seed: 0x10AD,
-            measure: SimDuration::from_secs(5),
         }
     }
 }
@@ -69,20 +69,12 @@ pub fn run_sweep(scheme: Scheme, sweep: &LoadSweep, threads: usize) -> Vec<LoadP
         .rates_pps
         .iter()
         .map(|&rate| {
-            let config = SimConfig::new(scheme)
-                .with_beamwidth_degrees(sweep.beamwidth_degrees)
-                .with_traffic(TrafficModel::Poisson {
-                    packets_per_sec: rate,
-                    max_queue: 32,
-                })
-                .with_warmup(SimDuration::from_millis(200))
-                .with_measure(sweep.measure);
-            let experiment = RingExperiment {
-                n_avg: sweep.n_avg,
-                topologies: sweep.topologies,
-                seed: sweep.seed,
-                config,
-            };
+            let mut experiment = sweep.base.clone();
+            experiment.config.scheme = scheme;
+            experiment.config = experiment.config.with_traffic(TrafficModel::Poisson {
+                packets_per_sec: rate,
+                max_queue: 32,
+            });
             run_point(&experiment, rate, threads)
         })
         .collect()
@@ -99,10 +91,7 @@ fn run_point(experiment: &RingExperiment, rate: f64, threads: usize) -> LoadPoin
     });
     let mut point = LoadPoint {
         offered_pps: rate,
-        throughput: Summary::new(),
-        e2e_delay_ms: Summary::new(),
-        queue_drops: Summary::new(),
-        failed_topologies: Vec::new(),
+        ..LoadPoint::default()
     };
     for outcome in outcomes {
         match outcome {
@@ -125,13 +114,14 @@ mod tests {
     use super::*;
 
     fn tiny() -> LoadSweep {
-        LoadSweep {
+        let mut sweep = LoadSweep {
             rates_pps: vec![5.0, 60.0],
-            topologies: 2,
-            measure: SimDuration::from_secs(1),
-            n_avg: 3,
             ..LoadSweep::default()
-        }
+        };
+        sweep.base.n_avg = 3;
+        sweep.base.topologies = 2;
+        sweep.base.config.measure = SimDuration::from_secs(1);
+        sweep
     }
 
     #[test]

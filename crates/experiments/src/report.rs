@@ -9,7 +9,7 @@ use dirca_stats::Summary;
 use crate::cli::{Flags, UsageError};
 use crate::plot::{LineChart, PlotPoint};
 use crate::ringsim::{RingExperiment, RingOutcome};
-use crate::table::{mean_range, Table};
+use crate::table::{mean_range, scheme_table};
 
 /// Which per-cell metric a section or chart renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,66 +74,37 @@ impl GridScale {
         Self::try_from_flags(flags).unwrap_or_else(|e| e.exit())
     }
 
-    /// Like [`GridScale::from_flags`], but surfaces malformed values as a
-    /// [`UsageError`] instead of exiting.
+    /// Like [`GridScale::from_flags`], but surfaces malformed or
+    /// out-of-range values as a [`UsageError`] instead of exiting. Every
+    /// range but the frame error rate's is the one its checked [`Flags`]
+    /// reader enforces for the ring binaries too.
     pub fn try_from_flags(flags: &Flags) -> Result<Self, UsageError> {
         let quick = flags.has("quick");
-        let topologies = flags.try_get_usize("topologies", if quick { 4 } else { 50 })?;
-        let measure_ms = flags.try_get_u64("measure-ms", if quick { 1_000 } else { 10_000 })?;
-        let warmup_ms = flags.try_get_u64("warmup-ms", if quick { 100 } else { 500 })?;
-        let threads = flags.try_get_threads()?;
         let densities = match flags.get("n") {
-            Some(_) => vec![flags.try_get_usize("n", 0)?],
+            Some(_) => vec![flags.try_get_count("n", 0)?],
             None => vec![3, 5, 8],
         };
         let beamwidths = match flags.get("theta") {
-            Some(_) => vec![flags.try_get_f64("theta", 0.0)?],
+            Some(_) => vec![flags.try_get_beamwidth("theta", 0.0)?],
             None => vec![30.0, 90.0, 150.0],
         };
-        let fer = flags.try_get_f64("fer", 0.0)?;
-        // The ranges of serve's `ScenarioSpec::validate`: a value outside
-        // them would otherwise panic inside every cell or report nothing.
-        let out_of_range = |flag: &str, expected, got: String| UsageError {
-            flag: flag.to_string(),
-            expected,
-            got,
-        };
-        if topologies == 0 {
-            return Err(out_of_range("topologies", "at least 1", "0".into()));
-        }
-        if measure_ms == 0 {
-            return Err(out_of_range("measure-ms", "at least 1", "0".into()));
-        }
-        if densities.contains(&0) {
-            return Err(out_of_range(
-                "n",
-                "a neighbourhood size of at least 1",
-                "0".into(),
-            ));
-        }
-        if let Some(&t) = beamwidths.iter().find(|&&t| !(t > 0.0 && t <= 360.0)) {
-            return Err(out_of_range(
-                "theta",
-                "a beamwidth finite in (0, 360]",
-                format!("{t}"),
-            ));
-        }
-        if !(0.0..1.0).contains(&fer) {
-            return Err(out_of_range(
-                "fer",
-                "a frame error rate in [0, 1)",
-                format!("{fer}"),
-            ));
-        }
+        let measure = SimDuration::from_millis(if quick { 1_000 } else { 10_000 });
+        let warmup_ms = flags.try_get_u64("warmup-ms", if quick { 100 } else { 500 })?;
         Ok(GridScale {
-            topologies,
-            measure: SimDuration::from_millis(measure_ms),
+            topologies: flags.try_get_count("topologies", if quick { 4 } else { 50 })?,
+            measure: flags.try_get_window("measure-ms", measure)?,
             warmup: SimDuration::from_millis(warmup_ms),
-            threads,
+            threads: flags.try_get_threads()?,
             seed: flags.try_get_u64("seed", 0xD1CA)?,
             densities,
             beamwidths,
-            fer,
+            fer: flags.try_get_checked(
+                "fer",
+                0.0,
+                "a number",
+                "a frame error rate in [0, 1)",
+                |&fer| is_frame_error_rate(fer),
+            )?,
         })
     }
 
@@ -154,6 +125,13 @@ impl GridScale {
                 .with_fault(FaultPlan::default().with_frame_error_rate(self.fer)),
         }
     }
+}
+
+/// Whether `fer` is a frame error rate a grid injects: finite, in `[0, 1)`
+/// (a rate of 1 would lose every frame). `GridScale` and serve's
+/// `ScenarioSpec` both check it here.
+pub fn is_frame_error_rate(fer: f64) -> bool {
+    (0.0..1.0).contains(&fer)
 }
 
 /// The outcome of cell `(n, theta, scheme)` in `outcomes`, if it is there.
@@ -201,22 +179,14 @@ pub fn render_combined(
         out.push_str(title);
         out.push_str("\n(mean [min, max] over topologies)\n\n");
         for &n in &scale.densities {
-            let mut t = Table::new(vec![
-                format!("N={n}, θ (deg)"),
-                "ORTS-OCTS".into(),
-                "DRTS-DCTS".into(),
-                "DRTS-OCTS".into(),
-            ]);
+            let mut t = scheme_table(format!("N={n}, θ (deg)"));
             for &theta in &scale.beamwidths {
                 let mut cells = vec![format!("{theta:.0}")];
                 for scheme in Scheme::ALL {
-                    let s = find(outcomes, n, theta, scheme).map(|o| metric.pick(o));
-                    cells.push(
-                        match s.and_then(|s| Some((s.mean()?, s.min()?, s.max()?))) {
-                            Some((m, lo, hi)) => mean_range(m, lo, hi, metric.decimals()),
-                            None => "n/a".into(),
-                        },
-                    );
+                    cells.push(match find(outcomes, n, theta, scheme) {
+                        Some(o) => mean_range(metric.pick(o), metric.decimals()),
+                        None => "n/a".into(),
+                    });
                 }
                 t.row(cells);
             }

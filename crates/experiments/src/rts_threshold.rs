@@ -31,26 +31,25 @@ pub struct ThresholdRow {
 /// Configuration of the comparison.
 #[derive(Debug, Clone)]
 pub struct ThresholdStudy {
-    /// Ring density `N`.
-    pub n_avg: usize,
+    /// The ORTS-OCTS ring cell every point runs: N, topologies, seed and
+    /// windows; each point sets the data size and the RTS threshold.
+    pub base: RingExperiment,
     /// Data sizes to evaluate.
     pub data_sizes: Vec<u32>,
-    /// Topologies per point.
-    pub topologies: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Measurement window.
-    pub measure: SimDuration,
 }
 
 impl Default for ThresholdStudy {
     fn default() -> Self {
         ThresholdStudy {
-            n_avg: 5,
+            base: RingExperiment {
+                n_avg: 5,
+                topologies: 8,
+                seed: 0x7157,
+                config: SimConfig::new(Scheme::OrtsOcts)
+                    .with_warmup(SimDuration::from_millis(200))
+                    .with_measure(SimDuration::from_secs(5)),
+            },
             data_sizes: vec![100, 250, 500, 1000, 1460],
-            topologies: 8,
-            seed: 0x7157,
-            measure: SimDuration::from_secs(5),
         }
     }
 }
@@ -75,17 +74,9 @@ pub fn run_study(study: &ThresholdStudy, threads: usize) -> Vec<ThresholdRow> {
 }
 
 fn run_mode(study: &ThresholdStudy, bytes: u32, basic: bool, threads: usize) -> (Summary, Summary) {
-    let mut config = SimConfig::new(Scheme::OrtsOcts)
-        .with_data_bytes(bytes)
-        .with_warmup(SimDuration::from_millis(200))
-        .with_measure(study.measure);
-    config.mac.rts_threshold_bytes = if basic { u32::MAX } else { 0 };
-    let experiment = RingExperiment {
-        n_avg: study.n_avg,
-        topologies: study.topologies,
-        seed: study.seed,
-        config,
-    };
+    let mut experiment = study.base.clone();
+    experiment.config = experiment.config.with_data_bytes(bytes);
+    experiment.config.mac.rts_threshold_bytes = if basic { u32::MAX } else { 0 };
     let outcome = run_cell(&experiment, threads);
     (outcome.throughput, outcome.collision_ratio)
 }
@@ -95,13 +86,14 @@ mod tests {
     use super::*;
 
     fn tiny() -> ThresholdStudy {
-        ThresholdStudy {
-            n_avg: 3,
+        let mut study = ThresholdStudy {
             data_sizes: vec![100, 1460],
-            topologies: 3,
-            measure: SimDuration::from_secs(1),
             ..ThresholdStudy::default()
-        }
+        };
+        study.base.n_avg = 3;
+        study.base.topologies = 3;
+        study.base.config.measure = SimDuration::from_secs(1);
+        study
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Plain-text/markdown table rendering for experiment output.
 
+use dirca_mac::Scheme;
+use dirca_stats::Summary;
+
 /// A simple left-padded markdown table builder.
 ///
 /// # Example
@@ -61,7 +64,6 @@ impl Table {
 
     /// Renders the table as aligned markdown.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -91,14 +93,27 @@ impl Table {
         for row in &self.rows {
             out.push_str(&render_row(row, &widths));
         }
-        let _ = cols;
         out
     }
 }
 
-/// Formats `mean [min, max]` the way the paper's range-whisker plots read.
-pub fn mean_range(mean: f64, min: f64, max: f64, decimals: usize) -> String {
-    format!("{mean:.decimals$} [{min:.decimals$}, {max:.decimals$}]")
+/// A table whose first column is `axis` and whose others are the three
+/// schemes, in [`Scheme::ALL`] order.
+pub fn scheme_table(axis: String) -> Table {
+    let mut header = vec![axis];
+    header.extend(Scheme::ALL.iter().map(Scheme::to_string));
+    Table::new(header)
+}
+
+/// Formats `summary` as `mean [min, max]`, the way the paper's
+/// range-whisker plots read, or `n/a` when it holds no sample.
+pub fn mean_range(summary: &Summary, decimals: usize) -> String {
+    match (summary.mean(), summary.min(), summary.max()) {
+        (Some(mean), Some(min), Some(max)) => {
+            format!("{mean:.decimals$} [{min:.decimals$}, {max:.decimals$}]")
+        }
+        _ => "n/a".into(),
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +157,11 @@ mod tests {
 
     #[test]
     fn mean_range_formats() {
-        assert_eq!(mean_range(0.5, 0.25, 0.75, 2), "0.50 [0.25, 0.75]");
+        let mut summary = Summary::new();
+        for x in [0.25, 0.5, 0.75] {
+            summary.push(x);
+        }
+        assert_eq!(mean_range(&summary, 2), "0.50 [0.25, 0.75]");
+        assert_eq!(mean_range(&Summary::new(), 2), "n/a");
     }
 }

@@ -1,7 +1,8 @@
 //! Output paths and flag values the binaries refuse. `--svg DIR` on
 //! `paper_grid` and `fig5`: a directory that cannot be created is one
 //! error line naming the path and a non-zero exit, never a panic. A bare
-//! path flag or an unknown scheme name is a usage error (exit 2).
+//! path flag, an unknown scheme name or a value outside the range of the
+//! ring cell it fills is a usage error (exit 2).
 
 use std::process::Command;
 
@@ -75,4 +76,28 @@ fn mac_ablation_refuses_an_unknown_scheme() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn ring_binaries_refuse_degenerate_values() {
+    let cases = [
+        (env!("CARGO_BIN_EXE_airtime"), "--theta", "400"),
+        (env!("CARGO_BIN_EXE_airtime"), "--topologies", "0"),
+        (env!("CARGO_BIN_EXE_directional_rx"), "--n", "0"),
+        (env!("CARGO_BIN_EXE_mobility_sweep"), "--margin", "-1"),
+        (env!("CARGO_BIN_EXE_mobility_sweep"), "--margin", "inf"),
+        (env!("CARGO_BIN_EXE_rts_threshold"), "--measure-ms", "0"),
+        (env!("CARGO_BIN_EXE_offered_load"), "--theta", "0"),
+        (env!("CARGO_BIN_EXE_mac_ablation"), "--theta", "0"),
+        (env!("CARGO_BIN_EXE_directional_rx"), "--theta", "0"),
+        (env!("CARGO_BIN_EXE_mobility_sweep"), "--beamwidth", "0"),
+    ];
+    for (bin, flag, value) in cases {
+        let (code, stderr) = run(bin, &["--quick", flag, value]);
+        assert_eq!(code, Some(2), "{bin} {flag} {value}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("usage error: {flag} ")) && !stderr.contains("panicked"),
+            "{bin} {flag} {value}: {stderr}"
+        );
+    }
 }

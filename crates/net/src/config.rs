@@ -208,9 +208,11 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics on invalid PHY parameters (see `SinrPhy::validate`).
+    /// Panics with `SinrPhy::validate`'s message on invalid PHY parameters.
     pub fn with_sinr(mut self, sinr: SinrPhy) -> Self {
-        sinr.validate();
+        if let Err(why) = sinr.validate() {
+            panic!("{why}");
+        }
         self.sinr = Some(sinr);
         self
     }

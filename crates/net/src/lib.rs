@@ -45,6 +45,7 @@ pub use world::{AirtimeBreakdown, AppStats, NetEvent, NetWorld};
 
 // Fault-injection plumbing, re-exported so experiment code can configure a
 // faulted run without depending on the radio crate directly.
+pub use dirca_geometry::Beamwidth;
 pub use dirca_radio::{
     AntennaPattern, FaultPlan, FaultPlanError, InvalidationStats, LinkFault, Outage, SinrPhy,
 };

@@ -88,28 +88,26 @@ impl AntennaPattern {
 
     /// Validates the knobs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `0 ≤ side_floor ≤ main_gain`, `main_gain > 0`, and
-    /// `rolloff ≥ 0`, all finite.
-    pub fn validate(&self) {
-        assert!(
-            self.main_gain.is_finite() && self.main_gain > 0.0,
-            "main_gain must be positive and finite, got {}",
-            self.main_gain
-        );
-        assert!(
-            self.side_floor.is_finite()
-                && self.side_floor >= 0.0
-                && self.side_floor <= self.main_gain,
-            "side_floor must satisfy 0 ≤ side_floor ≤ main_gain, got {}",
-            self.side_floor
-        );
-        assert!(
-            self.rolloff.is_finite() && self.rolloff >= 0.0,
-            "rolloff must be finite and non-negative, got {}",
-            self.rolloff
-        );
+    /// Names the first knob outside `0 ≤ side_floor ≤ main_gain`,
+    /// `main_gain > 0` and `rolloff ≥ 0`, all finite.
+    pub fn validate(&self) -> Result<(), String> {
+        let (main, floor, rolloff) = (self.main_gain, self.side_floor, self.rolloff);
+        if !(main.is_finite() && main > 0.0) {
+            return Err(format!("main_gain must be positive and finite, got {main}"));
+        }
+        if !(floor.is_finite() && floor >= 0.0 && floor <= main) {
+            return Err(format!(
+                "side_floor must satisfy 0 ≤ side_floor ≤ main_gain, got {floor}"
+            ));
+        }
+        if !(rolloff.is_finite() && rolloff >= 0.0) {
+            return Err(format!(
+                "rolloff must be finite and non-negative, got {rolloff}"
+            ));
+        }
+        Ok(())
     }
 
     /// Linear gain toward a receiver `separation` radians off the
@@ -254,38 +252,32 @@ impl SinrPhy {
 
     /// Validates every knob.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an invalid pattern (see [`AntennaPattern::validate`]),
-    /// a negative/non-finite margin or noise, a non-positive alpha or
-    /// ref_distance, or a negative/non-finite fading σ.
-    pub fn validate(&self) {
-        self.pattern(Beamwidth::OMNI).validate();
-        assert!(
-            self.margin.is_finite() && self.margin >= 0.0,
-            "margin must be finite and non-negative, got {}",
-            self.margin
-        );
-        assert!(
-            self.noise.is_finite() && self.noise >= 0.0,
-            "noise must be finite and non-negative, got {}",
-            self.noise
-        );
-        assert!(
-            self.alpha.is_finite() && self.alpha > 0.0,
-            "alpha must be positive and finite, got {}",
-            self.alpha
-        );
-        assert!(
-            self.ref_distance.is_finite() && self.ref_distance > 0.0,
-            "ref_distance must be positive and finite, got {}",
-            self.ref_distance
-        );
-        assert!(
-            self.fading_sigma.is_finite() && self.fading_sigma >= 0.0,
-            "fading_sigma must be finite and non-negative, got {}",
-            self.fading_sigma
-        );
+    /// Names the first invalid knob: an invalid pattern (see
+    /// [`AntennaPattern::validate`]), a negative/non-finite margin or
+    /// noise, a non-positive alpha or ref_distance, or a negative/non-finite
+    /// fading σ.
+    pub fn validate(&self) -> Result<(), String> {
+        self.pattern(Beamwidth::OMNI).validate()?;
+        let knobs = [
+            ("margin", self.margin, false),
+            ("noise", self.noise, false),
+            ("alpha", self.alpha, true),
+            ("ref_distance", self.ref_distance, true),
+            ("fading_sigma", self.fading_sigma, false),
+        ];
+        for (name, value, positive) in knobs {
+            if positive && !(value.is_finite() && value > 0.0) {
+                return Err(format!("{name} must be positive and finite, got {value}"));
+            }
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Received power at distance `distance` for pattern gain `gain`
@@ -406,7 +398,7 @@ mod tests {
             .with_margin(0.1)
             .with_noise(1e-4)
             .with_fading_sigma(0.3);
-        phy.validate();
+        assert_eq!(phy.validate(), Ok(()));
         assert!(!phy.is_ideal_pattern());
         let pat = phy.pattern(beam(45.0));
         assert_eq!(pat.side_floor, 0.05);
@@ -422,12 +414,13 @@ mod tests {
             side_floor: 1.5,
             rolloff: 0.0,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "margin")]
     fn negative_margin_rejected() {
-        SinrPhy::ideal().with_margin(-1.0).validate();
+        SinrPhy::ideal().with_margin(-1.0).validate().unwrap();
     }
 }

@@ -6,9 +6,10 @@
 //! ranges the simulator is built for, and the server turns a violation
 //! into a typed `REJECT` frame instead of crashing or running garbage.
 
-use dirca_experiments::report::GridScale;
+use dirca_experiments::report::{is_frame_error_rate, GridScale};
 use dirca_experiments::runner::Cell;
 use dirca_mac::Scheme;
+use dirca_net::Beamwidth;
 use dirca_sim::SimDuration;
 use dirca_trace::wire::{decode_scheme, encode_scheme, PayloadError, WireReader, WireWriter};
 
@@ -139,14 +140,14 @@ impl ScenarioSpec {
         if let Some(t) = self
             .beamwidths
             .iter()
-            .find(|&&t| !t.is_finite() || t <= 0.0 || t > 360.0)
+            .find(|&&t| Beamwidth::from_degrees(t).is_err())
         {
             return Err(invalid(
                 "beamwidths",
-                format!("each finite in (0, 360], got {t}"),
+                format!("each a beamwidth in (0, 360] degrees, got {t}"),
             ));
         }
-        if !self.fer.is_finite() || !(0.0..1.0).contains(&self.fer) {
+        if !is_frame_error_rate(self.fer) {
             return Err(invalid(
                 "fer",
                 format!("a finite rate in [0, 1), got {}", self.fer),
