@@ -12,7 +12,7 @@ use dirca_experiments::table::Table;
 
 fn main() {
     let flags = Flags::from_env();
-    let n = flags.get_f64("n", 5.0);
+    let n = flags.get_density("n", 5.0);
     let rows = ablation_table(ProtocolTimes::paper(), n, &paper_theta_grid());
     let mut t = Table::new(vec![
         "θ (deg)".into(),

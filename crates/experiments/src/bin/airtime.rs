@@ -46,7 +46,7 @@ fn main() {
         experiment.config.scheme = scheme;
         // Per topology: the data, RTS, CTS and ACK airtime fractions per
         // measured node-second, the idle/defer remainder, and the goodput.
-        let outcomes = run_topologies(&experiment, 1, &CellGuards::default(), |result| {
+        let outcomes = run_topologies(&experiment, 1, &CellGuards::default(), |result, _| {
             let air = result.airtime_breakdown();
             let busy = [air.data, air.rts, air.cts, air.ack];
             let [data, rts, cts, ack] = busy.map(|d| d.as_secs_f64() / node_seconds);

@@ -4,7 +4,7 @@
 //! Usage: `connectivity [--quick | --large] [--nodes 2000] [--n 6]
 //!                      [--trials 8] [--seed S]`
 
-use dirca_experiments::cli::Flags;
+use dirca_experiments::cli::{Flags, UsageError};
 use dirca_experiments::connectivity::{large, quick, render, Connectivity};
 
 fn main() {
@@ -16,9 +16,18 @@ fn main() {
     } else {
         Connectivity::default()
     };
-    config.nodes = flags.get_usize("nodes", config.nodes);
-    config.n_avg = flags.get_f64("n", config.n_avg);
-    config.trials = flags.get_usize("trials", config.trials);
+    config.nodes = flags.get_count("nodes", config.nodes);
+    config.n_avg = flags.get_density("n", config.n_avg);
+    config.trials = flags.get_count("trials", config.trials);
     config.seed = flags.get_u64("seed", config.seed);
+    if config.nodes as f64 <= config.n_avg {
+        // No node of the field would lie a full range inside its border.
+        UsageError {
+            flag: "nodes".into(),
+            expected: "more nodes than the density --n",
+            got: config.nodes.to_string(),
+        }
+        .exit();
+    }
     println!("{}", render(&config));
 }

@@ -14,7 +14,7 @@ use dirca_experiments::table::scheme_table;
 
 fn main() {
     let flags = Flags::from_env();
-    let n = flags.get_f64("n", 5.0);
+    let n = flags.get_density("n", 5.0);
     let theta = flags.get_beamwidth("theta", 30.0);
     let lengths = [5u32, 10, 25, 50, 100, 200, 400, 800];
     let rows = data_length_sweep(ProtocolTimes::paper(), n, theta.to_radians(), &lengths);

@@ -17,7 +17,7 @@ fn main() {
     let densities: Vec<f64> = if flags.has("all") {
         vec![3.0, 5.0, 8.0]
     } else {
-        vec![flags.get_f64("n", 5.0)]
+        vec![flags.get_density("n", 5.0)]
     };
     let mut svgs = Vec::new();
     for n in densities {

@@ -12,7 +12,7 @@ use dirca_sim::SimDuration;
 fn main() {
     let flags = Flags::from_env();
     let quick = flags.has("quick");
-    let n = flags.get_f64("n", 5.0);
+    let n = flags.get_density("n", 5.0);
     let fields = flags.get_count("fields", if quick { 4 } else { 12 });
     let measure = SimDuration::from_millis(if quick { 1000 } else { 5000 });
     let measure = flags.get_window("measure-ms", measure);

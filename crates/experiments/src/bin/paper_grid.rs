@@ -1,8 +1,9 @@
 //! E3–E6 — runs the Figs. 6/7 simulation grid once and prints all four
 //! metric reports from the same runs: Fig. 6 throughput, Fig. 7 delay,
 //! the §4 collision ratio and Jain fairness. With `--svg DIR` it also
-//! draws Figs. 6 and 7 from those cells as `DIR/fig{6,7}_n{N}.svg`. The
-//! grid runs nowhere else.
+//! draws Figs. 6 and 7 from those cells as `DIR/fig{6,7}_n{N}.svg`, and
+//! with `--trace PATH` it records topology 0 of each cell as that cell
+//! runs. The grid runs nowhere else, traced or not.
 //!
 //! The grid runs under the fault-tolerant runner: each cell is isolated
 //! (a panic or watchdog trip fails that cell, not the run), and with
@@ -11,15 +12,21 @@
 //! off. `trace_view PATH` prints a checkpoint's records, one per line.
 //!
 //! Usage: `paper_grid [--quick] [--topologies 50] [--measure-ms 10000]
-//! [--n 3|5|8] [--theta 30|90|150] [--threads K] [--seed S] [--svg DIR]`,
+//! [--n 3|5|8] [--theta 30|90|150] [--threads K] [--seed S] [--svg DIR]
+//! [--trace PATH]`,
 //! plus the runner flags `--checkpoint PATH`, `--resume`, `--max-cells K`,
 //! `--retries R`, `--events-budget E`, and the CI drill switches
 //! `--inject-panic n,theta,scheme` / `--inject-timeout n,theta,scheme`.
 //!
-//! With `--trace PATH` the run additionally exports a structured trace of
-//! topology 0 of every cell as one CRC-framed binary document. See
-//! `dirca_experiments::tracegrid` for the layout and the `trace_view`
-//! binary for validating it and folding it into per-node timelines.
+//! With `--trace PATH` topology 0 of every cell this invocation runs is
+//! simulated with the ring recorder attached, and the runs are written as
+//! one CRC-framed binary document once the grid ends. A cell restored by
+//! `--resume`, a cell `--max-cells` did not reach, and a cell whose
+//! topology 0 failed contribute no block, so only a fresh complete run
+//! traces the whole grid. An unwritable path is refused before the grid
+//! runs. See `dirca_experiments::tracegrid` for the layout and the
+//! `trace_view` binary for validating it and folding it into per-node
+//! timelines.
 //!
 //! Flags earlier versions accepted are refused with a usage error rather
 //! than silently ignored: any `--trace-…` flag (a leftover encoding
@@ -33,7 +40,6 @@ use dirca_experiments::cli::{removed_flag, Flags};
 use dirca_experiments::plot::write_svgs;
 use dirca_experiments::report::{grid_svgs, render_combined, GridScale};
 use dirca_experiments::runner::{run_grid, RunnerConfig};
-use dirca_experiments::tracegrid::export_grid_trace;
 
 fn main() {
     let flags = Flags::from_env();
@@ -44,7 +50,6 @@ fn main() {
     let scale = GridScale::from_flags(&flags);
     let runner = RunnerConfig::try_from_flags(&flags).unwrap_or_else(|e| e.exit());
     let svg_dir = flags.try_get_path("svg").unwrap_or_else(|e| e.exit());
-    let trace_path = flags.try_get_path("trace").unwrap_or_else(|e| e.exit());
     let write = |dir, files: &[(String, String)]| {
         write_svgs(dir, files).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -61,15 +66,8 @@ fn main() {
         scale.beamwidths.len(),
         scale.topologies,
         scale.measure.as_nanos() / 1_000_000,
-        runner.threads
+        scale.threads
     );
-    if let Some(path) = trace_path {
-        eprintln!("exporting structured trace to {path}");
-        export_grid_trace(&scale, path).unwrap_or_else(|e| {
-            eprintln!("failed to write trace {path}: {e}");
-            std::process::exit(1);
-        });
-    }
     let outcome = run_grid(&scale, &runner).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);

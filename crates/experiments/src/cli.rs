@@ -196,6 +196,20 @@ impl Flags {
         self.try_get_checked(name, default, "an integer", "at least 1", |&n| n >= 1)
     }
 
+    /// `--name` as a mean neighbourhood size `N` (the real-valued `--n` of
+    /// the analytical and field binaries), or `default`; a value the
+    /// analytical model refuses (not finite, or not above 0) is a
+    /// [`UsageError`].
+    pub fn try_get_density(&self, name: &str, default: f64) -> Result<f64, UsageError> {
+        self.try_get_checked(
+            name,
+            default,
+            "a number",
+            "a finite density above 0",
+            |&n: &f64| n.is_finite() && n > 0.0,
+        )
+    }
+
     /// `--name` as a window of whole milliseconds, at least 1
     /// (`--measure-ms`), or `default`; a malformed value or 0 is a
     /// [`UsageError`].
@@ -253,6 +267,12 @@ impl Flags {
     /// [`Flags::try_get_count`], exiting with status 2 on a usage error.
     pub fn get_count(&self, name: &str, default: usize) -> usize {
         self.try_get_count(name, default)
+            .unwrap_or_else(|e| e.exit())
+    }
+
+    /// [`Flags::try_get_density`], exiting with status 2 on a usage error.
+    pub fn get_density(&self, name: &str, default: f64) -> f64 {
+        self.try_get_density(name, default)
             .unwrap_or_else(|e| e.exit())
     }
 

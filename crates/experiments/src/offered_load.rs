@@ -82,7 +82,7 @@ pub fn run_sweep(scheme: Scheme, sweep: &LoadSweep, threads: usize) -> Vec<LoadP
 
 fn run_point(experiment: &RingExperiment, rate: f64, threads: usize) -> LoadPoint {
     let bit_rate = experiment.config.params.bit_rate_bps as f64;
-    let outcomes = run_topologies(experiment, threads, &CellGuards::default(), |result| {
+    let outcomes = run_topologies(experiment, threads, &CellGuards::default(), |result, _| {
         (
             result.aggregate_throughput_bps() / bit_rate,
             result.mean_e2e_delay(),

@@ -10,16 +10,19 @@
 //!
 //! This is the only code that turns a ring experiment into simulations:
 //! [`topology_config`] derives topology `t`'s layout and run seed, and
-//! [`run_topologies`] hands each run's result to a caller's extractor. The
-//! grid ([`try_run_cell`]) and the ring extensions differ only in the
-//! [`SimConfig`] they carry and what they extract.
+//! [`run_topologies`] hands each run's result (and topology 0's recorded
+//! ring, when traced) to a caller's extractor. The grid ([`try_run_cell`])
+//! and the ring extensions differ only in the [`SimConfig`] they carry
+//! and what they extract.
 
 use std::fmt;
 
 use crate::pool::parallel_indexed_catch;
+use crate::tracegrid::TRACE_CAPACITY;
 use dirca_mac::Scheme;
 use dirca_net::salts::{RUN_STREAM_SALT, TOPOLOGY_STREAM_SALT};
-use dirca_net::{run, run_guarded, RunAborted, RunResult, SimConfig, Watchdog};
+use dirca_net::trace::RingTrace;
+use dirca_net::{run_with, RunAborted, RunResult, SimConfig, Watchdog};
 use dirca_sim::{rng::derive_seed, rng::stream_rng, SimDuration};
 use dirca_stats::{jain_index, Summary};
 use dirca_topology::RingSpec;
@@ -121,14 +124,18 @@ impl fmt::Display for CellFailure {
 impl std::error::Error for CellFailure {}
 
 /// Guard rails for one cell run: an optional per-topology watchdog budget,
-/// plus a drill switch that makes topology 0 panic on purpose (used by the
-/// CI fault drill to prove the isolation path end to end).
+/// a drill switch that makes topology 0 panic on purpose (used by the CI
+/// fault drill to prove the isolation path end to end), and whether
+/// topology 0 runs with the trace recorder attached.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CellGuards {
     /// Event/sim-time budget applied to every topology simulation.
     pub watchdog: Option<Watchdog>,
     /// Deliberately panic in topology 0 instead of simulating.
     pub drill_panic: bool,
+    /// Attach a ring of [`TRACE_CAPACITY`] records to topology 0's run and
+    /// hand it to the extractor. Recording never perturbs the run.
+    pub trace: bool,
 }
 
 impl RingOutcome {
@@ -180,12 +187,8 @@ pub fn try_run_cell(
     threads: usize,
     guards: &CellGuards,
 ) -> Result<Vec<TopologySample>, CellFailure> {
-    let bit_rate = experiment.config.params.bit_rate_bps as f64;
-    run_topologies(experiment, threads, guards, |result| TopologySample {
-        throughput: result.aggregate_throughput_bps() / bit_rate,
-        delay_ms: result.mean_delay().map(|d| d.as_secs_f64() * 1e3),
-        collision_ratio: result.collision_ratio(),
-        jain: jain_index(&result.node_throughputs_bps()),
+    run_topologies(experiment, threads, guards, |result, _| {
+        TopologySample::of(experiment, result)
     })
     .into_iter()
     .collect()
@@ -193,9 +196,11 @@ pub fn try_run_cell(
 
 /// Runs every topology of `experiment` ([`topology_config`], then the
 /// simulation, under `guards`) across up to `threads` workers and hands
-/// each [`RunResult`] to `extract`. Returns one outcome per topology in
-/// index order, whatever the thread count: a panicking or timed-out
-/// topology yields its [`CellFailure`] and the others still run.
+/// each [`RunResult`] to `extract`, with the recorded ring when
+/// `guards.trace` attached one (topology 0 only). Returns one outcome per
+/// topology in index order, whatever the thread count: a panicking or
+/// timed-out topology yields its [`CellFailure`] and the others still
+/// run.
 pub fn run_topologies<T, F>(
     experiment: &RingExperiment,
     threads: usize,
@@ -204,17 +209,16 @@ pub fn run_topologies<T, F>(
 ) -> Vec<Result<T, CellFailure>>
 where
     T: Send,
-    F: Fn(&RunResult) -> T + Sync,
+    F: Fn(&RunResult, Option<&RingTrace>) -> T + Sync,
 {
     let outcomes = parallel_indexed_catch(experiment.topologies, threads, |t| {
         if guards.drill_panic && t == 0 {
             panic!("drill: injected cell panic");
         }
         let (topology, config) = topology_config(experiment, t);
-        match guards.watchdog {
-            None => Ok(extract(&run(&topology, &config))),
-            Some(w) => run_guarded(&topology, &config, w).map(|result| extract(&result)),
-        }
+        let recorder = (guards.trace && t == 0).then(|| RingTrace::with_capacity(TRACE_CAPACITY));
+        run_with(&topology, &config, guards.watchdog, recorder)
+            .map(|(result, ring)| extract(&result, ring.as_ref()))
     });
     outcomes
         .into_iter()
@@ -241,10 +245,23 @@ pub struct TopologySample {
     pub jain: Option<f64>,
 }
 
+impl TopologySample {
+    /// The sample of one of `experiment`'s topology runs.
+    pub(crate) fn of(experiment: &RingExperiment, result: &RunResult) -> Self {
+        let bit_rate = experiment.config.params.bit_rate_bps as f64;
+        TopologySample {
+            throughput: result.aggregate_throughput_bps() / bit_rate,
+            delay_ms: result.mean_delay().map(|d| d.as_secs_f64() * 1e3),
+            collision_ratio: result.collision_ratio(),
+            jain: jain_index(&result.node_throughputs_bps()),
+        }
+    }
+}
+
 /// Materializes topology `index` of an experiment cell: the generated ring
 /// layout plus the experiment's config under the topology's derived seed,
-/// exactly as [`run_topologies`] runs it. Exposed so external tooling (the
-/// trace exporter, replay debuggers) can re-run any cell coordinate
+/// exactly as [`run_topologies`] runs it. Exposed so external tooling
+/// (replay debuggers, perfbench) can re-run any cell coordinate
 /// standalone.
 ///
 /// # Panics
@@ -331,8 +348,9 @@ mod tests {
         let a = try_run_cell(&exp, 1, &guards).unwrap();
         let b = try_run_cell(&exp, 4, &guards).unwrap();
         assert_eq!(a, b, "samples must not depend on the thread count");
-        let extract =
-            |result: &RunResult| (result.airtime_breakdown().total(), result.queue_drops());
+        let extract = |result: &RunResult, _: Option<&RingTrace>| {
+            (result.airtime_breakdown().total(), result.queue_drops())
+        };
         let a = run_topologies(&exp, 1, &guards, extract);
         assert!(a.iter().all(Result::is_ok), "{a:?}");
         assert_eq!(a, run_topologies(&exp, 4, &guards, extract));

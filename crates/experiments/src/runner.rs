@@ -3,7 +3,7 @@
 //!
 //! The Figs. 6/7 grid is hours of CPU at paper scale; one panicking cell
 //! or a runaway simulation must not throw the rest away. This module runs
-//! each (N, θ, scheme) cell through [`try_run_cell`] — panics are caught
+//! each (N, θ, scheme) cell through [`run_topologies`] — panics are caught
 //! per topology, an optional [`Watchdog`] bounds runaway simulations — and
 //! appends each cell's outcome to a checkpoint file as one CRC-framed
 //! `CKPT_CELL` frame ([`crate::wireio`]). `--resume` replays the
@@ -26,8 +26,8 @@ use dirca_trace::wire::{self, kind, FrameDecoder, WireError};
 
 use crate::cli::{Flags, UsageError};
 use crate::report::GridScale;
-use crate::ringsim::{try_run_cell, CellFailure, CellGuards, RingOutcome, TopologySample};
-use crate::wireio;
+use crate::ringsim::{run_topologies, CellFailure, CellGuards, RingOutcome, TopologySample};
+use crate::{tracegrid, wireio};
 
 /// One grid coordinate: density × beamwidth × scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,8 +143,6 @@ impl GridRun {
 /// Runner policy, usually built from command-line flags.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Worker threads per cell.
-    pub threads: usize,
     /// Extra attempts for a failed cell beyond the first (the simulations
     /// are deterministic, so retries only help against environmental
     /// failures — resource exhaustion, not logic bugs).
@@ -166,12 +164,17 @@ pub struct RunnerConfig {
     pub inject_panic: Option<Cell>,
     /// Drill switch: this cell runs under a starvation watchdog.
     pub inject_timeout: Option<Cell>,
+    /// Trace document to write ([`crate::tracegrid`]): created before the
+    /// first cell runs, and written once the grid ends with the traced
+    /// topology-0 run of every cell executed this invocation. A restored
+    /// cell, one `max_cells` did not reach, and one whose topology 0
+    /// failed contribute no block.
+    pub trace: Option<PathBuf>,
 }
 
 impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
-            threads: 1,
             retries: 1,
             watchdog: None,
             checkpoint: None,
@@ -179,14 +182,15 @@ impl Default for RunnerConfig {
             max_cells: None,
             inject_panic: None,
             inject_timeout: None,
+            trace: None,
         }
     }
 }
 
 impl RunnerConfig {
-    /// Builds the runner policy from flags: `--threads`, `--retries`,
-    /// `--events-budget`, `--checkpoint PATH`, `--resume`, `--max-cells`,
-    /// and the drill switches `--inject-panic n,theta,scheme` /
+    /// Builds the runner policy from flags: `--retries`, `--events-budget`,
+    /// `--checkpoint PATH`, `--resume`, `--max-cells`, `--trace PATH`, and
+    /// the drill switches `--inject-panic n,theta,scheme` /
     /// `--inject-timeout n,theta,scheme`.
     pub fn try_from_flags(flags: &Flags) -> Result<Self, UsageError> {
         let parse_cell = |flag: &str| -> Result<Option<Cell>, UsageError> {
@@ -201,7 +205,6 @@ impl RunnerConfig {
         };
         let events_budget = flags.try_get_u64("events-budget", 0)?;
         Ok(RunnerConfig {
-            threads: flags.try_get_threads()?,
             retries: u32::try_from(flags.try_get_usize("retries", 1)?).unwrap_or(u32::MAX),
             watchdog: (events_budget > 0).then(|| Watchdog::max_events(events_budget)),
             checkpoint: flags.try_get_path("checkpoint")?.map(PathBuf::from),
@@ -212,6 +215,7 @@ impl RunnerConfig {
             },
             inject_panic: parse_cell("inject-panic")?,
             inject_timeout: parse_cell("inject-timeout")?,
+            trace: flags.try_get_path("trace")?.map(PathBuf::from),
         })
     }
 }
@@ -256,13 +260,20 @@ pub fn grid_fingerprint(scale: &GridScale) -> String {
 // Checkpoint errors.
 // ---------------------------------------------------------------------
 
-/// Why a checkpoint could not be written or replayed. Frame numbers are
-/// 1-based; the header is frame 1.
+/// Why a checkpoint could not be written or replayed, or the trace
+/// document not written. Frame numbers are 1-based; the header is frame 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Filesystem failure (message carries the OS error text).
     Io {
         /// The checkpoint path.
+        path: String,
+        /// What failed.
+        what: String,
+    },
+    /// The trace document could not be created or written.
+    TraceIo {
+        /// The trace path.
         path: String,
         /// What failed.
         what: String,
@@ -305,6 +316,9 @@ impl fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io { path, what } => {
                 write!(f, "checkpoint {path}: {what}")
+            }
+            CheckpointError::TraceIo { path, what } => {
+                write!(f, "trace {path}: {what}")
             }
             CheckpointError::MissingHeader => write!(
                 f,
@@ -495,7 +509,8 @@ pub fn compact_temp_path(path: &Path) -> PathBuf {
 // The runner.
 // ---------------------------------------------------------------------
 
-/// Runs every cell of `scale`'s grid under the runner policy.
+/// Runs every cell of `scale`'s grid under the runner policy, spreading
+/// each cell's topologies over `scale.threads` workers.
 ///
 /// Cells already completed in the checkpoint (when resuming) are restored
 /// without re-execution. Each remaining cell runs under panic isolation
@@ -518,6 +533,15 @@ pub fn run_grid_with(
 ) -> Result<GridRun, CheckpointError> {
     let cells = enumerate_cells(scale);
     let fingerprint = grid_fingerprint(scale);
+    let trace_err = |path: &Path, e: std::io::Error| CheckpointError::TraceIo {
+        path: path.display().to_string(),
+        what: e.to_string(),
+    };
+    if let Some(path) = &config.trace {
+        // Refuse an unwritable trace path before any cell runs.
+        File::create(path).map_err(|e| trace_err(path, e))?;
+    }
+    let mut blocks = Vec::new();
     let mut done: BTreeMap<CellKey, Vec<TopologySample>> = BTreeMap::new();
     let mut warnings = Vec::new();
     let mut sink: Option<File> = None;
@@ -575,14 +599,29 @@ pub fn run_grid_with(
                 config.watchdog
             },
             drill_panic: config.inject_panic.is_some_and(|c| c.key() == cell.key()),
+            trace: config.trace.is_some(),
         };
         let mut attempts = 0u32;
         let result = loop {
             attempts += 1;
-            match try_run_cell(&experiment, config.threads, &guards) {
-                Ok(samples) => break Ok(samples),
-                Err(failure) if attempts > config.retries => break Err(failure),
-                Err(_) => continue,
+            let mut outcomes = run_topologies(&experiment, scale.threads, &guards, |run, ring| {
+                let block = ring.map(|ring| tracegrid::encode_cell(cell, run, ring));
+                (TopologySample::of(&experiment, run), block)
+            });
+            let block = match outcomes.first_mut() {
+                Some(Ok((_, block))) => block.take(),
+                _ => None,
+            };
+            let result = outcomes
+                .into_iter()
+                .map(|o| o.map(|(sample, _)| sample))
+                .collect();
+            match result {
+                Err(_) if attempts <= config.retries => continue,
+                result => {
+                    blocks.extend(block);
+                    break result;
+                }
             }
         };
         if let (Some(file), Some(path)) = (sink.as_mut(), config.checkpoint.as_ref()) {
@@ -596,6 +635,10 @@ pub fn run_grid_with(
             result,
         });
         observer(outcomes.last().expect("just pushed"));
+    }
+    if let Some(path) = &config.trace {
+        std::fs::write(path, tracegrid::encode_document(scale.seed, &blocks))
+            .map_err(|e| trace_err(path, e))?;
     }
     Ok(GridRun {
         outcomes,

@@ -117,7 +117,6 @@ fn kill_during_compaction_leaves_old_or_new_never_hybrid() {
     let path = std::env::temp_dir().join(format!("compact_drill_{}.ckpt", std::process::id()));
     let tmp = compact_temp_path(&path);
     let cfg = |resume: bool| RunnerConfig {
-        threads: 1,
         checkpoint: Some(path.clone()),
         resume,
         ..RunnerConfig::default()

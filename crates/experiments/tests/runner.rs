@@ -1,16 +1,20 @@
 //! End-to-end behavior of the fault-tolerant grid runner: drill failures
 //! are isolated and reported with coordinates, interrupted runs resume to
-//! a byte-identical report, and checkpoints are validated strictly.
+//! a byte-identical report, checkpoints are validated strictly, and the
+//! trace document records the runs the grid itself made.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use dirca_experiments::report::{render_combined, GridScale};
-use dirca_experiments::ringsim::CellFailure;
+use dirca_experiments::ringsim::{topology_config, CellFailure};
 use dirca_experiments::runner::{
     enumerate_cells, run_grid, Cell, CheckpointError, GridRun, RunnerConfig,
 };
+use dirca_experiments::tracegrid::{encode_cell, encode_document, TRACE_CAPACITY};
 use dirca_experiments::wireio::{ckpt_cell_frame, ckpt_header_frame};
 use dirca_mac::Scheme;
+use dirca_net::trace::run_traced;
 use dirca_sim::SimDuration;
 use dirca_trace::wire;
 
@@ -29,7 +33,6 @@ fn tiny_scale() -> GridScale {
 
 fn runner() -> RunnerConfig {
     RunnerConfig {
-        threads: 2,
         retries: 0,
         ..RunnerConfig::default()
     }
@@ -39,8 +42,34 @@ fn ckpt_path(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dirca_ckpt_{}_{label}.ckpt", std::process::id()))
 }
 
+fn trace_path(label: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("dirca_trace_{}_{label}.bin", std::process::id()))
+}
+
 fn report_of(scale: &GridScale, run: &GridRun) -> String {
     render_combined(scale, &run.completed())
+}
+
+/// The cell count in the header of the trace document at `path`, after
+/// `trace_view --check` has accepted the whole document. Removes the file.
+fn checked_trace_cells(path: &Path) -> u32 {
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_view"))
+        .arg(path)
+        .arg("--check")
+        .output()
+        .expect("trace_view runs");
+    let doc = std::fs::read(path).expect("the trace was written");
+    let _ = std::fs::remove_file(path);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (frames, _) = wire::decode_all(&doc);
+    assert_eq!(frames[0].kind, wire::kind::TRACE_HEADER);
+    let mut header = wire::WireReader::new(&frames[0].payload);
+    header.take_u64().expect("the seed");
+    header.take_u32().expect("the cell count")
 }
 
 #[test]
@@ -163,23 +192,12 @@ fn failed_cells_are_retried_on_resume() {
 
 #[test]
 fn grid_samples_are_thread_count_independent() {
-    let scale = tiny_scale();
-    let one = run_grid(
-        &scale,
-        &RunnerConfig {
-            threads: 1,
-            ..runner()
-        },
-    )
-    .unwrap();
-    let four = run_grid(
-        &scale,
-        &RunnerConfig {
-            threads: 4,
-            ..runner()
-        },
-    )
-    .unwrap();
+    let at = |threads| GridScale {
+        threads,
+        ..tiny_scale()
+    };
+    let one = run_grid(&at(1), &runner()).unwrap();
+    let four = run_grid(&at(4), &runner()).unwrap();
     for (a, b) in one.outcomes.iter().zip(&four.outcomes) {
         assert_eq!(a.cell, b.cell);
         assert_eq!(
@@ -390,4 +408,96 @@ fn enumerated_cells_cover_the_paper_grid() {
         ..tiny_scale()
     };
     assert_eq!(enumerate_cells(&scale).len(), 27);
+}
+
+#[test]
+fn tracing_the_grid_changes_no_sample() {
+    let scale = tiny_scale();
+    let path = trace_path("non_perturbation");
+    let plain = run_grid(&scale, &runner()).unwrap();
+    let traced = RunnerConfig {
+        trace: Some(path.clone()),
+        ..runner()
+    };
+    let traced = run_grid(&scale, &traced).unwrap();
+    assert_eq!(checked_trace_cells(&path), 3);
+    for (a, b) in plain.outcomes.iter().zip(&traced.outcomes) {
+        assert_eq!((a.cell, &a.result), (b.cell, &b.result));
+    }
+    assert_eq!(plain.outcomes.len(), traced.outcomes.len());
+    assert_eq!(report_of(&scale, &plain), report_of(&scale, &traced));
+}
+
+#[test]
+fn the_trace_equals_topology_0_of_each_cell_run_on_its_own() {
+    let scale = tiny_scale();
+    let path = trace_path("oracle");
+    let config = RunnerConfig {
+        trace: Some(path.clone()),
+        ..runner()
+    };
+    run_grid(&scale, &config).unwrap();
+    let doc = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let blocks: Vec<_> = enumerate_cells(&scale)
+        .iter()
+        .map(|cell| {
+            let experiment = scale.cell(cell.scheme, cell.n, cell.theta);
+            let (topology, config) = topology_config(&experiment, 0);
+            let (result, ring) = run_traced(&topology, &config, TRACE_CAPACITY);
+            encode_cell(cell, &result, &ring)
+        })
+        .collect();
+    let oracle = encode_document(scale.seed, &blocks);
+    assert!(doc == oracle, "the runner's trace differs from the oracle");
+}
+
+#[test]
+fn a_trace_holds_only_the_cells_this_invocation_completed_topology_0_of() {
+    let scale = tiny_scale();
+    let ckpt = ckpt_path("trace_resume");
+    let path = trace_path("resume");
+    let traced = |max_cells, resume| RunnerConfig {
+        checkpoint: Some(ckpt.clone()),
+        resume,
+        max_cells,
+        trace: Some(path.clone()),
+        ..runner()
+    };
+    // Cut short by `--max-cells 1`: the unreached cells are missing.
+    let first = run_grid(&scale, &traced(Some(1), false)).unwrap();
+    assert!(first.stopped_early);
+    assert_eq!(checked_trace_cells(&path), 1);
+    // Resumed: the restored cell is missing.
+    let resumed = run_grid(&scale, &traced(None, true)).unwrap();
+    let _ = std::fs::remove_file(&ckpt);
+    assert_eq!((resumed.restored, resumed.executed), (1, 2));
+    assert_eq!(checked_trace_cells(&path), 2);
+    // A drilled panic in topology 0 fails its cell and leaves no block.
+    let drilled = RunnerConfig {
+        inject_panic: Some(enumerate_cells(&scale)[0]),
+        trace: Some(path.clone()),
+        ..runner()
+    };
+    let run = run_grid(&scale, &drilled).unwrap();
+    assert_eq!(run.failures().len(), 1);
+    assert_eq!(checked_trace_cells(&path), 2);
+}
+
+#[test]
+fn an_unwritable_trace_path_is_refused_before_any_cell_runs() {
+    let config = RunnerConfig {
+        trace: Some(std::env::temp_dir()),
+        ..runner()
+    };
+    let mut observed = 0;
+    let err = dirca_experiments::runner::run_grid_with(&tiny_scale(), &config, &mut |_| {
+        observed += 1;
+    })
+    .unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::TraceIo { .. }),
+        "got {err:?}"
+    );
+    assert_eq!(observed, 0, "no cell may run");
 }

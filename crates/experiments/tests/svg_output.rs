@@ -2,7 +2,7 @@
 //! `paper_grid` and `fig5`: a directory that cannot be created is one
 //! error line naming the path and a non-zero exit, never a panic. A bare
 //! path flag, an unknown scheme name or a value outside the range of the
-//! ring cell it fills is a usage error (exit 2).
+//! ring cell, density or field it fills is a usage error (exit 2).
 
 use std::process::Command;
 
@@ -91,8 +91,21 @@ fn ring_binaries_refuse_degenerate_values() {
         (env!("CARGO_BIN_EXE_mac_ablation"), "--theta", "0"),
         (env!("CARGO_BIN_EXE_directional_rx"), "--theta", "0"),
         (env!("CARGO_BIN_EXE_mobility_sweep"), "--beamwidth", "0"),
+        (env!("CARGO_BIN_EXE_connectivity"), "--nodes", "0"),
+        (env!("CARGO_BIN_EXE_connectivity"), "--trials", "0"),
+        // The quick field's density is 6: no node lies a range inside it.
+        (env!("CARGO_BIN_EXE_connectivity"), "--nodes", "6"),
     ];
-    for (bin, flag, value) in cases {
+    let densities = [
+        env!("CARGO_BIN_EXE_fig5"),
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_data_size"),
+        env!("CARGO_BIN_EXE_model_vs_sim"),
+        env!("CARGO_BIN_EXE_connectivity"),
+    ]
+    .into_iter()
+    .flat_map(|bin| ["0", "-3", "nan"].map(|value| (bin, "--n", value)));
+    for (bin, flag, value) in cases.into_iter().chain(densities) {
         let (code, stderr) = run(bin, &["--quick", flag, value]);
         assert_eq!(code, Some(2), "{bin} {flag} {value}: {stderr}");
         assert!(

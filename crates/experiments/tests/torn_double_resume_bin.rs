@@ -26,7 +26,6 @@ fn second_resume_after_torn_bin_frame() {
     let scale = tiny_scale();
     let path = std::env::temp_dir().join(format!("torn_double_bin_{}.ckpt", std::process::id()));
     let cfg = |resume: bool| RunnerConfig {
-        threads: 1,
         checkpoint: Some(path.clone()),
         resume,
         ..RunnerConfig::default()

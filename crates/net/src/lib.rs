@@ -5,14 +5,16 @@
 //! experiments. It provides:
 //!
 //! * [`NetWorld`] — the [`dirca_sim::World`] implementation: per-node
-//!   [`dirca_mac::DcfMac`] + [`dirca_radio::Transceiver`], a shared
-//!   [`dirca_radio::Channel`], and the event plumbing between them. Every
+//!   [`dirca_mac::DcfMac`] + [`dirca_radio::Transceiver`], the
+//!   [`dirca_radio::CoveragePlan`] of their shared channel, and the event
+//!   plumbing between them. Every
 //!   run drives it on the one sequential [`dirca_sim::Simulation`] loop,
 //! * [`SimConfig`] — one experiment's knobs (scheme, beamwidth, reception
 //!   mode, traffic, warm-up/measurement windows, seed),
 //! * [`run`] — builds the world from a [`dirca_topology::Topology`], runs
 //!   warm-up and measurement, and returns a [`RunResult`] with per-node
-//!   counters and aggregate throughput/delay/collision-ratio metrics.
+//!   counters and aggregate throughput/delay/collision-ratio metrics;
+//!   [`run_with`] is the same run under an optional watchdog and recorder.
 //!
 //! # Example
 //!
@@ -72,26 +74,17 @@ pub fn run(topology: &Topology, config: &SimConfig) -> RunResult {
         .0
 }
 
-/// Like [`run`], but the whole run (warm-up and measurement) executes
-/// under `watchdog`; a tripped budget returns the structured
+/// The one classic run lifecycle: build, attach `recorder`, prime, warm
+/// up, reset, measure, collect. The whole run (warm-up and measurement)
+/// executes under `watchdog`: a tripped budget returns the structured
 /// [`RunAborted`] instead of spinning or panicking, so sweep harnesses can
-/// report a stuck cell and move on.
+/// report a stuck cell and move on; `None` installs no watchdog, so the
+/// event loop checks nothing. Returns the recorder with the result.
 ///
 /// # Panics
 ///
 /// Panics on the same invalid inputs as [`run`].
-pub fn run_guarded(
-    topology: &Topology,
-    config: &SimConfig,
-    watchdog: Watchdog,
-) -> Result<RunResult, RunAborted> {
-    run_with(topology, config, Some(watchdog), None).map(|(result, _)| result)
-}
-
-/// The one classic run lifecycle: build, attach `recorder`, prime, warm
-/// up, reset, measure, collect. `None` installs no watchdog, so the event
-/// loop checks nothing. Returns the recorder with the result.
-pub(crate) fn run_with(
+pub fn run_with(
     topology: &Topology,
     config: &SimConfig,
     watchdog: Option<Watchdog>,

@@ -228,11 +228,11 @@ pub(crate) enum FaultVerdict {
     Outage,
 }
 
-/// The network world: one MAC and transceiver per node, a shared channel,
-/// saturated traffic sources, and the event dispatch glue.
+/// The network world: one MAC and transceiver per node, the coverage plan
+/// of their shared channel, saturated traffic sources, and the event
+/// dispatch glue.
 #[derive(Debug)]
 pub struct NetWorld {
-    pub(crate) channel: Channel,
     pub(crate) plan: CoveragePlan,
     pub(crate) macs: Vec<DcfMac>,
     pub(crate) phys: Vec<Transceiver>,
@@ -284,12 +284,6 @@ impl NetWorld {
     )]
     pub fn build(topology: &Topology, config: &SimConfig) -> Self {
         assert!(!topology.is_empty(), "cannot simulate an empty topology");
-        let channel = Channel::new(
-            topology.positions.clone(),
-            topology.range,
-            config.params.propagation_delay,
-        )
-        .expect("topology range must be valid");
         let n = topology.len();
         let macs = (0..n)
             .map(|i| {
@@ -319,6 +313,14 @@ impl NetWorld {
         };
         let phys = (0..n).map(|_| Transceiver::new(reception)).collect();
         let rngs = (0..n).map(|i| stream_rng(config.seed, i as u64)).collect();
+        // The plan is the channel's one use: wave timing reads the
+        // propagation delay from `params`, and positions live in the plan.
+        let channel = Channel::new(
+            topology.positions.clone(),
+            topology.range,
+            config.params.propagation_delay,
+        )
+        .expect("topology range must be valid");
         let plan = CoveragePlan::new(&channel, config.beamwidth);
         let mut neighbors = vec![Vec::new(); n];
         fill_traffic_rows(&plan, &mut neighbors);
@@ -379,7 +381,6 @@ impl NetWorld {
             }
         });
         NetWorld {
-            channel,
             plan,
             macs,
             phys,
@@ -574,7 +575,6 @@ impl NetWorld {
             None => false,
         };
         let NetWorld {
-            channel,
             macs,
             phys,
             rngs,
@@ -589,7 +589,6 @@ impl NetWorld {
             node,
             sched,
             phy: &mut phys[node.0],
-            channel,
             params,
             rng: &mut rngs[node.0],
             next_signal,
@@ -1076,12 +1075,11 @@ impl World for NetWorld {
     }
 }
 
-/// The [`MacContext`] wired to the event queue and the shared channel.
+/// The [`MacContext`] wired to the event queue and the node's radio.
 struct Ctx<'a> {
     node: NodeId,
     sched: &'a mut Scheduler<NetEvent>,
     phy: &'a mut Transceiver,
-    channel: &'a Channel,
     params: &'a Dot11Params,
     rng: &'a mut SmallRng,
     next_signal: &'a mut u64,
@@ -1144,7 +1142,7 @@ impl MacContext for Ctx<'_> {
 
         let id = SignalId(*self.next_signal);
         *self.next_signal += 1;
-        let prop = self.channel.propagation_delay();
+        let prop = self.params.propagation_delay;
         // Hot path: one batched wave pair per frame. The leading edge
         // filters the transmitter's neighbour slice once and pins the
         // receivers, the trailing edge walks the pinned list, both with

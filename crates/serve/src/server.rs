@@ -219,14 +219,12 @@ impl Server {
         let checkpoint = self.config.state_dir.join(format!("{fingerprint}.ckpt"));
         let total = enumerate_cells(&scale).len() as u32;
         let runner = RunnerConfig {
-            threads: self.config.threads,
             retries: spec.retries,
             watchdog: (spec.events_budget > 0).then(|| Watchdog::max_events(spec.events_budget)),
             resume: checkpoint.exists(),
             checkpoint: Some(checkpoint),
-            max_cells: None,
             inject_panic: spec.inject_panic,
-            inject_timeout: None,
+            ..RunnerConfig::default()
         };
         if conn
             .write_frame(kind::ACCEPT, &encode_accept(&Accept { fingerprint, total }))

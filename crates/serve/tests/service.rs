@@ -52,14 +52,7 @@ fn wide_spec() -> ScenarioSpec {
 /// adds) for the same parameters: the byte-identity oracle.
 fn batch_report(spec: &ScenarioSpec) -> String {
     let scale = spec.scale(2);
-    let run = run_grid(
-        &scale,
-        &RunnerConfig {
-            threads: 2,
-            ..RunnerConfig::default()
-        },
-    )
-    .unwrap();
+    let run = run_grid(&scale, &RunnerConfig::default()).unwrap();
     render_combined(&scale, &run.completed())
 }
 
